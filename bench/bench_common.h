@@ -24,6 +24,7 @@
 #include <cstdlib>
 #include <initializer_list>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "src/core/grouting.h"
@@ -123,7 +124,9 @@ inline void PrintPaperShape(const char* shape) {
 // document per bench run into GROUTING_BENCH_JSON_DIR (default: the working
 // directory). CI uploads these as artifacts — the bench trajectory — and
 // tools/check_bench_regression.py gates pushes against the checked-in
-// bench/baselines/*.json on the deterministic simulated engine.
+// bench/baselines/*.json on the deterministic simulated engine. Each row
+// carries every scalar ClusterMetrics field under its own name (via
+// ForEachMetricField) plus five derived keys.
 
 inline std::string JsonEscape(const std::string& s) {
   std::string out;
@@ -196,45 +199,22 @@ inline void WriteBenchJson(const std::string& name,
       const ClusterMetrics& m = row.metrics;
       std::fprintf(f, "%s\n    {\"group\": \"%s\", \"label\": \"%s\", ", first ? "" : ",",
                    JsonEscape(g.group).c_str(), JsonEscape(row.label).c_str());
+      ForEachMetricField([&](const char* key, auto member) {
+        const auto& v = m.*member;
+        using T = std::remove_cvref_t<decltype(v)>;
+        if constexpr (std::is_floating_point_v<T>) {
+          std::fprintf(f, "\"%s\": %.6g, ", key, v);
+        } else if constexpr (std::is_integral_v<T>) {
+          std::fprintf(f, "\"%s\": %llu, ", key, static_cast<unsigned long long>(v));
+        }
+      });
       std::fprintf(f,
-                   "\"throughput_qps\": %.6g, \"mean_response_ms\": %.6g, "
-                   "\"p50_response_ms\": %.6g, \"p95_response_ms\": %.6g, "
-                   "\"p99_response_ms\": %.6g, \"p999_response_ms\": %.6g, "
-                   "\"hit_rate\": %.6g, "
-                   "\"cache_hits\": %llu, \"cache_misses\": %llu, "
-                   "\"storage_batches\": %llu, \"steals\": %llu, "
-                   "\"batches_inflight_peak\": %u, \"fetch_overlap_us\": %.6g, "
-                   "\"storage_load_imbalance\": %.6g, \"partitions_migrated\": %llu, "
-                   "\"repartition_stall_us\": %.6g, "
-                   "\"partitions_replicated\": %llu, \"replica_reads\": %llu, "
-                   "\"replica_demotions\": %llu, "
-                   "\"adjacency_compression_ratio\": %.6g, \"cache_entries\": %llu, "
-                   "\"decompress_us\": %.6g, \"bytes_from_storage\": %llu, "
-                   "\"tenants\": %u, \"queries_shed\": %llu, \"shed_rate\": %.6g, "
-                   "\"max_tenant_p99_ms\": %.6g, \"max_tenant_p999_ms\": %.6g, "
-                   "\"mutations_applied\": %llu, \"index_refreshes\": %llu, "
-                   "\"stale_distance_error\": %.6g}",
-                   m.throughput_qps, m.mean_response_ms, m.p50_response_ms,
-                   m.p95_response_ms, m.p99_response_ms, m.p999_response_ms,
-                   m.CacheHitRate(), static_cast<unsigned long long>(m.cache_hits),
-                   static_cast<unsigned long long>(m.cache_misses),
-                   static_cast<unsigned long long>(m.storage_batches),
-                   static_cast<unsigned long long>(m.steals), m.batches_inflight_peak,
-                   m.fetch_overlap_us, m.storage_load_imbalance,
-                   static_cast<unsigned long long>(m.partitions_migrated),
-                   m.repartition_stall_us,
-                   static_cast<unsigned long long>(m.partitions_replicated),
-                   static_cast<unsigned long long>(m.replica_reads),
-                   static_cast<unsigned long long>(m.replica_demotions),
-                   m.adjacency_compression_ratio,
-                   static_cast<unsigned long long>(m.cache_entries), m.decompress_us,
-                   static_cast<unsigned long long>(m.bytes_from_storage),
+                   "\"hit_rate\": %.6g, \"tenants\": %u, \"shed_rate\": %.6g, "
+                   "\"max_tenant_p99_ms\": %.6g, \"max_tenant_p999_ms\": %.6g}",
+                   m.CacheHitRate(),
                    static_cast<unsigned>(std::max<size_t>(1, m.per_tenant.size())),
-                   static_cast<unsigned long long>(m.queries_shed), ShedRateOf(m),
-                   MaxTenantPercentile(m, false), MaxTenantPercentile(m, true),
-                   static_cast<unsigned long long>(m.mutations_applied),
-                   static_cast<unsigned long long>(m.index_refreshes),
-                   m.stale_distance_error);
+                   ShedRateOf(m), MaxTenantPercentile(m, false),
+                   MaxTenantPercentile(m, true));
       first = false;
     }
   }

@@ -12,6 +12,7 @@
 #include <cstring>
 #include <map>
 #include <string>
+#include <type_traits>
 
 #include "src/core/grouting.h"
 
@@ -73,11 +74,9 @@ void PrintHelp() {
       "  --router-shards=<int>    router frontend shards      (default 1)\n"
       "  --splitter=round_robin|hash|sticky|adaptive          (default round_robin)\n"
       "  --gossip-period=<µs>     0 disables gossip           (default 200)\n"
-      "  --gossip-weight=<float>  EMA blend weight            (default 0.5)\n"
       "  --rebalance-threshold=<ratio>  adaptive splitter migration trigger\n"
       "                           (max/min routed load; <=1 disables, default 0)\n"
       "  --migration-cap=<int>    sessions moved per rebalance round (default 8)\n"
-      "  --session-capacity=<int> sticky/adaptive session bound (default 65536)\n"
       "  --arrival-gap=<µs>       sim inter-arrival gap       (default 0)\n"
       "  --inflight-batches=<int> async multiget window per processor\n"
       "                           (1 = synchronous level barrier, default 1)\n"
@@ -279,11 +278,8 @@ int main(int argc, char** argv) {
   }
   opts.splitter = kSplitters.at(splitter_name);
   opts.gossip_period_us = flags.GetDouble("gossip-period", 200.0);
-  opts.gossip_merge_weight = flags.GetDouble("gossip-weight", 0.5);
   opts.rebalance_threshold = flags.GetDouble("rebalance-threshold", 0.0);
   opts.migration_cap = static_cast<uint32_t>(flags.GetInt("migration-cap", 8));
-  opts.session_capacity =
-      static_cast<uint32_t>(flags.GetInt("session-capacity", 1 << 16));
   opts.arrival_gap_us = flags.GetDouble("arrival-gap", 0.0);
   opts.max_inflight_batches =
       static_cast<uint32_t>(flags.GetInt("inflight-batches", 1));
@@ -399,87 +395,21 @@ int main(int argc, char** argv) {
 
   Table t({"metric", "value"});
   t.AddRow({"engine", EngineKindName(engine)});
-  t.AddRow({"queries", Table::Int(static_cast<int64_t>(m.queries))});
-  t.AddRow({"throughput", Table::Num(m.throughput_qps, 1) + " q/s"});
-  t.AddRow({"mean response", Table::Num(m.mean_response_ms, 3) + " ms"});
-  t.AddRow({"p50 response", Table::Num(m.p50_response_ms, 3) + " ms"});
-  t.AddRow({"p95 response", Table::Num(m.p95_response_ms, 3) + " ms"});
-  t.AddRow({"p99 response", Table::Num(m.p99_response_ms, 3) + " ms"});
-  t.AddRow({"p99.9 response", Table::Num(m.p999_response_ms, 3) + " ms"});
-  t.AddRow({"mean queue wait", Table::Num(m.mean_queue_wait_ms, 3) + " ms"});
-  t.AddRow({"cache hit rate", Table::Num(100.0 * m.CacheHitRate(), 1) + " %"});
-  t.AddRow({"cache hits / misses", Table::Int(static_cast<int64_t>(m.cache_hits)) + " / " +
-                                       Table::Int(static_cast<int64_t>(m.cache_misses))});
-  t.AddRow({"bytes from storage", Table::Bytes(m.bytes_from_storage)});
-  t.AddRow({"storage batches", Table::Int(static_cast<int64_t>(m.storage_batches))});
-  if (opts.adjacency_encoding != AdjacencyEncoding::kRaw || opts.cache_compressed) {
-    t.AddRow({"adjacency encoding", AdjacencyEncodingName(opts.adjacency_encoding) +
-                                        (opts.cache_compressed ? " (compressed cache)"
-                                                               : "")});
-    t.AddRow({"compression ratio", Table::Num(m.adjacency_compression_ratio, 2) + "x"});
-    t.AddRow({"cache entries", Table::Int(static_cast<int64_t>(m.cache_entries))});
-    t.AddRow({"decompress time", Table::Num(m.decompress_us / 1000.0, 3) + " ms"});
-  }
-  t.AddRow({"storage load imbalance",
-            Table::Num(m.storage_load_imbalance, 2) + " max/min"});
-  t.AddRow({"steals", Table::Int(static_cast<int64_t>(m.steals))});
-  const RepartitionConfig repartition =
-      env.MakeClusterConfig(opts).MakeRepartitionConfig();
-  if (repartition.active()) {
-    t.AddRow({"partitions migrated",
-              Table::Int(static_cast<int64_t>(m.partitions_migrated))});
-    t.AddRow(
-        {"repartition stall", Table::Num(m.repartition_stall_us / 1000.0, 3) + " ms"});
-  }
-  if (repartition.replication_enabled()) {
-    t.AddRow({"partitions replicated",
-              Table::Int(static_cast<int64_t>(m.partitions_replicated))});
-    t.AddRow({"replica reads", Table::Int(static_cast<int64_t>(m.replica_reads))});
-    t.AddRow({"replica demotions",
-              Table::Int(static_cast<int64_t>(m.replica_demotions))});
-  }
-  if (opts.max_inflight_batches > 1) {
-    t.AddRow({"inflight batch peak",
-              Table::Int(static_cast<int64_t>(m.batches_inflight_peak))});
-    t.AddRow({"fetch overlap", Table::Num(m.fetch_overlap_us / 1000.0, 3) + " ms"});
-  }
-  if (opts.trace_sample_every_n > 0) {
-    t.AddRow({"trace events", Table::Int(static_cast<int64_t>(m.trace_events_recorded)) +
-                                  " (" +
-                                  Table::Int(static_cast<int64_t>(m.trace_events_dropped)) +
-                                  " dropped)"});
-    t.AddRow({"trace ring high-water",
-              Table::Int(static_cast<int64_t>(m.trace_buffer_high_water))});
-  }
-  if (opts.router_shards > 1) {
-    t.AddRow({"router shards", Table::Int(static_cast<int64_t>(opts.router_shards)) +
-                                   " (" + SplitterKindName(opts.splitter) + ")"});
-    t.AddRow({"gossip rounds", Table::Int(static_cast<int64_t>(m.gossip_rounds))});
-    t.AddRow({"ema divergence", Table::Num(m.router_ema_divergence, 4)});
-    t.AddRow({"load imbalance", Table::Num(m.router_load_imbalance, 2) + " max/min"});
-    t.AddRow({"sessions migrated",
-              Table::Int(static_cast<int64_t>(m.sessions_migrated))});
-    if (m.sticky_evictions > 0) {
-      t.AddRow({"session evictions",
-                Table::Int(static_cast<int64_t>(m.sticky_evictions))});
+  ForEachMetricField([&](const char* name, auto member) {
+    const auto& v = m.*member;
+    using T = std::remove_cvref_t<decltype(v)>;
+    if constexpr (std::is_floating_point_v<T>) {
+      t.AddRow({name, Table::Num(v, 4)});
+    } else if constexpr (std::is_integral_v<T>) {
+      t.AddRow({name, Table::Int(static_cast<int64_t>(v))});
     }
-  }
-  if (opts.enable_mutations) {
-    t.AddRow({"mutations applied",
-              Table::Int(static_cast<int64_t>(m.mutations_applied))});
-    t.AddRow({"index refreshes",
-              Table::Int(static_cast<int64_t>(m.index_refreshes))});
-    t.AddRow({"stale distance error", Table::Num(m.stale_distance_error, 4)});
-  }
-  if (opts.num_tenants > 1 || opts.tenant_quota_qps > 0.0) {
-    t.AddRow({"tenants", Table::Int(static_cast<int64_t>(opts.num_tenants))});
-    t.AddRow({"queries shed", Table::Int(static_cast<int64_t>(m.queries_shed))});
-    for (const TenantMetrics& tm : m.per_tenant) {
-      t.AddRow({"tenant " + Table::Int(tm.tenant),
-                Table::Int(static_cast<int64_t>(tm.queries)) + " q / " +
-                    Table::Int(static_cast<int64_t>(tm.shed)) + " shed / p99 " +
-                    Table::Num(tm.p99_response_ms, 3) + " ms"});
-    }
+  });
+  t.AddRow({"hit_rate", Table::Num(m.CacheHitRate(), 4)});
+  for (const TenantMetrics& tm : m.per_tenant) {
+    t.AddRow({"tenant " + Table::Int(tm.tenant),
+              Table::Int(static_cast<int64_t>(tm.queries)) + " q / " +
+                  Table::Int(static_cast<int64_t>(tm.shed)) + " shed / p99 " +
+                  Table::Num(tm.p99_response_ms, 3) + " ms"});
   }
   std::printf("%s", t.ToString().c_str());
 

@@ -26,9 +26,6 @@ ClusterEngine::ClusterEngine(const Graph& graph, const ClusterConfig& config,
   GROUTING_CHECK(config_.num_processors > 0);
   GROUTING_CHECK(config_.num_storage_servers > 0);
   GROUTING_CHECK(config_.num_router_shards > 0);
-  GROUTING_CHECK(config_.gossip_merge_weight >= 0.0 &&
-                 config_.gossip_merge_weight <= 1.0);
-  GROUTING_CHECK(config_.router_session_capacity > 0);
   GROUTING_CHECK_MSG(config_.processor.max_inflight_batches > 0,
                      "max_inflight_batches must be >= 1");
   GROUTING_CHECK(config_.num_tenants > 0);

@@ -69,7 +69,7 @@ struct ClusterConfig {
   CostModel cost = CostModel::InfinibandDefaults();
   // Inter-arrival gap between queries at the router (µs); the paper sends
   // queries back to back. The simulated engine schedules arrivals in
-  // virtual time; the threaded engine paces its feeder thread in wall time.
+  // virtual time; the threaded engine's feeder paces it in wall time.
   double arrival_gap_us = 0.0;
   // Threaded engine: injected one-way network delay per storage batch
   // (busy-wait, µs). 0 = memory speed.
@@ -90,8 +90,6 @@ struct ClusterConfig {
   // Period of the load/EMA gossip between shards (virtual µs on the
   // simulated engine, wall-clock µs on the threaded one). 0 disables gossip.
   double gossip_period_us = 200.0;
-  // Blend weight for sibling EMA state at a gossip round, in [0, 1].
-  double gossip_merge_weight = 0.5;
   // Adaptive arrival re-splitting (router_splitter == kAdaptive): at each
   // gossip round, migrate hot sessions from the most- to the least-loaded
   // shard once the max/min routed-load ratio exceeds this threshold. <= 1
@@ -102,9 +100,6 @@ struct ClusterConfig {
   // At most this many sessions migrate per rebalance round (anti-thrash cap,
   // paired with a 0.9-of-threshold hysteresis water mark).
   uint32_t router_migration_cap = 8;
-  // Bound on the sticky/adaptive splitter's session table; the oldest
-  // session is evicted FIFO beyond it (ClusterMetrics::sticky_evictions).
-  uint32_t router_session_capacity = 1u << 16;
 
   // --- Storage-tier adaptive repartitioning (src/partition/repartition.h) ---
   // At each gossip-aligned round, migrate hot partitions from the most- to
@@ -237,6 +232,8 @@ struct TenantMetrics {
     const uint64_t offered = queries + shed;
     return offered == 0 ? 0.0 : static_cast<double>(shed) / static_cast<double>(offered);
   }
+
+  bool operator==(const TenantMetrics&) const = default;
 };
 
 // One metrics struct for either engine. Times are virtual µs for the
@@ -359,6 +356,57 @@ struct ClusterMetrics {
   }
   double WallSeconds() const { return makespan_us / 1e6; }
 };
+
+// Every ClusterMetrics field, named once and in declaration order: calls
+// f("name", &ClusterMetrics::name) per field. The bench JSON, the CLI table
+// and the determinism test iterate this list instead of naming fields, and
+// tools/check_docs.py fails when a field of the struct is missing here.
+template <typename F>
+void ForEachMetricField(F&& f) {
+#define GROUTING_METRIC_FIELD(name) f(#name, &ClusterMetrics::name)
+  GROUTING_METRIC_FIELD(queries);
+  GROUTING_METRIC_FIELD(makespan_us);
+  GROUTING_METRIC_FIELD(throughput_qps);
+  GROUTING_METRIC_FIELD(mean_response_ms);
+  GROUTING_METRIC_FIELD(p50_response_ms);
+  GROUTING_METRIC_FIELD(p95_response_ms);
+  GROUTING_METRIC_FIELD(p99_response_ms);
+  GROUTING_METRIC_FIELD(p999_response_ms);
+  GROUTING_METRIC_FIELD(mean_queue_wait_ms);
+  GROUTING_METRIC_FIELD(cache_hits);
+  GROUTING_METRIC_FIELD(cache_misses);
+  GROUTING_METRIC_FIELD(nodes_visited);
+  GROUTING_METRIC_FIELD(bytes_from_storage);
+  GROUTING_METRIC_FIELD(storage_batches);
+  GROUTING_METRIC_FIELD(steals);
+  GROUTING_METRIC_FIELD(queries_per_processor);
+  GROUTING_METRIC_FIELD(queries_per_router_shard);
+  GROUTING_METRIC_FIELD(gossip_rounds);
+  GROUTING_METRIC_FIELD(router_ema_divergence);
+  GROUTING_METRIC_FIELD(sessions_migrated);
+  GROUTING_METRIC_FIELD(sticky_evictions);
+  GROUTING_METRIC_FIELD(router_load_imbalance);
+  GROUTING_METRIC_FIELD(batches_inflight_peak);
+  GROUTING_METRIC_FIELD(fetch_overlap_us);
+  GROUTING_METRIC_FIELD(partitions_migrated);
+  GROUTING_METRIC_FIELD(storage_load_imbalance);
+  GROUTING_METRIC_FIELD(repartition_stall_us);
+  GROUTING_METRIC_FIELD(partitions_replicated);
+  GROUTING_METRIC_FIELD(replica_reads);
+  GROUTING_METRIC_FIELD(replica_demotions);
+  GROUTING_METRIC_FIELD(adjacency_compression_ratio);
+  GROUTING_METRIC_FIELD(cache_entries);
+  GROUTING_METRIC_FIELD(decompress_us);
+  GROUTING_METRIC_FIELD(trace_events_recorded);
+  GROUTING_METRIC_FIELD(trace_events_dropped);
+  GROUTING_METRIC_FIELD(trace_buffer_high_water);
+  GROUTING_METRIC_FIELD(queries_shed);
+  GROUTING_METRIC_FIELD(mutations_applied);
+  GROUTING_METRIC_FIELD(index_refreshes);
+  GROUTING_METRIC_FIELD(stale_distance_error);
+  GROUTING_METRIC_FIELD(per_tenant);
+#undef GROUTING_METRIC_FIELD
+}
 
 // One answered query, in completion order. `processor` is the processor
 // that executed it (post-stealing).

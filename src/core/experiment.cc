@@ -125,10 +125,8 @@ ClusterConfig ExperimentEnv::MakeClusterConfig(const RunOptions& options) {
   config.num_router_shards = options.router_shards;
   config.router_splitter = options.splitter;
   config.gossip_period_us = options.gossip_period_us;
-  config.gossip_merge_weight = options.gossip_merge_weight;
   config.router_rebalance_threshold = options.rebalance_threshold;
   config.router_migration_cap = options.migration_cap;
-  config.router_session_capacity = options.session_capacity;
   config.repartition_threshold = options.repartition_threshold;
   config.repartition_cap = options.repartition_cap;
   config.partitions_per_server = options.partitions_per_server;
@@ -166,11 +164,6 @@ ClusterMetrics ExperimentEnv::Run(EngineKind engine, const RunOptions& options,
     cluster->set_mutation_schedule(GenerateMutationSchedule(graph(), {}, mc));
   }
   return cluster->Run(queries);
-}
-
-ClusterMetrics ExperimentEnv::RunDecoupled(const RunOptions& options,
-                                           std::span<const Query> queries) {
-  return Run(EngineKind::kSimulated, options, queries);
 }
 
 }  // namespace grouting

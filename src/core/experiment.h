@@ -8,7 +8,7 @@
 // Run() assembles a fresh cluster (cold caches, as in the paper) on the
 // requested engine — EngineKind::kSimulated for the paper's modelled
 // cluster, EngineKind::kThreaded for real threads — and runs the hotspot
-// workload. RunDecoupled() is the historical simulated-engine shim.
+// workload.
 
 #ifndef GROUTING_SRC_CORE_EXPERIMENT_H_
 #define GROUTING_SRC_CORE_EXPERIMENT_H_
@@ -63,13 +63,11 @@ struct RunOptions {
   uint32_t router_shards = 1;
   SplitterKind splitter = SplitterKind::kRoundRobin;
   double gossip_period_us = 200.0;
-  double gossip_merge_weight = 0.5;
   // Adaptive arrival re-splitting (splitter == kAdaptive): migration trigger
-  // ratio (<= 1 disables — adaptive then equals sticky), per-round session
-  // cap, and the sticky/adaptive session-table bound.
+  // ratio (<= 1 disables — adaptive then equals sticky) and per-round
+  // session cap.
   double rebalance_threshold = 0.0;
   uint32_t migration_cap = 8;
-  uint32_t session_capacity = 1u << 16;
   // Storage-tier adaptive repartitioning (src/partition/repartition.h):
   // migration trigger ratio over per-server decayed access rates (<= 1
   // disables — the tier then keeps the paper's static hash placement),
@@ -171,10 +169,6 @@ class ExperimentEnv {
   // workload implied by `options` (or `queries` if provided).
   ClusterMetrics Run(EngineKind engine, const RunOptions& options,
                      std::span<const Query> queries = {});
-
-  // Thin shim: Run(EngineKind::kSimulated, ...).
-  ClusterMetrics RunDecoupled(const RunOptions& options,
-                              std::span<const Query> queries = {});
 
   uint64_t seed() const { return seed_; }
 

@@ -148,24 +148,4 @@ Graph GraphBuilder::Build() {
   return g;
 }
 
-Graph InducedSubgraph(const Graph& g, const std::vector<uint8_t>& keep) {
-  GROUTING_CHECK(keep.size() == g.num_nodes());
-  GraphBuilder builder(g.num_nodes());
-  if (g.num_nodes() > 0) {
-    builder.AddNode(static_cast<NodeId>(g.num_nodes() - 1));  // preserve node-id space
-  }
-  for (NodeId u = 0; u < g.num_nodes(); ++u) {
-    builder.SetNodeLabel(u, g.node_label(u));
-    if (!keep[u]) {
-      continue;
-    }
-    for (const Edge& e : g.OutNeighbors(u)) {
-      if (keep[e.dst]) {
-        builder.AddEdge(u, e.dst, e.label);
-      }
-    }
-  }
-  return builder.Build();
-}
-
 }  // namespace grouting

@@ -136,12 +136,6 @@ class GraphBuilder {
   bool keep_parallel_edges_ = false;
 };
 
-// Subgraph induced by `keep[u] != 0`, preserving ORIGINAL node ids (nodes not
-// kept become isolated). This matches the paper's graph-update experiment,
-// where preprocessing runs on an induced subgraph but queries run on the full
-// graph with unchanged ids.
-Graph InducedSubgraph(const Graph& g, const std::vector<uint8_t>& keep);
-
 }  // namespace grouting
 
 #endif  // GROUTING_SRC_GRAPH_GRAPH_H_

@@ -46,19 +46,12 @@ ThreadedCluster::ThreadedCluster(const Graph& graph, const ClusterConfig& config
                                  std::unique_ptr<RoutingStrategy> strategy,
                                  const PartitionAssignment* placement)
     : ClusterEngine(graph, config, placement),
-      splitter_(config.router_splitter, config.num_router_shards,
-                config.router_session_capacity) {
+      splitter_(config.router_splitter, config.num_router_shards) {
   GROUTING_CHECK(strategy != nullptr);
   rebalance_.threshold = config_.router_rebalance_threshold;
   rebalance_.migration_cap = config_.router_migration_cap;
   adaptive_ = config_.num_router_shards > 1 &&
               config_.router_splitter == SplitterKind::kAdaptive;
-  // The feeder thread is what lets the assignment change mid-run (adaptive)
-  // or arrivals be paced in wall time (arrival_gap_us, or the open-loop
-  // schedule's own arrive_us timestamps); otherwise the PR-2 pre-sliced
-  // path is kept byte-for-byte.
-  use_feeder_ =
-      adaptive_ || config_.arrival_gap_us > 0.0 || config_.open_loop_arrivals;
   shards_.reserve(config_.num_router_shards);
   for (uint32_t s = 1; s < config_.num_router_shards; ++s) {
     auto clone = strategy->Clone();
@@ -74,10 +67,8 @@ ThreadedCluster::ThreadedCluster(const Graph& graph, const ClusterConfig& config
   for (uint32_t p = 0; p < config_.num_processors; ++p) {
     channels_.push_back(std::make_unique<MpmcQueue<Routed>>());
   }
-  if (use_feeder_) {
-    for (uint32_t s = 0; s < config_.num_router_shards; ++s) {
-      arrival_channels_.push_back(std::make_unique<MpmcQueue<Query>>());
-    }
+  for (uint32_t s = 0; s < config_.num_router_shards; ++s) {
+    arrival_channels_.push_back(std::make_unique<MpmcQueue<Query>>());
   }
   async_fetch_ = config_.processor.max_inflight_batches > 1;
   if (async_fetch_) {
@@ -109,9 +100,6 @@ ThreadedCluster::~ThreadedCluster() {
   // by their fetch thread, and submissions after the close run inline.
   for (auto& q : fetch_queues_) {
     q->Close();
-  }
-  if (feeder_thread_.joinable()) {
-    feeder_thread_.join();
   }
   if (writer_thread_.joinable()) {
     writer_thread_.join();
@@ -213,13 +201,14 @@ void ThreadedCluster::FeederLoop(std::span<const Query> queries) {
   }
 }
 
-void ThreadedCluster::RouterShardLoop(uint32_t shard, std::span<const Query> slice) {
+void ThreadedCluster::RouterShardLoop(uint32_t shard) {
   RouterShard& rs = *shards_[shard];
   WallTracer* tracer = shard_tracers_.empty() ? nullptr : &shard_tracers_[shard];
   std::vector<uint32_t> lengths(config_.num_processors, 0);
   RouterContext ctx;
   ctx.num_processors = config_.num_processors;
-  const auto route_one = [&](const Query& q) {
+  while (auto arrival = arrival_channels_[shard]->Pop()) {
+    const Query& q = *arrival;
     const bool traced = tracer != nullptr && tracer->Sample(q.id);
     if (traced) {
       tracer->Instant(TraceEventType::kArrival, tracer->NowUs(), q.id, shard);
@@ -242,15 +231,6 @@ void ThreadedCluster::RouterShardLoop(uint32_t shard, std::span<const Query> sli
       tracer->Instant(TraceEventType::kRouted, tracer->NowUs(), q.id, target);
     }
     channels_[target]->Push(Routed{q, Clock::now(), shard, target});
-  };
-  if (use_feeder_) {
-    while (auto q = arrival_channels_[shard]->Pop()) {
-      route_one(*q);
-    }
-  } else {
-    for (const Query& q : slice) {
-      route_one(q);
-    }
   }
 }
 
@@ -315,7 +295,7 @@ void ThreadedCluster::GossipLoop() {
         locks.emplace_back(shard->mu);
       }
       gossip_stats_.last_divergence_before = CrossShardStateDivergence(const_views);
-      GossipBlendStrategies(views, config_.gossip_merge_weight);
+      GossipBlendStrategies(views, GossipConfig{}.merge_weight);
       gossip_stats_.last_divergence_after = CrossShardStateDivergence(const_views);
       gossip_stats_.rounds += 1;
     }
@@ -519,20 +499,7 @@ ClusterMetrics ThreadedCluster::Run(std::span<const Query> queries) {
   // run in. Timed entries are paced by the writer thread below.
   ApplyQuiescedMutations();
 
-  // Static splitters cut the arrival stream into per-shard slices up front
-  // (deterministic in arrival order, same cut the simulated engine's fleet
-  // makes). The adaptive splitter cannot pre-slice — session migrations
-  // re-route arrivals mid-run — so a feeder thread walks the stream instead.
   const uint32_t num_shards = static_cast<uint32_t>(shards_.size());
-  std::vector<std::vector<Query>> slices(num_shards);
-  if (!use_feeder_) {
-    for (size_t i = 0; i < queries.size(); ++i) {
-      if (!admission_plan_.Admitted(i)) {
-        continue;
-      }
-      slices[splitter_.ShardFor(queries[i])].push_back(queries[i]);
-    }
-  }
 
   // Spawn the gossip tick only when it has work: EMA state to blend, an
   // adaptive rebalance to drive, or storage-tier repartition rounds to run.
@@ -579,11 +546,7 @@ ClusterMetrics ThreadedCluster::Run(std::span<const Query> queries) {
   }
   router_threads_.reserve(num_shards);
   for (uint32_t s = 0; s < num_shards; ++s) {
-    router_threads_.emplace_back(
-        [this, s, &slices] { RouterShardLoop(s, slices[s]); });
-  }
-  if (use_feeder_) {
-    feeder_thread_ = std::thread([this, queries] { FeederLoop(queries); });
+    router_threads_.emplace_back([this, s] { RouterShardLoop(s); });
   }
   if (config_.enable_mutations && !mutation_schedule().empty()) {
     writer_thread_ = std::thread([this, start] { WriterLoop(start); });
@@ -592,8 +555,10 @@ ClusterMetrics ThreadedCluster::Run(std::span<const Query> queries) {
     gossip_thread_ = std::thread([this] { GossipLoop(); });
   }
 
-  // Wait for completion, collecting answers as they arrive. Shed arrivals
-  // never produce an answer, so completion is the admitted count.
+  // This thread feeds the arrival stream itself, then waits for completion,
+  // collecting answers as they arrive. Shed arrivals never produce an
+  // answer, so completion is the admitted count.
+  FeederLoop(queries);
   while (answers_.size() < admission_plan_.admitted) {
     auto a = completions_.Pop();
     if (!a.has_value()) {
@@ -603,9 +568,6 @@ ClusterMetrics ThreadedCluster::Run(std::span<const Query> queries) {
   }
   const auto end = Clock::now();
 
-  if (feeder_thread_.joinable()) {
-    feeder_thread_.join();
-  }
   if (writer_thread_.joinable()) {
     // The writer applies its remaining entries unpaced once the run has
     // drained (remaining_ == 0 above), so this join is prompt and every

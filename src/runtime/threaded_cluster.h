@@ -2,15 +2,15 @@
 // SAME strategies, caches, executors and storage tier as the simulator —
 // but on actual threads with actual concurrency:
 //
-//   feeder thread  : (adaptive splitter, or arrival_gap_us > 0) walks the
-//                    arrival stream in order — pacing the configured gap in
-//                    wall time — and hands each query to its CURRENT shard
-//                    via a per-shard arrival channel, so the assignment can
-//                    change mid-run as sessions migrate. Static unpaced
-//                    splitters keep the PR-2 path: slices cut up front, no
-//                    feeder.
-//   N router-shard threads : each routes its slice of the arrival stream
-//                    onto per-processor channels with its OWN strategy
+//   feeder         : the thread that calls Run() spawns the workers, then
+//                    walks the arrival stream in order — pacing
+//                    arrival_gap_us or the open-loop arrive_us schedule in
+//                    wall time — and hands each admitted query to its
+//                    CURRENT shard via a per-shard arrival channel, so the
+//                    assignment can change mid-run as sessions migrate;
+//                    then it collects the answers,
+//   N router-shard threads : each drains its arrival channel onto
+//                    per-processor channels with its OWN strategy
 //                    instance, using live channel lengths as load,
 //   gossip thread  : when sharded, periodically blends the shards' EMA
 //                    state (mutex-light: one short lock per shard per tick)
@@ -100,7 +100,7 @@ class ThreadedCluster : public ClusterEngine {
   };
 
   void FeederLoop(std::span<const Query> queries);
-  void RouterShardLoop(uint32_t shard, std::span<const Query> slice);
+  void RouterShardLoop(uint32_t shard);
   void GossipLoop();
   void ProcessorLoop(uint32_t p);
   void FetchLoop(uint32_t p);
@@ -142,21 +142,17 @@ class ThreadedCluster : public ClusterEngine {
   // delete); written by the gossip thread, read post-join.
   double repartition_stall_us_ = 0.0;
 
-  // Arrival splitter. Static splitters consume it single-threaded in Run();
-  // the adaptive splitter is shared between the feeder thread (ShardFor) and
-  // the gossip tick (Rebalance) behind splitter_mu_.
+  // Arrival splitter, shared between the feeder (ShardFor) and the gossip
+  // tick (the adaptive splitter's Rebalance) behind splitter_mu_.
   ArrivalSplitter splitter_;
   std::mutex splitter_mu_;
   RebalanceConfig rebalance_;
-  bool adaptive_;    // adaptive splitter: rebalance at gossip ticks
-  bool use_feeder_;  // feeder + arrival-channel mode (adaptive, paced, or
-                     // open-loop)
+  bool adaptive_;  // adaptive splitter: rebalance at gossip ticks
   // Per-tenant admission decisions for the run's schedule, computed in
-  // Run() before any thread spawns (so feeder and pre-slice agree) and
-  // identical to the simulated engine's plan for the same schedule.
+  // Run() before any thread spawns and identical to the simulated engine's
+  // plan for the same schedule.
   AdmissionPlan admission_plan_;
   std::vector<std::unique_ptr<MpmcQueue<Query>>> arrival_channels_;
-  std::thread feeder_thread_;
   std::thread writer_thread_;
   std::atomic<bool> arrivals_done_{false};
   std::atomic<uint64_t> sessions_migrated_{0};

@@ -13,10 +13,8 @@ DecoupledClusterSim::DecoupledClusterSim(const Graph& graph, const ClusterConfig
   FleetConfig fc;
   fc.num_shards = config_.num_router_shards;
   fc.splitter = config_.router_splitter;
-  fc.session_capacity = config_.router_session_capacity;
   fc.router.enable_stealing = config_.enable_stealing;
   fc.gossip.period_us = config_.gossip_period_us;
-  fc.gossip.merge_weight = config_.gossip_merge_weight;
   fc.rebalance.threshold = config_.router_rebalance_threshold;
   fc.rebalance.migration_cap = config_.router_migration_cap;
   fleet_ = std::make_unique<RouterFleet>(std::move(strategy), config_.num_processors, fc);

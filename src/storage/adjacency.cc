@@ -272,17 +272,6 @@ AdjacencyPtr DecodeV2(std::span<const uint8_t> bytes) {
 
 }  // namespace
 
-std::string AdjacencyEncodingName(AdjacencyEncoding encoding) {
-  switch (encoding) {
-    case AdjacencyEncoding::kRaw:
-      return "raw";
-    case AdjacencyEncoding::kDeltaVarint:
-      return "delta_varint";
-  }
-  GROUTING_CHECK_MSG(false, "unknown adjacency encoding");
-  return "";
-}
-
 std::vector<uint8_t> EncodeAdjacency(const Graph& g, NodeId u,
                                      AdjacencyEncoding encoding) {
   const auto out = g.OutNeighbors(u);

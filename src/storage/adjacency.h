@@ -48,8 +48,6 @@ enum class AdjacencyEncoding {
   kDeltaVarint,  // v2 delta + LEB128 varint layout
 };
 
-std::string AdjacencyEncodingName(AdjacencyEncoding encoding);
-
 // Decoded adjacency entry held in processor caches.
 struct AdjacencyEntry {
   NodeId node = kInvalidNode;

@@ -163,47 +163,5 @@ TEST(GraphTest, AdjacencyListFileBytesPositive) {
   EXPECT_GT(g.MemoryBytes(), 0u);
 }
 
-TEST(InducedSubgraphTest, PreservesNodeIds) {
-  GraphBuilder b;
-  b.AddEdge(0, 1);
-  b.AddEdge(1, 2);
-  b.AddEdge(2, 3);
-  Graph g = b.Build();
-  std::vector<uint8_t> keep{1, 1, 0, 1};
-  Graph sub = InducedSubgraph(g, keep);
-  EXPECT_EQ(sub.num_nodes(), g.num_nodes());  // id space preserved
-  EXPECT_TRUE(sub.HasEdge(0, 1));
-  EXPECT_FALSE(sub.HasEdge(1, 2));  // node 2 excluded
-  EXPECT_FALSE(sub.HasEdge(2, 3));
-  EXPECT_EQ(sub.Degree(2), 0u);
-}
-
-TEST(InducedSubgraphTest, KeepAllIsIdentity) {
-  GraphBuilder b;
-  b.AddEdge(0, 1, 4);
-  b.AddEdge(1, 2, 5);
-  Graph g = b.Build();
-  Graph sub = InducedSubgraph(g, {1, 1, 1});
-  EXPECT_EQ(sub.num_edges(), g.num_edges());
-  EXPECT_TRUE(sub.HasEdge(0, 1));
-  EXPECT_TRUE(sub.HasEdge(1, 2));
-}
-
-TEST(InducedSubgraphTest, KeepNoneIsEdgeless) {
-  Graph g = Triangle();
-  Graph sub = InducedSubgraph(g, {0, 0, 0});
-  EXPECT_EQ(sub.num_nodes(), 3u);
-  EXPECT_EQ(sub.num_edges(), 0u);
-}
-
-TEST(InducedSubgraphTest, PreservesLabels) {
-  GraphBuilder b;
-  b.AddNode(0, 42);
-  b.AddEdge(0, 1);
-  Graph g = b.Build();
-  Graph sub = InducedSubgraph(g, {1, 0});
-  EXPECT_EQ(sub.node_label(0), 42);
-}
-
 }  // namespace
 }  // namespace grouting

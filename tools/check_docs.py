@@ -2,7 +2,7 @@
 """Docs gate: markdown links resolve, and the shared config/metrics structs
 stay documented.
 
-Two checks, both designed to fail on UNDOCUMENTED ADDITIONS rather than to
+Three checks, all designed to fail on UNDOCUMENTED ADDITIONS rather than to
 police prose:
 
 1. Every relative markdown link in README.md, docs/*.md and
@@ -15,6 +15,11 @@ police prose:
    are the contract every bench, example and test programs against, and
    docs/METRICS.md mirrors them; an uncommented field is a field the next
    reader cannot interpret.
+
+3. Every `ClusterMetrics` field is named exactly once in
+   `ForEachMetricField` (same header), which drives the bench JSON, the CLI
+   table and the determinism test — a field missing there would silently
+   drop out of all three.
 
 Usage: tools/check_docs.py [--root <repo root>]
 """
@@ -31,6 +36,8 @@ HEADER = os.path.join("src", "core", "cluster_engine.h")
 
 # A field declaration: ends in ';', is not a method/using/friend line.
 FIELD_RE = re.compile(r"^\s*[A-Za-z_][\w:<>,\s*&\]\[]*\s+(\w+)\s*(=[^;]*|\{[^;]*\})?;")
+# One entry of the ForEachMetricField list.
+METRIC_ENTRY_RE = re.compile(r"^\s*GROUTING_METRIC_FIELD\((\w+)\);")
 
 
 def check_links(root):
@@ -86,7 +93,7 @@ def check_field_comments(root):
     with open(path, encoding="utf-8") as f:
         lines = f.read().splitlines()
     failures = []
-    fields = 0
+    fields = {name: [] for name in STRUCTS}
     for name in STRUCTS:
         body = struct_body(lines, name)
         if body is None:
@@ -109,13 +116,37 @@ def check_field_comments(root):
                 # method, constructor, using-decl, ... — not a field
                 prev_was_comment = False
                 continue
-            fields += 1
+            fields[name].append(m.group(1))
             documented = prev_was_comment or "//" in line
             if not documented:
                 failures.append(
                     f"{HEADER}: {name}::{m.group(1)} has no // doc comment")
             prev_was_comment = False
-    print(f"doc-comment check: {fields} fields across {len(STRUCTS)} structs")
+    total = sum(len(v) for v in fields.values())
+    print(f"doc-comment check: {total} fields across {len(STRUCTS)} structs")
+    return failures, fields["ClusterMetrics"]
+
+
+def check_metric_field_list(root, metric_fields):
+    path = os.path.join(root, HEADER)
+    with open(path, encoding="utf-8") as f:
+        text = f.read()
+    start = text.find("void ForEachMetricField(")
+    if start < 0:
+        return [f"{HEADER}: ForEachMetricField not found"]
+    body = text[start:text.find("\n}\n", start)].splitlines()
+    listed = [m.group(1) for m in map(METRIC_ENTRY_RE.match, body) if m]
+    failures = []
+    for field in metric_fields:
+        count = listed.count(field)
+        if count != 1:
+            failures.append(f"{HEADER}: ClusterMetrics::{field} appears {count} "
+                            f"times in ForEachMetricField (want 1)")
+    for entry in sorted(set(listed) - set(metric_fields)):
+        failures.append(f"{HEADER}: ForEachMetricField names {entry}, "
+                        f"which is not a ClusterMetrics field")
+    print(f"metric-field-list check: {len(listed)} entries for "
+          f"{len(metric_fields)} ClusterMetrics fields")
     return failures
 
 
@@ -125,7 +156,9 @@ def main():
         os.path.abspath(__file__))))
     args = ap.parse_args()
 
-    failures = check_links(args.root) + check_field_comments(args.root)
+    failures = check_links(args.root)
+    comment_failures, metric_fields = check_field_comments(args.root)
+    failures += comment_failures + check_metric_field_list(args.root, metric_fields)
     if failures:
         print("\nDOCS GATE FAILED:")
         for f in failures:
