@@ -43,11 +43,6 @@ ClusterEngine::ClusterEngine(const Graph& graph, const ClusterConfig& config,
     config_.processor.tenant_stride = static_cast<NodeId>(graph.num_nodes());
   }
   storage_->set_encoding(config_.adjacency_encoding);
-  if (config_.processor.cache_compressed) {
-    // Compressed processor caches admit the wire blob, so every decode must
-    // keep it attached to the entry.
-    storage_->set_retain_wire(true);
-  }
   if (repartition_config_.active()) {
     GROUTING_CHECK_MSG(placement == nullptr,
                        "storage repartitioning/replication is incompatible with "

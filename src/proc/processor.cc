@@ -15,7 +15,7 @@ double ElapsedUs(std::chrono::steady_clock::time_point from,
 }  // namespace
 
 size_t ResolveMigratedMisses(StorageTier* storage, std::span<const NodeId> keys,
-                             std::vector<AdjacencyPtr>* values) {
+                             std::vector<BlobPtr>* values) {
   GROUTING_CHECK(keys.size() == values->size());
   const PartitionMap* map = storage->partition_map();
   if (map == nullptr && !storage->mutations_enabled()) {
@@ -41,9 +41,9 @@ size_t ResolveMigratedMisses(StorageTier* storage, std::span<const NodeId> keys,
     for (;;) {
       const uint64_t stamp = map != nullptr ? map->OwnerStampOf(keys[k]) : 0;
       const uint64_t version = storage->NodeVersion(keys[k]);
-      AdjacencyPtr entry = storage->PeekCurrent(keys[k]);
-      if (entry != nullptr) {
-        (*values)[k] = std::move(entry);
+      BlobPtr blob = storage->PeekCurrent(keys[k]);
+      if (blob != nullptr) {
+        (*values)[k] = std::move(blob);
         ++resolved;
         break;
       }
@@ -64,10 +64,10 @@ void CachedStorageSource::CompleteOldest(std::vector<Inflight>* inflight,
   inflight->erase(inflight->begin());
 
   const bool traced = tracer_ != nullptr && tracer_->active();
-  const std::vector<AdjacencyPtr>* values = nullptr;
+  const std::vector<BlobPtr>* blobs = nullptr;
   if (executor_ != nullptr) {
     const auto wait_start = std::chrono::steady_clock::now();
-    values = &batch.handle->Wait();
+    blobs = &batch.handle->Wait();
     const auto wait_end = std::chrono::steady_clock::now();
     *blocked_us += ElapsedUs(wait_start, wait_end);
     if (traced) {
@@ -83,39 +83,43 @@ void CachedStorageSource::CompleteOldest(std::vector<Inflight>* inflight,
   } else {
     // Inline execution: the batch was serviced synchronously at issue time
     // and its batch/stall spans were recorded there (see FetchBatch).
-    values = &batch.handle->Wait();
+    blobs = &batch.handle->Wait();
   }
 
   // Under repartitioning a batch can race a partition migration: the keys
   // moved between the ServerOf lookup that formed the batch and its
   // service. Null slots are re-resolved through the tier's current map, so
-  // the values are still delivered exactly once. Mutations open the same
+  // the blobs are still delivered exactly once. Mutations open the same
   // hole without any migration — a kAddVertex can land between batch
   // formation and service — so the heal also runs when mutations are on.
   // The copy is paid only when a batch actually came back with a hole — on
   // the common all-present path (and always when both features are off)
   // this is a read-only scan.
-  std::vector<AdjacencyPtr> patched;
+  std::vector<BlobPtr> patched;
   if ((storage_->repartitioning_enabled() || storage_->mutations_enabled()) &&
-      std::find(values->begin(), values->end(), nullptr) != values->end()) {
-    patched = *values;
+      std::find(blobs->begin(), blobs->end(), nullptr) != blobs->end()) {
+    patched = *blobs;
     ResolveMigratedMisses(storage_, batch.handle->keys(), &patched);
-    values = &patched;
+    blobs = &patched;
   }
 
   FetchTrace::Batch stats;
   stats.server = batch.handle->server_id();
   stats.level = trace_.levels;
-  for (size_t k = 0; k < values->size(); ++k) {
-    const AdjacencyPtr& entry = (*values)[k];
-    if (entry == nullptr) {
+  for (size_t k = 0; k < blobs->size(); ++k) {
+    const BlobPtr& blob = (*blobs)[k];
+    if (blob == nullptr) {
       continue;
     }
+    // The one decode of this fetched blob, here on the processor with no
+    // storage lock held.
+    AdjacencyPtr entry = DecodeAdjacency(*blob);
+    GROUTING_CHECK(entry != nullptr);
     const uint64_t edges = entry->out.size() + entry->in.size();
     stats.values += 1;
-    stats.bytes += entry->WireBytes();  // what actually crossed the network
+    stats.bytes += blob->size();  // what actually crossed the network
     stats.edges += edges;
-    trace_.bytes_fetched += entry->WireBytes();
+    trace_.bytes_fetched += blob->size();
     ++trace_.visited;
     ++level->fetched;
     level->fetched_edges += edges;
@@ -127,17 +131,14 @@ void CachedStorageSource::CompleteOldest(std::vector<Inflight>* inflight,
       // the next probe refetches it — never the other way around.
       const uint64_t version = batch.versions.empty() ? 0 : batch.versions[k];
       if (cache_compressed_) {
-        GROUTING_CHECK_MSG(entry->wire != nullptr,
-                           "cache_compressed requires the storage tier's "
-                           "retain-wire mode");
-        cache_->Put(Key(nodes[pos]), CachedAdjacency{nullptr, entry->wire, version},
-                    entry->wire->size());
+        cache_->Put(Key(nodes[pos]), CachedAdjacency{nullptr, blob, version},
+                    blob->size());
       } else {
         cache_->Put(Key(nodes[pos]), CachedAdjacency{entry, nullptr, version},
                     entry->SerializedBytes());
       }
     }
-    (*result)[pos] = entry;
+    (*result)[pos] = std::move(entry);
   }
   trace_.batches.push_back(stats);
 }

@@ -4,14 +4,19 @@
 // cache and (b) groups misses into per-storage-server multiget batches —
 // the unit the cost model charges network and service time for.
 //
+// The storage servers ship encoded blobs; the processor is the only place
+// that decodes them. Each fetched blob is decoded once, on completion,
+// outside any storage lock. The cache keeps the decoded entry, or (in
+// compressed mode) the very blob that was fetched.
+//
 // Per traversal level the source runs an issue / probe / complete pipeline:
 // miss batches are opened as async multiget handles (StorageTier::
 // StartMultiGet) with at most `max_inflight_batches` outstanding, hits are
-// merged while batches are in flight, and completions install fetched
-// values into the cache in issue order. With max_inflight_batches == 1 and
-// no executor this degenerates to the classic synchronous path — byte-
-// identical cache state, stats and trace for every window, which is what
-// lets the window be a pure timing/overlap knob.
+// merged while batches are in flight, and completions decode the fetched
+// blobs and install them into the cache in issue order. With
+// max_inflight_batches == 1 and no executor this degenerates to the classic
+// synchronous path — byte-identical cache state, stats and trace for every
+// window, which is what lets the window be a pure timing/overlap knob.
 //
 // Processors never talk to each other (paper Section 2.3); they only receive
 // queries and fetch from storage.
@@ -32,24 +37,24 @@
 namespace grouting {
 
 // One processor-cache slot. Normal mode holds the decoded entry; compressed
-// mode (ProcessorConfig::cache_compressed) holds the wire blob instead —
-// charged at its encoded size against the byte budget, and decoded again on
-// every hit. Exactly one of the two pointers is set. `version` is the
-// adjacency version snapshot taken BEFORE the blob was fetched (always 0
-// with mutations off): a probe re-validates it against the tier's current
-// NodeVersion, so a hit can never serve a list from before a mutation —
-// the snapshot may under-claim (forcing a spurious refetch) but never
-// over-claim.
+// mode (ProcessorConfig::cache_compressed) holds the fetched blob instead —
+// shared with the storage server, charged at its encoded size against the
+// byte budget, and decoded again on every hit. Exactly one of the two
+// pointers is set. `version` is the adjacency version snapshot taken BEFORE
+// the blob was fetched (always 0 with mutations off): a probe re-validates
+// it against the tier's current NodeVersion, so a hit can never serve a
+// list from before a mutation — the snapshot may under-claim (forcing a
+// spurious refetch) but never over-claim.
 struct CachedAdjacency {
   AdjacencyPtr decoded;
-  std::shared_ptr<const std::vector<uint8_t>> encoded;
+  BlobPtr encoded;
   uint64_t version = 0;
 };
 
 // Re-resolves multiget misses that raced a partition migration: a batch
 // formed against a server that lost its keys between the ServerOf lookup
-// and StartMultiGet comes back with nullptr slots; each null slot is
-// re-fetched through the tier's current partition map, retrying until BOTH
+// and StartMultiGet comes back with nullptr slots; each null slot's blob is
+// re-read through the tier's current partition map, retrying until BOTH
 // the owner stamp and the key's mutation version are stable around the
 // read, so the answer is still delivered exactly once — whatever
 // migrations, promotions, or mutations ran (or re-ran) meanwhile. The
@@ -58,7 +63,7 @@ struct CachedAdjacency {
 // blob only just landed. Returns the number of keys re-resolved; no-op
 // when repartitioning is off.
 size_t ResolveMigratedMisses(StorageTier* storage, std::span<const NodeId> keys,
-                             std::vector<AdjacencyPtr>* values);
+                             std::vector<BlobPtr>* values);
 
 struct ProcessorConfig {
   uint64_t cache_bytes = 4ULL << 30;  // paper default: 4 GB per processor
@@ -72,7 +77,6 @@ struct ProcessorConfig {
   // Cache the ENCODED wire blob instead of the decoded entry: the byte
   // budget holds several times more vertices under delta_varint encoding,
   // at the price of a decode (CostModel::decompress_*) on every hit.
-  // Requires the storage tier to run in retain-wire mode.
   bool cache_compressed = false;
   // Multi-tenant federation: keyspace stride (the graph's node count; set
   // by the engine when ClusterConfig::num_tenants > 1). A query from tenant
@@ -134,8 +138,9 @@ class CachedStorageSource : public NodeDataSource {
     double issue_ts_us = 0.0;  // tracer timestamp at issue (if tracing)
   };
 
-  // Waits for the oldest in-flight batch and merges its values into
-  // `result`, the cache and the trace (issue order keeps this deterministic).
+  // Waits for the oldest in-flight batch, decodes its blobs and merges them
+  // into `result`, the cache and the trace (issue order keeps this
+  // deterministic).
   void CompleteOldest(std::vector<Inflight>* inflight, std::span<const NodeId> nodes,
                       std::vector<AdjacencyPtr>* result, FetchTrace::Level* level,
                       double* blocked_us);

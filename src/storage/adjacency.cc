@@ -288,23 +288,14 @@ std::vector<uint8_t> EncodeAdjacency(const AdjacencyEntry& entry,
              : EncodeV1(entry.node, entry.node_label, entry.out, entry.in);
 }
 
-AdjacencyPtr DecodeAdjacency(std::span<const uint8_t> bytes, bool retain_wire) {
-  AdjacencyPtr decoded;
+AdjacencyPtr DecodeAdjacency(std::span<const uint8_t> bytes) {
   if (LooksLikeRawV1(bytes)) {
-    decoded = DecodeV1(bytes);
-  } else if (bytes.size() >= 2 && bytes[0] == kV2Magic && bytes[1] == kV2Version) {
-    decoded = DecodeV2(bytes);
+    return DecodeV1(bytes);
   }
-  if (decoded == nullptr) {
-    return nullptr;
+  if (bytes.size() >= 2 && bytes[0] == kV2Magic && bytes[1] == kV2Version) {
+    return DecodeV2(bytes);
   }
-  auto* entry = const_cast<AdjacencyEntry*>(decoded.get());
-  entry->wire_bytes = bytes.size();
-  if (retain_wire) {
-    entry->wire =
-        std::make_shared<const std::vector<uint8_t>>(bytes.begin(), bytes.end());
-  }
-  return decoded;
+  return nullptr;
 }
 
 }  // namespace grouting

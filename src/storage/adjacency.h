@@ -1,7 +1,9 @@
 // Wire formats of a node's adjacency entry, the unit of transfer between
 // the storage tier and query processors (paper Figure 3: key = node id,
-// value = labeled out- and in-neighbour arrays). Two encodings share one
-// auto-detecting decoder, so old blobs always decode:
+// value = labeled out- and in-neighbour arrays). Storage servers hold and
+// ship these blobs as opaque bytes (BlobPtr); only the query processors
+// decode them. Two encodings share one auto-detecting decoder, so old blobs
+// always decode:
 //
 // v1 / raw (little-endian, fixed width):
 //   [0..4)   node id (sanity check)
@@ -54,22 +56,19 @@ struct AdjacencyEntry {
   Label node_label = kNoLabel;
   std::vector<Edge> out;
   std::vector<Edge> in;
-  // Wire size of the blob this entry was decoded from (== SerializedBytes()
-  // for v1 blobs, typically much smaller for v2). 0 when the entry was built
-  // directly rather than decoded — WireBytes() falls back to the v1 size.
-  size_t wire_bytes = 0;
-  // The encoded blob itself, retained only when the decoder is asked to
-  // (StorageTier retain-wire mode): compressed processor caches admit these
-  // bytes instead of the decoded entry.
-  std::shared_ptr<const std::vector<uint8_t>> wire;
 
   // Logical (v1) size: the decoded in-memory footprint every byte budget in
-  // the paper's experiments is expressed in.
+  // the paper's experiments is expressed in. The wire size is the size of
+  // the blob the entry was decoded from.
   size_t SerializedBytes() const { return 16 + 6 * (out.size() + in.size()); }
-  size_t WireBytes() const { return wire_bytes == 0 ? SerializedBytes() : wire_bytes; }
 };
 
 using AdjacencyPtr = std::shared_ptr<const AdjacencyEntry>;
+
+// One immutable encoded blob as a storage server holds it. Shared, never
+// copied: a multiget reply, a migrated or replicated key and a compressed
+// processor-cache slot all point at the same bytes.
+using BlobPtr = std::shared_ptr<const std::vector<uint8_t>>;
 
 // Serialises node u's entry straight from the graph CSR.
 std::vector<uint8_t> EncodeAdjacency(const Graph& g, NodeId u,
@@ -80,9 +79,8 @@ std::vector<uint8_t> EncodeAdjacency(const AdjacencyEntry& entry,
                                      AdjacencyEncoding encoding = AdjacencyEncoding::kRaw);
 
 // Parses a wire blob of either version (auto-detected). Returns nullptr on
-// malformed input — never crashes, whatever the bytes. With `retain_wire`
-// the entry additionally keeps a copy of the blob (see AdjacencyEntry::wire).
-AdjacencyPtr DecodeAdjacency(std::span<const uint8_t> bytes, bool retain_wire = false);
+// malformed input — never crashes, whatever the bytes.
+AdjacencyPtr DecodeAdjacency(std::span<const uint8_t> bytes);
 
 }  // namespace grouting
 

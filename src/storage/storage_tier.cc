@@ -4,48 +4,37 @@
 #include <thread>
 
 namespace grouting {
+namespace {
 
-AdjacencyPtr StorageServer::Get(NodeId node) {
-  std::lock_guard<std::mutex> lock(mu_);
-  ++stats_.get_requests;
-  auto blob = store_.Get(node);
-  if (!blob.has_value()) {
-    ++stats_.misses;
-    return nullptr;
-  }
-  ++stats_.values_served;
-  stats_.bytes_served += blob->size();
-  return DecodeAdjacency(*blob, retain_wire_);
+BlobPtr MakeBlob(std::vector<uint8_t> bytes) {
+  return std::make_shared<const std::vector<uint8_t>>(std::move(bytes));
 }
 
-std::vector<AdjacencyPtr> StorageServer::MultiGet(std::span<const NodeId> nodes) {
-  std::lock_guard<std::mutex> lock(mu_);
-  static_assert(sizeof(NodeId) <= sizeof(uint64_t));
-  std::vector<uint64_t> keys(nodes.begin(), nodes.end());
-  const auto blobs = store_.MultiGet(keys);
-  std::vector<AdjacencyPtr> result;
+}  // namespace
+
+std::vector<BlobPtr> StorageServer::MultiGet(std::span<const NodeId> nodes) {
+  std::vector<BlobPtr> result;
   result.reserve(nodes.size());
-  for (const auto& blob : blobs) {
+  std::lock_guard<std::mutex> lock(mu_);
+  for (const NodeId node : nodes) {
     ++stats_.get_requests;
-    if (!blob.has_value()) {
+    const auto it = blobs_.find(node);
+    if (it == blobs_.end()) {
       ++stats_.misses;
       result.push_back(nullptr);
       continue;
     }
     ++stats_.values_served;
-    stats_.bytes_served += blob->size();
-    result.push_back(DecodeAdjacency(*blob, retain_wire_));
+    stats_.bytes_served += it->second->size();
+    result.push_back(it->second);
   }
   return result;
 }
 
-std::optional<std::vector<uint8_t>> StorageServer::PeekBlob(NodeId node) {
+BlobPtr StorageServer::PeekBlob(NodeId node) const {
   std::lock_guard<std::mutex> lock(mu_);
-  const auto blob = store_.Get(node);
-  if (!blob.has_value()) {
-    return std::nullopt;
-  }
-  return std::vector<uint8_t>(blob->begin(), blob->end());
+  const auto it = blobs_.find(node);
+  return it == blobs_.end() ? nullptr : it->second;
 }
 
 void StorageServer::DrainOpenBatches() {
@@ -74,7 +63,7 @@ void StorageTier::LoadGraph(const Graph& g) {
           static_cast<uint64_t>(kInvalidNode),
       "tenant keyspaces overflow the node-id space");
   for (NodeId u = 0; u < g.num_nodes(); ++u) {
-    const auto blob = EncodeAdjacency(g, u, encoding_);
+    const BlobPtr blob = MakeBlob(EncodeAdjacency(g, u, encoding_));
     // Encoded once, then written into every tenant's keyspace at the offset
     // key u + t * num_nodes — so placement, repartitioning, and replication
     // all operate on global keys with no tenant-specific code below here.
@@ -82,7 +71,7 @@ void StorageTier::LoadGraph(const Graph& g) {
       const NodeId key =
           static_cast<NodeId>(static_cast<uint64_t>(u) + t * stride);
       logical_bytes_loaded_ += g.AdjacencyBytes(u);
-      encoded_bytes_loaded_ += blob.size();
+      encoded_bytes_loaded_ += blob->size();
       servers_[ServerOf(key)]->Load(key, blob);
       if (partition_map_ != nullptr) {
         partition_keys_[partition_map_->PartitionOf(key)].push_back(key);
@@ -106,10 +95,8 @@ void StorageTier::LoadGraphSubset(const Graph& g, std::span<const uint8_t> keep)
           static_cast<uint64_t>(kInvalidNode),
       "tenant keyspaces overflow the node-id space");
   for (NodeId u = 0; u < g.num_nodes(); ++u) {
-    std::vector<uint8_t> blob;
-    if (keep[u] != 0) {
-      blob = EncodeAdjacency(g, u, encoding_);
-    }
+    const BlobPtr blob =
+        keep[u] != 0 ? MakeBlob(EncodeAdjacency(g, u, encoding_)) : nullptr;
     for (uint32_t t = 0; t < num_tenants_; ++t) {
       const NodeId key =
           static_cast<NodeId>(static_cast<uint64_t>(u) + t * stride);
@@ -123,7 +110,7 @@ void StorageTier::LoadGraphSubset(const Graph& g, std::span<const uint8_t> keep)
         continue;
       }
       logical_bytes_loaded_ += g.AdjacencyBytes(u);
-      encoded_bytes_loaded_ += blob.size();
+      encoded_bytes_loaded_ += blob->size();
       servers_[ServerOf(key)]->Load(key, blob);
     }
   }
@@ -138,17 +125,10 @@ void StorageTier::LoadGraph(const Graph& g, const PartitionAssignment& placement
   explicit_placement_ = placement;
   for (NodeId u = 0; u < g.num_nodes(); ++u) {
     GROUTING_CHECK(placement[u] < servers_.size());
-    const auto blob = EncodeAdjacency(g, u, encoding_);
+    const BlobPtr blob = MakeBlob(EncodeAdjacency(g, u, encoding_));
     logical_bytes_loaded_ += g.AdjacencyBytes(u);
-    encoded_bytes_loaded_ += blob.size();
+    encoded_bytes_loaded_ += blob->size();
     servers_[placement[u]]->Load(u, blob);
-  }
-}
-
-void StorageTier::set_retain_wire(bool retain) {
-  retain_wire_ = retain;
-  for (auto& s : servers_) {
-    s->set_retain_wire(retain);
   }
 }
 
@@ -206,41 +186,8 @@ uint32_t StorageTier::ReadServerOf(NodeId node) {
   return pick;
 }
 
-AdjacencyPtr StorageTier::Get(NodeId node) {
-  if (partition_monitor_ != nullptr) {
-    partition_monitor_->Record(partition_map_->PartitionOf(node));
-  }
-  AdjacencyPtr value = servers_[ReadServerOf(node)]->Get(node);
-  if (value == nullptr && (partition_map_ != nullptr || mutations_enabled())) {
-    // Raced a migration/demotion flip — or a concurrent kAddVertex
-    // materialising the node. Re-resolve through the current primary until
-    // the value lands or BOTH the owner stamp and the node's mutation
-    // version prove the miss genuine (same dual-stamp-stable loop as
-    // ResolveMigratedMisses in src/proc/): a stable owner stamp alone no
-    // longer suffices, because a mutation writes the blob without moving
-    // the partition.
-    for (;;) {
-      const uint64_t stamp =
-          partition_map_ != nullptr ? partition_map_->OwnerStampOf(node) : 0;
-      const uint64_t version = NodeVersion(node);
-      value = PeekCurrent(node);
-      if (value != nullptr ||
-          ((partition_map_ == nullptr ||
-            partition_map_->OwnerStampOf(node) == stamp) &&
-           NodeVersion(node) == version)) {
-        break;
-      }
-    }
-  }
-  return value;
-}
-
-AdjacencyPtr StorageTier::PeekCurrent(NodeId node) {
-  const auto blob = servers_[ServerOf(node)]->PeekBlob(node);
-  if (!blob.has_value()) {
-    return nullptr;
-  }
-  return DecodeAdjacency(*blob, retain_wire_);
+BlobPtr StorageTier::PeekCurrent(NodeId node) {
+  return servers_[ServerOf(node)]->PeekBlob(node);
 }
 
 std::shared_ptr<MultiGetHandle> StorageTier::StartMultiGet(uint32_t server,
@@ -323,16 +270,16 @@ StorageTier::MigrationResult StorageTier::AddReplicaLocked(uint32_t partition,
   StorageServer& dst = *servers_[server];
 
   // (1) Copy every key of the partition onto the replica while it is still
-  // invisible to readers. PeekBlob, not Get: replica fill is not workload
-  // traffic.
+  // invisible to readers — the replica shares the primary's blobs. PeekBlob,
+  // not MultiGet: replica fill is not workload traffic.
   for (const NodeId key : partition_keys_[partition]) {
-    auto blob = src.PeekBlob(key);
-    if (!blob.has_value()) {
+    BlobPtr blob = src.PeekBlob(key);
+    if (blob == nullptr) {
       continue;  // not on the primary (deleted); nothing to copy
     }
-    dst.Load(key, *blob);
-    ++result.keys_moved;
     result.bytes_moved += blob->size();
+    dst.Load(key, std::move(blob));
+    ++result.keys_moved;
   }
 
   // (2) Flip the replica into the map. No drain, no delete: adding a copy
@@ -405,13 +352,13 @@ StorageTier::MigrationResult StorageTier::MigratePartitionLocked(uint32_t partit
                      "EnableRepartitioning");
   std::vector<NodeId> moved;
   for (const NodeId key : partition_keys_[partition]) {
-    auto blob = src.PeekBlob(key);
-    if (!blob.has_value()) {
+    BlobPtr blob = src.PeekBlob(key);
+    if (blob == nullptr) {
       continue;  // not on the source (deleted); nothing to move
     }
-    dst.Load(key, *blob);
-    moved.push_back(key);
     result.bytes_moved += blob->size();
+    dst.Load(key, std::move(blob));
+    moved.push_back(key);
   }
 
   // (2) Flip: new ServerOf lookups resolve to the destination (which holds
@@ -443,7 +390,7 @@ void StorageTier::EnableMutations(const Graph& g) {
   }
 }
 
-void StorageTier::WriteVersionedLocked(NodeId key, std::span<const uint8_t> blob) {
+void StorageTier::WriteVersionedLocked(NodeId key, const BlobPtr& blob) {
   // Publish order: every copy first, version bump LAST. A reader snapshots
   // the version BEFORE fetching, so whatever blob it then reads is at least
   // as new as the snapshot — a cache entry can under-claim its version
@@ -462,15 +409,13 @@ void StorageTier::WriteVersionedLocked(NodeId key, std::span<const uint8_t> blob
 
 uint64_t StorageTier::MutateEdgeHalfLocked(NodeId key, NodeId other, Label label,
                                            bool insert, bool out) {
-  const auto blob = servers_[ServerOf(key)]->PeekBlob(key);
-  if (!blob.has_value()) {
+  const BlobPtr blob = PeekCurrent(key);
+  if (blob == nullptr) {
     return 0;  // withheld endpoint: the edge lives in the universe graph
   }
-  const AdjacencyPtr current = DecodeAdjacency(*blob, /*retain_wire=*/false);
+  const AdjacencyPtr current = DecodeAdjacency(*blob);
   GROUTING_CHECK(current != nullptr);
   AdjacencyEntry entry = *current;
-  entry.wire.reset();
-  entry.wire_bytes = 0;
   std::vector<Edge>& list = out ? entry.out : entry.in;
   const auto it = std::find_if(list.begin(), list.end(),
                                [other](const Edge& e) { return e.dst == other; });
@@ -485,7 +430,7 @@ uint64_t StorageTier::MutateEdgeHalfLocked(NodeId key, NodeId other, Label label
     }
     list.erase(it);
   }
-  WriteVersionedLocked(key, EncodeAdjacency(entry, encoding_));
+  WriteVersionedLocked(key, MakeBlob(EncodeAdjacency(entry, encoding_)));
   return 1;
 }
 
@@ -502,8 +447,9 @@ uint64_t StorageTier::ApplyMutation(const GraphMutation& m) {
     switch (m.kind) {
       case GraphMutation::Kind::kAddVertex: {
         GROUTING_CHECK(m.u < universe_nodes_);
-        const auto blob = EncodeAdjacency(*universe_graph_, m.u, encoding_);
-        WriteVersionedLocked(static_cast<NodeId>(m.u + off), blob);
+        WriteVersionedLocked(
+            static_cast<NodeId>(m.u + off),
+            MakeBlob(EncodeAdjacency(*universe_graph_, m.u, encoding_)));
         ++writes;
         break;
       }
@@ -529,22 +475,6 @@ std::vector<uint64_t> StorageTier::GetRequestsPerServer() const {
     per_server.push_back(s->stats().get_requests);
   }
   return per_server;
-}
-
-uint64_t StorageTier::TotalLiveBytes() const {
-  uint64_t total = 0;
-  for (const auto& s : servers_) {
-    total += s->store().live_bytes();
-  }
-  return total;
-}
-
-uint64_t StorageTier::TotalValues() const {
-  uint64_t total = 0;
-  for (const auto& s : servers_) {
-    total += s->store().entry_count();
-  }
-  return total;
 }
 
 }  // namespace grouting

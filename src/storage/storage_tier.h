@@ -1,7 +1,9 @@
-// The decoupled storage tier: M storage servers, each a log-structured KV
-// store, holding the graph horizontally partitioned by MurmurHash3 over node
-// ids (RAMCloud's default placement, "inexpensive hash partitioning") or by
-// an explicit assignment for partitioning ablations.
+// The decoupled storage tier: M storage servers, each a plain key-value
+// store from node id to one immutable encoded adjacency blob, holding the
+// graph horizontally partitioned by MurmurHash3 over node ids (RAMCloud's
+// default placement, "inexpensive hash partitioning") or by an explicit
+// assignment for partitioning ablations. Servers hold and ship bytes; they
+// never decode. The query processors (src/proc/) decode what they fetch.
 
 #ifndef GROUTING_SRC_STORAGE_STORAGE_TIER_H_
 #define GROUTING_SRC_STORAGE_STORAGE_TIER_H_
@@ -12,14 +14,13 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <optional>
+#include <unordered_map>
 #include <vector>
 
 #include "src/graph/graph.h"
 #include "src/partition/partitioner.h"
 #include "src/partition/repartition.h"
 #include "src/storage/adjacency.h"
-#include "src/storage/kv_store.h"
 
 namespace grouting {
 
@@ -31,39 +32,38 @@ struct StorageServerStats {
   uint64_t misses = 0;  // keys not found
 };
 
-// One storage server. Requests are serialised by an internal mutex — a real
-// server services its request queue sequentially, and this is exactly what
-// lets the threaded runtime share the tier between processor threads.
+// One storage server: a hash map from key to one immutable shared blob.
+// Requests are serialised by an internal mutex — a real server services its
+// request queue sequentially, and this is exactly what lets the threaded
+// runtime share the tier between processor threads. The mutex covers only
+// map lookups and pointer copies; a blob handed out stays valid (and
+// unchanged) however the key is overwritten or deleted afterwards.
 class StorageServer {
  public:
   explicit StorageServer(uint32_t id) : id_(id) {}
 
   uint32_t id() const { return id_; }
 
-  // When on, every decode keeps a copy of the wire blob on the entry
-  // (AdjacencyEntry::wire) so compressed processor caches can admit the
-  // encoded bytes. Set once at cluster assembly, before any traffic.
-  void set_retain_wire(bool retain) { retain_wire_ = retain; }
-
-  void Load(NodeId node, std::span<const uint8_t> value) {
+  // Inserts or replaces the blob of `node`.
+  void Load(NodeId node, BlobPtr blob) {
+    GROUTING_CHECK(blob != nullptr);
     std::lock_guard<std::mutex> lock(mu_);
-    store_.Put(node, value);
+    blobs_[node] = std::move(blob);
+  }
+  void Load(NodeId node, std::vector<uint8_t> bytes) {
+    Load(node, std::make_shared<const std::vector<uint8_t>>(std::move(bytes)));
   }
 
-  // Fetches and decodes one adjacency entry; nullptr if absent.
-  AdjacencyPtr Get(NodeId node);
-
-  // Services one multiget batch: takes the server mutex once, looks up and
-  // decodes every key (nullptr where absent), positionally matching `nodes`.
-  // Stats are updated exactly as the equivalent sequence of Get() calls.
-  std::vector<AdjacencyPtr> MultiGet(std::span<const NodeId> nodes);
+  // Services one multiget batch: takes the server mutex once and looks up
+  // every key, positionally matching `nodes` (nullptr where absent). Each
+  // key counts one get_request, and one miss or one served value.
+  std::vector<BlobPtr> MultiGet(std::span<const NodeId> nodes);
 
   void Delete(NodeId node) {
     std::lock_guard<std::mutex> lock(mu_);
-    store_.Delete(node);
+    blobs_.erase(node);
   }
 
-  const LogStructuredStore& store() const { return store_; }
   const StorageServerStats& stats() const { return stats_; }
   void ResetStats() {
     std::lock_guard<std::mutex> lock(mu_);
@@ -77,9 +77,9 @@ class StorageServer {
 
   // --- Partition-migration support (see StorageTier::MigratePartition) ---
 
-  // Copies one raw value out of the store WITHOUT touching serving stats —
-  // migration reads are not workload traffic. nullopt if absent.
-  std::optional<std::vector<uint8_t>> PeekBlob(NodeId node);
+  // One key's blob WITHOUT touching serving stats — migration reads are not
+  // workload traffic. nullptr if absent.
+  BlobPtr PeekBlob(NodeId node) const;
 
   // Epoch-tagged accounting of multiget handles opened against this server
   // but not yet serviced. StartMultiGet registers each handle in the
@@ -99,9 +99,8 @@ class StorageServer {
  private:
   uint32_t id_;
   mutable std::mutex mu_;
-  LogStructuredStore store_;
+  std::unordered_map<NodeId, BlobPtr> blobs_;
   StorageServerStats stats_;
-  bool retain_wire_ = false;
   // Migration-drain state (used only when the tier has repartitioning on).
   std::atomic<uint32_t> epoch_{0};
   std::array<std::atomic<int64_t>, 2> open_batches_{};
@@ -112,7 +111,7 @@ class StorageServer {
 // thread plays the "wire" (the issuing thread itself, or a per-processor
 // fetch thread in the threaded runtime), and completed exactly once. The
 // issuing processor overlaps cache probes with the outstanding request and
-// collects the values with Wait().
+// collects the blobs with Wait(); it decodes them itself.
 class MultiGetHandle {
  public:
   MultiGetHandle(StorageServer* server, std::vector<NodeId> keys)
@@ -138,9 +137,9 @@ class MultiGetHandle {
   void ExecuteOnly() {
     values_ = server_->MultiGet(keys_);
     uint64_t bytes = 0;
-    for (const AdjacencyPtr& v : values_) {
+    for (const BlobPtr& v : values_) {
       if (v != nullptr) {
-        bytes += v->WireBytes();
+        bytes += v->size();
       }
     }
     payload_bytes_ = bytes;
@@ -159,13 +158,14 @@ class MultiGetHandle {
     return done_;
   }
 
-  // Wire bytes of the reply payload (sum of the fetched blobs' encoded
-  // sizes). Valid after Execute/ExecuteOnly; what the modelled network
-  // round trip charges per kilobyte — so compressed blobs ship faster.
+  // Wire bytes of the reply payload (sum of the fetched blobs' sizes).
+  // Valid after Execute/ExecuteOnly; what the modelled network round trip
+  // charges per kilobyte — so compressed blobs ship faster.
   uint64_t payload_bytes() const { return payload_bytes_; }
 
-  // Blocks until completion; the returned values positionally match keys().
-  const std::vector<AdjacencyPtr>& Wait() {
+  // Blocks until completion; the returned blobs positionally match keys()
+  // (nullptr where the server did not hold the key).
+  const std::vector<BlobPtr>& Wait() {
     std::unique_lock<std::mutex> lock(mu_);
     cv_.wait(lock, [this] { return done_; });
     return values_;
@@ -185,7 +185,7 @@ class MultiGetHandle {
 
   StorageServer* server_;
   std::vector<NodeId> keys_;
-  std::vector<AdjacencyPtr> values_;
+  std::vector<BlobPtr> values_;
   uint64_t payload_bytes_ = 0;
   mutable std::mutex mu_;
   std::condition_variable cv_;
@@ -254,9 +254,10 @@ class StorageTier {
   }
   uint32_t num_tenants() const { return num_tenants_; }
 
-  // Propagates retain-wire mode (see StorageServer::set_retain_wire) to
-  // every server, and to this tier's own PeekCurrent decodes.
-  void set_retain_wire(bool retain);
+  // No-op. Servers ship blobs and never decode, so there is no mode to set;
+  // kept only because bench/e2e/layer_timing.cc still calls it. Delete it
+  // with the next change to that benchmark.
+  void set_retain_wire(bool /*retain*/) {}
 
   // logical (v1) bytes / encoded wire bytes across everything loaded so
   // far; 1.0 under raw encoding (and before any load).
@@ -275,22 +276,17 @@ class StorageTier {
   // replicated, picks between two hash-derived candidates from
   // {owner + replicas} by power-of-two-choices on the per-server read-load
   // counters, bumps the winner's counter, and counts replica_reads when a
-  // non-primary wins. Used by Get and by CachedStorageSource when it groups
-  // misses into per-server multiget batches.
+  // non-primary wins. Used by CachedStorageSource when it groups misses
+  // into per-server multiget batches.
   uint32_t ReadServerOf(NodeId node);
 
-  // Fetch through the tier (resolves a serving replica via ReadServerOf).
-  // Under repartitioning/replication a lookup that raced a flip may miss on
-  // the chosen server; it is then re-resolved stamp-stably through the
-  // primary, which always holds every live key of its partition.
-  AdjacencyPtr Get(NodeId node);
-
-  // Stats-free fetch through the current map: no serving stats, no monitor
-  // record. Used by the migration-race healing path (src/proc/
-  // ResolveMigratedMisses) — the batch that raced the migration already
-  // counted the key as workload traffic once; counting the re-read too
-  // would make just-migrated partitions look hotter than they are.
-  AdjacencyPtr PeekCurrent(NodeId node);
+  // Stats-free blob read through the current map's primary: no serving
+  // stats, no monitor record; nullptr if absent. Used by the
+  // migration-race healing path (src/proc/ ResolveMigratedMisses) — the
+  // batch that raced the migration already counted the key as workload
+  // traffic once; counting the re-read too would make just-migrated
+  // partitions look hotter than they are.
+  BlobPtr PeekCurrent(NodeId node);
 
   // Opens an async multiget against one server (counted as one batch for
   // that server's queueing stats). The handle is NOT serviced yet — hand it
@@ -301,15 +297,12 @@ class StorageTier {
   StorageServer& server(size_t i) { return *servers_[i]; }
   const StorageServer& server(size_t i) const { return *servers_[i]; }
 
-  uint64_t TotalLiveBytes() const;
-  uint64_t TotalValues() const;
-
   // --- Adaptive repartitioning (src/partition/repartition.h) -------------
   //
   // EnableRepartitioning installs a PartitionMap over P = partitions_per_
   // server x num_servers virtual partitions (same placement hash, so the
   // initial layout is byte-identical to classic hash placement) plus a
-  // PartitionMonitor fed one Record() per key from Get/StartMultiGet.
+  // PartitionMonitor fed one Record() per key from StartMultiGet.
   // Incompatible with an explicit placement (there is no partition
   // structure to migrate): LoadGraph(g, placement) after enabling — or
   // enabling after it — is a checked error.
@@ -414,7 +407,7 @@ class StorageTier {
   MigrationResult RemoveReplicaLocked(uint32_t partition, uint32_t server);
   // Writes `blob` for `key` to the owner and every current replica, then
   // bumps the key's version. Caller holds write_mu_.
-  void WriteVersionedLocked(NodeId key, std::span<const uint8_t> blob);
+  void WriteVersionedLocked(NodeId key, const BlobPtr& blob);
   // Rewrites one endpoint's adjacency half for an edge mutation (u's
   // out-list when `out`, else v's in-list). Returns 1 if a blob was
   // rewritten, 0 if the endpoint is absent. Caller holds write_mu_.
@@ -424,7 +417,6 @@ class StorageTier {
   HashPartitioner hasher_;
   AdjacencyEncoding encoding_ = AdjacencyEncoding::kRaw;
   uint32_t num_tenants_ = 1;
-  bool retain_wire_ = false;
   uint64_t logical_bytes_loaded_ = 0;
   uint64_t encoded_bytes_loaded_ = 0;
   // Empty when hash placement is in effect.

@@ -47,8 +47,7 @@ void ExpectGraphParity(const Graph& g, uint64_t* v1_total = nullptr,
     ASSERT_NE(from_raw, nullptr);
     ASSERT_NE(from_dv, nullptr);
     ExpectEntriesEqual(*from_raw, *from_dv);
-    EXPECT_EQ(from_raw->WireBytes(), raw.size());
-    EXPECT_EQ(from_dv->WireBytes(), dv.size());
+    EXPECT_EQ(from_raw->SerializedBytes(), raw.size());
     EXPECT_EQ(from_dv->SerializedBytes(), raw.size());
   }
   if (v1_total != nullptr) {
@@ -159,21 +158,8 @@ TEST(AdjacencyV2Test, V1BlobsStillDecode) {
     const AdjacencyPtr decoded = DecodeAdjacency(raw);
     ASSERT_NE(decoded, nullptr);
     EXPECT_EQ(decoded->node, u);
-    EXPECT_EQ(decoded->WireBytes(), decoded->SerializedBytes());
+    EXPECT_EQ(decoded->SerializedBytes(), raw.size());
   }
-}
-
-TEST(AdjacencyV2Test, RetainWireKeepsBlob) {
-  const Graph g = GenerateErdosRenyi(20, 100, 13);
-  const auto dv = EncodeAdjacency(g, 1, AdjacencyEncoding::kDeltaVarint);
-  const AdjacencyPtr plain = DecodeAdjacency(dv);
-  ASSERT_NE(plain, nullptr);
-  EXPECT_EQ(plain->wire, nullptr);
-  const AdjacencyPtr retained = DecodeAdjacency(dv, /*retain_wire=*/true);
-  ASSERT_NE(retained, nullptr);
-  ASSERT_NE(retained->wire, nullptr);
-  EXPECT_EQ(*retained->wire, dv);
-  EXPECT_EQ(retained->wire_bytes, dv.size());
 }
 
 // ---- compressed processor cache over a delta_varint tier ---------------
@@ -185,7 +171,6 @@ TEST(CompressedCacheTest, CompressedModeHoldsMoreEntriesAndSameAnswers) {
                  std::vector<AdjacencyPtr>* fetched) {
     StorageTier tier(2);
     tier.set_encoding(enc);
-    tier.set_retain_wire(compressed);
     tier.LoadGraph(g);
     NodeCache<CachedAdjacency> cache(budget);
     CachedStorageSource source(&tier, &cache, 1, compressed);
@@ -218,7 +203,6 @@ TEST(CompressedCacheTest, HitDecodesToSameEntryAndCountsDecompressTime) {
   const Graph g = GenerateErdosRenyi(100, 600, 15);
   StorageTier tier(1);
   tier.set_encoding(AdjacencyEncoding::kDeltaVarint);
-  tier.set_retain_wire(true);
   tier.LoadGraph(g);
   NodeCache<CachedAdjacency> cache(1 << 22);
   CachedStorageSource source(&tier, &cache, 1, /*cache_compressed=*/true);
@@ -231,6 +215,10 @@ TEST(CompressedCacheTest, HitDecodesToSameEntryAndCountsDecompressTime) {
   EXPECT_GT(source.trace().decompress_us, 0.0);
   // The cache charged the compressed size, not the logical one.
   EXPECT_LT(cache.size_bytes(), miss->SerializedBytes());
+  // And it holds the very blob the storage server shipped, not a copy.
+  const auto slot = cache.Get(5);
+  ASSERT_TRUE(slot.has_value());
+  EXPECT_EQ(slot->encoded, tier.PeekCurrent(5));
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 // Async storage batches: the issue/probe/complete pipeline behind
 // max_inflight_batches.
 //
-//   * storage layer — KvStore/StorageServer multiget parity with sequential
-//     gets, and the MultiGetHandle completing across threads;
+//   * storage layer — StorageServer multiget parity with sequential
+//     single-key gets, and the MultiGetHandle completing across threads;
 //   * window=1 identity — the synchronous path is byte-identical run to run
 //     and answer-identical to every async window, on both engines;
 //   * exactly-once — a migration-concurrent adaptive run with the async
@@ -85,26 +85,31 @@ ExperimentEnv* AsyncBatchTest::env_ = nullptr;
 
 // --- storage layer -------------------------------------------------------
 
-TEST(LogStructuredStoreMultiGet, MatchesSequentialGets) {
-  LogStructuredStore store(/*segment_bytes=*/256);
+// One key through a single-key multiget.
+BlobPtr GetOne(StorageServer& server, NodeId key) {
+  return server.MultiGet(std::span<const NodeId>(&key, 1))[0];
+}
+
+TEST(StorageServerMultiGet, MatchesSequentialGets) {
+  StorageServer server(0);
   std::vector<uint8_t> blob = {1, 2, 3, 4};
-  for (uint64_t k = 0; k < 32; ++k) {
+  for (NodeId k = 0; k < 32; ++k) {
     blob[0] = static_cast<uint8_t>(k);
-    store.Put(k, blob);
+    server.Load(k, blob);
   }
-  const std::vector<uint64_t> keys = {3, 999, 0, 31, 7, 7};
-  const auto batched = store.MultiGet(keys);
+  const std::vector<NodeId> keys = {3, 999, 0, 31, 7, 7};
+  const auto batched = server.MultiGet(keys);
   ASSERT_EQ(batched.size(), keys.size());
   for (size_t i = 0; i < keys.size(); ++i) {
-    const auto single = store.Get(keys[i]);
-    ASSERT_EQ(batched[i].has_value(), single.has_value()) << "key " << keys[i];
-    if (single.has_value()) {
-      EXPECT_TRUE(std::equal(batched[i]->begin(), batched[i]->end(), single->begin(),
-                             single->end()));
+    const BlobPtr single = GetOne(server, keys[i]);
+    ASSERT_EQ(batched[i] == nullptr, single == nullptr) << "key " << keys[i];
+    if (single != nullptr) {
+      EXPECT_EQ(*batched[i], *single);
     }
   }
   // 6 multiget probes + 6 verification gets.
-  EXPECT_EQ(store.stats().gets, 12u);
+  EXPECT_EQ(server.stats().get_requests, 12u);
+  EXPECT_EQ(server.stats().misses, 2u);
 }
 
 TEST(StorageServerMultiGet, StatsMatchSequentialGets) {
@@ -120,9 +125,9 @@ TEST(StorageServerMultiGet, StatsMatchSequentialGets) {
   batched.LoadGraph(g);
 
   const std::vector<NodeId> nodes = {0, 2, 4, 100};  // 100 is absent
-  std::vector<AdjacencyPtr> singles;
+  std::vector<BlobPtr> singles;
   for (NodeId u : nodes) {
-    singles.push_back(sequential.server(0).Get(u));
+    singles.push_back(GetOne(sequential.server(0), u));
   }
   const auto multi = batched.server(0).MultiGet(nodes);
 
@@ -130,9 +135,7 @@ TEST(StorageServerMultiGet, StatsMatchSequentialGets) {
   for (size_t i = 0; i < nodes.size(); ++i) {
     ASSERT_EQ(multi[i] == nullptr, singles[i] == nullptr) << "node " << nodes[i];
     if (multi[i] != nullptr) {
-      EXPECT_EQ(multi[i]->node, singles[i]->node);
-      EXPECT_EQ(multi[i]->out.size(), singles[i]->out.size());
-      EXPECT_EQ(multi[i]->in.size(), singles[i]->in.size());
+      EXPECT_EQ(*multi[i], *singles[i]);
     }
   }
   EXPECT_EQ(batched.server(0).stats().get_requests,
@@ -163,7 +166,7 @@ TEST(MultiGetHandle, CompletesAcrossThreads) {
   EXPECT_NE(values[0], nullptr);
   EXPECT_NE(values[1], nullptr);
   EXPECT_NE(values[2], nullptr);  // node 3 exists (isolated)
-  EXPECT_EQ(values[1]->node, 1u);
+  EXPECT_EQ(DecodeAdjacency(*values[1])->node, 1u);
   EXPECT_EQ(tier.server(0).stats().batch_requests, 1u);
 }
 

@@ -11,7 +11,7 @@
 
 #include "src/cache/cache.h"
 #include "src/routing/router.h"
-#include "src/storage/kv_store.h"
+#include "src/storage/storage_tier.h"
 #include "src/util/rng.h"
 
 namespace grouting {
@@ -112,46 +112,78 @@ TEST_P(LruModelCheck, AgreesWithReferenceOnRandomOps) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, LruModelCheck, ::testing::Values(1, 2, 3, 5, 8, 13));
 
-// ------------------------------------------------------------ KvStore ----
+// ----------------------------------------------------- StorageServer ----
 
 class KvStoreModelCheck : public ::testing::TestWithParam<uint64_t> {};
 
-TEST_P(KvStoreModelCheck, AgreesWithMapUnderRandomOpsAndCompaction) {
-  LogStructuredStore store(512);  // small segments: force many + compaction
-  std::unordered_map<uint64_t, std::vector<uint8_t>> reference;
+TEST_P(KvStoreModelCheck, StorageServerAgreesWithMapUnderRandomOps) {
+  StorageServer server(0);
+  std::unordered_map<NodeId, std::vector<uint8_t>> reference;
+  // Blobs handed out by reads, with their contents at read time: later
+  // overwrites and deletes must never change a blob a reader holds.
+  std::vector<std::pair<BlobPtr, std::vector<uint8_t>>> held;
+  uint64_t gets = 0;
+  uint64_t misses = 0;
   Rng rng(GetParam() * 2654435761ULL + 1);
+  // Reads a batch through MultiGet and checks it against the reference.
+  auto check_batch = [&](const std::vector<NodeId>& keys, int step) {
+    const std::vector<BlobPtr> got = server.MultiGet(keys);
+    ASSERT_EQ(got.size(), keys.size());
+    for (size_t i = 0; i < keys.size(); ++i) {
+      const auto it = reference.find(keys[i]);
+      ++gets;
+      ASSERT_EQ(got[i] != nullptr, it != reference.end())
+          << "step " << step << " key " << keys[i];
+      if (got[i] == nullptr) {
+        ++misses;
+        continue;
+      }
+      ASSERT_EQ(*got[i], it->second) << "step " << step << " key " << keys[i];
+      if (held.size() < 64) {
+        held.emplace_back(got[i], *got[i]);
+      }
+    }
+  };
   for (int step = 0; step < 3000; ++step) {
-    const uint64_t key = rng.NextBounded(40);
+    const auto key = static_cast<NodeId>(rng.NextBounded(40));
     const int op = static_cast<int>(rng.NextBounded(10));
-    if (op < 5) {  // put
+    if (op < 5) {  // put or overwrite
       std::vector<uint8_t> value(rng.NextBounded(100));
       for (auto& b : value) {
         b = static_cast<uint8_t>(rng.Next());
       }
-      store.Put(key, value);
+      server.Load(key, value);
       reference[key] = std::move(value);
-    } else if (op < 8) {  // get
-      auto got = store.Get(key);
-      auto it = reference.find(key);
-      ASSERT_EQ(got.has_value(), it != reference.end()) << "step " << step;
-      if (got.has_value()) {
-        ASSERT_EQ(got->size(), it->second.size());
-        ASSERT_TRUE(std::equal(got->begin(), got->end(), it->second.begin()));
-      }
+    } else if (op < 8) {  // single-key read
+      check_batch({key}, step);
+      ASSERT_FALSE(HasFatalFailure());
     } else if (op < 9) {  // delete
-      ASSERT_EQ(store.Delete(key), reference.erase(key) > 0) << "step " << step;
-    } else {  // compact
-      store.Compact();
-      ASSERT_DOUBLE_EQ(store.Utilization(), 1.0);
+      server.Delete(key);
+      reference.erase(key);
+    } else {  // batched read, repeats allowed
+      std::vector<NodeId> keys(1 + rng.NextBounded(8));
+      for (auto& k : keys) {
+        k = static_cast<NodeId>(rng.NextBounded(40));
+      }
+      check_batch(keys, step);
+      ASSERT_FALSE(HasFatalFailure());
     }
-    ASSERT_EQ(store.entry_count(), reference.size()) << "step " << step;
+    ASSERT_EQ(server.stats().get_requests, gets) << "step " << step;
+    ASSERT_EQ(server.stats().misses, misses) << "step " << step;
   }
-  // Final full verification.
-  for (const auto& [key, value] : reference) {
-    auto got = store.Get(key);
-    ASSERT_TRUE(got.has_value());
-    ASSERT_TRUE(std::equal(got->begin(), got->end(), value.begin()));
+  // Final full verification, absent keys included.
+  for (NodeId k = 0; k < 40; ++k) {
+    const BlobPtr got = server.PeekBlob(k);
+    const auto it = reference.find(k);
+    ASSERT_EQ(got != nullptr, it != reference.end()) << "key " << k;
+    if (got != nullptr) {
+      ASSERT_EQ(*got, it->second) << "key " << k;
+    }
   }
+  for (const auto& [blob, contents] : held) {
+    ASSERT_EQ(*blob, contents);
+  }
+  EXPECT_EQ(server.stats().values_served, gets - misses);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, KvStoreModelCheck, ::testing::Values(11, 22, 33, 44));

@@ -176,11 +176,16 @@ TEST(MutationModelCheck, AllLength3InterleavingsMatchReference) {
               break;
           }
 
-          // Read step: every tracked key, through the public read path AND
-          // the stats-free healing path, against the reference.
+          // Read step: every tracked key, through the processor's read path
+          // (a no-cache source) AND the stats-free healing read, against the
+          // reference.
+          CachedStorageSource reader(&tier, /*cache=*/nullptr);
           for (const NodeId u : tracked) {
             const auto it = ref.find(u);
-            for (const AdjacencyPtr& got : {tier.Get(u), tier.PeekCurrent(u)}) {
+            const BlobPtr peeked = tier.PeekCurrent(u);
+            const AdjacencyPtr decoded =
+                peeked != nullptr ? DecodeAdjacency(*peeked) : nullptr;
+            for (const AdjacencyPtr& got : {reader.FetchOne(u), decoded}) {
               if (it == ref.end()) {
                 EXPECT_EQ(got, nullptr) << "key " << u << " after op " << op;
                 continue;

@@ -24,6 +24,22 @@ Graph TestGraph(uint32_t nodes = 400, uint64_t seed = 7) {
   return GenerateBarabasiAlbert(nodes, /*edges_per_node=*/4, seed);
 }
 
+// Keys of [0, num_nodes) that server `s` holds (stats-free reads).
+uint64_t KeysHeld(const StorageTier& tier, uint32_t s, NodeId num_nodes) {
+  uint64_t held = 0;
+  for (NodeId u = 0; u < num_nodes; ++u) {
+    held += tier.server(s).PeekBlob(u) != nullptr ? 1 : 0;
+  }
+  return held;
+}
+
+// One key read from one server as workload traffic: a single-key multiget.
+BlobPtr ReadFrom(StorageTier& tier, uint32_t server, NodeId key) {
+  auto handle = tier.StartMultiGet(server, {key});
+  handle->Execute();
+  return handle->Wait()[0];
+}
+
 // ---------------------------------------------------------------------------
 // PartitionMap replica stamps
 // ---------------------------------------------------------------------------
@@ -225,14 +241,14 @@ TEST(StorageTierReplicationTest, AddReplicaCopiesKeysAndFansReads) {
     }
     ++keys;
     // Both copies live; the owner still resolves ServerOf (primary routing).
-    ASSERT_TRUE(tier.server(owner).store().Contains(u));
-    ASSERT_TRUE(tier.server(replica).store().Contains(u));
+    ASSERT_NE(tier.server(owner).PeekBlob(u), nullptr);
+    ASSERT_NE(tier.server(replica).PeekBlob(u), nullptr);
     ASSERT_EQ(tier.ServerOf(u), owner);
     const uint32_t read_server = tier.ReadServerOf(u);
     ASSERT_TRUE(read_server == owner || read_server == replica)
         << "read routed outside the holder set for key " << u;
     replica_hit |= read_server == replica;
-    ASSERT_NE(tier.Get(u), nullptr);
+    ASSERT_NE(ReadFrom(tier, read_server, u), nullptr);
   }
   EXPECT_EQ(keys, result.keys_moved);
   EXPECT_TRUE(replica_hit) << "p2c never used the replica across " << keys
@@ -250,7 +266,7 @@ TEST(StorageTierReplicationTest, RemoveReplicaRestoresPrimaryOnlyLayout) {
   const uint32_t q = map.PartitionOf(0);
   const uint32_t owner = map.owner(q);
   const uint32_t replica = (owner + 2) % 4;
-  const uint64_t replica_entries_before = tier.server(replica).store().entry_count();
+  const uint64_t replica_entries_before = KeysHeld(tier, replica, g.num_nodes());
 
   tier.AddReplica(q, replica);
   const auto result = tier.RemoveReplica(q, replica);
@@ -258,14 +274,14 @@ TEST(StorageTierReplicationTest, RemoveReplicaRestoresPrimaryOnlyLayout) {
   EXPECT_EQ(result.from, replica);
   EXPECT_EQ(result.to, owner);
   EXPECT_EQ(map.replica_count(q), 0u);
-  EXPECT_EQ(tier.server(replica).store().entry_count(), replica_entries_before);
+  EXPECT_EQ(KeysHeld(tier, replica, g.num_nodes()), replica_entries_before);
   for (NodeId u = 0; u < g.num_nodes(); ++u) {
     if (map.PartitionOf(u) != q) {
       continue;
     }
-    ASSERT_TRUE(tier.server(owner).store().Contains(u));
+    ASSERT_NE(tier.server(owner).PeekBlob(u), nullptr);
     ASSERT_EQ(tier.ReadServerOf(u), owner);
-    ASSERT_NE(tier.Get(u), nullptr);
+    ASSERT_NE(ReadFrom(tier, owner, u), nullptr);
   }
 }
 
@@ -349,7 +365,7 @@ TEST(StorageTierReplicationTest, ResolveMigratedMissesHealsDemotionRaces) {
   // Stale read: the batch still targets the demoted replica.
   auto handle = tier.StartMultiGet(replica, keys);
   handle->Execute();
-  std::vector<AdjacencyPtr> values = handle->Wait();
+  std::vector<BlobPtr> values = handle->Wait();
   for (const auto& v : values) {
     ASSERT_EQ(v, nullptr) << "the replica copies should be gone";
   }
@@ -470,15 +486,16 @@ TEST(ReplicationModelCheckTest, EnumeratedOpSequencesMatchSingleMapReference) {
       ASSERT_EQ(live, want);
       for (const NodeId u : keys[t]) {
         for (uint32_t s = 0; s < kServers; ++s) {
-          ASSERT_EQ(tier.server(s).store().Contains(u), ref.Holds(s))
+          ASSERT_EQ(tier.server(s).PeekBlob(u) != nullptr, ref.Holds(s))
               << "key " << u << " on server " << s;
         }
         const uint32_t read_server = tier.ReadServerOf(u);
         ASSERT_TRUE(ref.Holds(read_server))
             << "read of " << u << " routed to non-holder " << read_server;
-        const AdjacencyPtr v = tier.Get(u);
-        ASSERT_NE(v, nullptr);
-        ASSERT_EQ(v->out.size(), g.OutDegree(u)) << "wrong value for " << u;
+        const BlobPtr blob = ReadFrom(tier, read_server, u);
+        ASSERT_NE(blob, nullptr);
+        ASSERT_EQ(DecodeAdjacency(*blob)->out.size(), g.OutDegree(u))
+            << "wrong value for " << u;
       }
     }
     ++verified_ops;
