@@ -71,8 +71,9 @@ struct ClusterConfig {
   // queries back to back. The simulated engine schedules arrivals in
   // virtual time; the threaded engine's feeder paces it in wall time.
   double arrival_gap_us = 0.0;
-  // Threaded engine: injected one-way network delay per storage batch
-  // (busy-wait, µs). 0 = memory speed.
+  // Threaded engine: injected one-way network delay per storage batch (µs),
+  // sat out by the issuing processor in its wait for the batch's reply.
+  // 0 = memory speed.
   double injected_network_us = 0.0;
   // Wire format the storage tier stores and ships adjacency blobs in
   // (src/storage/adjacency.h). kDeltaVarint compresses sorted neighbour

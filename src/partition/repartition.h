@@ -137,7 +137,7 @@ struct ReplicationPlan {
 // partition -> owning storage server, consulted by StorageTier::ServerOf on
 // every key lookup (and therefore by CachedStorageSource when it groups
 // misses into per-server batches). Owners are atomics: the threaded
-// engine's gossip tick flips them while processor and fetch threads read.
+// engine's gossip tick flips them while processor threads read.
 // Each entry packs (version << 32 | server); the version increments on
 // every flip, so a reader can detect that a partition moved — even away
 // and back (ABA) — across one of its reads.

@@ -224,8 +224,11 @@ std::vector<AdjacencyPtr> CachedStorageSource::FetchBatch(std::span<const NodeId
     }
     std::sort(misses.begin(), misses.end());
 
-    const bool timed = executor_ != nullptr;
-    const auto issue_start = std::chrono::steady_clock::now();
+    // Overlap is measured only where the window lets batches overlap: at
+    // window 1 peak and overlap stay 0 on both engines.
+    const bool timed = executor_ != nullptr && window_ > 1;
+    const auto issue_start =
+        timed ? std::chrono::steady_clock::now() : std::chrono::steady_clock::time_point{};
     double blocked_us = 0.0;
     uint32_t peak = 0;
     std::vector<Inflight> inflight;

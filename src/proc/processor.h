@@ -71,8 +71,8 @@ struct ProcessorConfig {
   bool use_cache = true;  // false = the paper's "no-cache" comparison scheme
   // Bound on concurrently outstanding multiget batches per processor.
   // 1 = the synchronous level-barrier path; > 1 = async issue/probe/complete
-  // pipeline (the sim replays it with per-batch completion events; the
-  // threaded runtime services handles on a per-processor fetch thread).
+  // pipeline (the sim replays it with per-batch completion events; on the
+  // threaded runtime up to this many injected round trips are in flight).
   uint32_t max_inflight_batches = 1;
   // Cache the ENCODED wire blob instead of the decoded entry: the byte
   // budget holds several times more vertices under delta_varint encoding,
@@ -104,9 +104,10 @@ class CachedStorageSource : public NodeDataSource {
   const FetchTrace& trace() const override { return trace_; }
   void ResetTrace() override { trace_.Clear(); }
 
-  // Installs the async seam: handles are submitted here instead of being
-  // executed inline, and completion overlap is measured in wall time.
-  // nullptr (the default) = inline execution on the calling thread.
+  // Installs the fetch seam: handles are submitted here instead of being
+  // executed inline, and at window > 1 completion overlap is measured in
+  // wall time. nullptr (the default) = inline execution on the calling
+  // thread.
   void set_fetch_executor(BatchFetchExecutor* executor) { executor_ = executor; }
   uint32_t window() const { return window_; }
 
@@ -184,8 +185,8 @@ class QueryProcessor {
 
   const FetchTrace& last_trace() const { return source_->trace(); }
   const ProcessorStats& stats() const { return stats_; }
-  // Async fetch seam (threaded runtime): route this processor's multiget
-  // handles through `executor` instead of executing them inline.
+  // Fetch seam: route this processor's multiget handles through `executor`
+  // instead of executing them inline (the threaded runtime's wire model).
   void set_fetch_executor(BatchFetchExecutor* executor) {
     source_->set_fetch_executor(executor);
   }

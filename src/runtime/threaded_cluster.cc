@@ -1,27 +1,36 @@
 #include "src/runtime/threaded_cluster.h"
 
-#include <deque>
 #include <utility>
 
 namespace grouting {
 namespace {
 
-// Routes a processor's multiget handles onto its fetch thread. If the queue
-// is already closed (shutdown), the handle is serviced inline so no waiter
-// is ever stranded.
-class QueueFetchExecutor : public BatchFetchExecutor {
+// The wire plus the remote server, for one processor. Submit services the
+// multiget against the (internally synchronised) storage tier at once and
+// stamps when the reply lands: two one-way hops plus the cost model's per-KB
+// transfer of the reply's wire bytes, so a compressed encoding genuinely
+// shortens the trip. The issuing processor's Wait() sits out the rest of the
+// trip. At window 1 a query's round trips add up one after another; at
+// window W up to W of them are in flight while the processor probes its
+// cache and merges earlier batches.
+class WireDelayExecutor : public BatchFetchExecutor {
  public:
-  explicit QueueFetchExecutor(MpmcQueue<std::shared_ptr<MultiGetHandle>>* queue)
-      : queue_(queue) {}
+  WireDelayExecutor(double one_way_us, double per_kb_us)
+      : one_way_us_(one_way_us), per_kb_us_(per_kb_us) {}
 
   void Submit(std::shared_ptr<MultiGetHandle> handle) override {
-    if (!queue_->Push(handle)) {
-      handle->Execute();
-    }
+    const auto sent_at = MultiGetHandle::Clock::now();
+    handle->Execute();
+    const double trip_us =
+        2.0 * one_way_us_ +
+        per_kb_us_ * static_cast<double>(handle->payload_bytes()) / 1024.0;
+    handle->set_landing(sent_at + std::chrono::nanoseconds(
+                                      static_cast<int64_t>(trip_us * 1000.0)));
   }
 
  private:
-  MpmcQueue<std::shared_ptr<MultiGetHandle>>* queue_;
+  double one_way_us_;
+  double per_kb_us_;
 };
 
 void BusyWaitUs(double us) {
@@ -70,13 +79,11 @@ ThreadedCluster::ThreadedCluster(const Graph& graph, const ClusterConfig& config
   for (uint32_t s = 0; s < config_.num_router_shards; ++s) {
     arrival_channels_.push_back(std::make_unique<MpmcQueue<Query>>());
   }
-  async_fetch_ = config_.processor.max_inflight_batches > 1;
-  if (async_fetch_) {
+  if (config_.injected_network_us > 0.0) {
     for (uint32_t p = 0; p < config_.num_processors; ++p) {
-      fetch_queues_.push_back(
-          std::make_unique<MpmcQueue<std::shared_ptr<MultiGetHandle>>>());
-      fetch_executors_.push_back(
-          std::make_unique<QueueFetchExecutor>(fetch_queues_.back().get()));
+      wire_executors_.push_back(std::make_unique<WireDelayExecutor>(
+          config_.injected_network_us, config_.cost.net.per_kb_us));
+      processors_[p]->set_fetch_executor(wire_executors_.back().get());
     }
   }
   samples_.resize(config_.num_processors);
@@ -95,12 +102,6 @@ ThreadedCluster::~ThreadedCluster() {
   for (auto& ch : channels_) {
     ch->Close();
   }
-  // Closing the fetch queues before joining the processors is what keeps
-  // shutdown deadlock-free: queued handles are still drained (and completed)
-  // by their fetch thread, and submissions after the close run inline.
-  for (auto& q : fetch_queues_) {
-    q->Close();
-  }
   if (writer_thread_.joinable()) {
     writer_thread_.join();
   }
@@ -113,11 +114,6 @@ ThreadedCluster::~ThreadedCluster() {
     gossip_thread_.join();
   }
   for (auto& t : threads_) {
-    if (t.joinable()) {
-      t.join();
-    }
-  }
-  for (auto& t : fetch_threads_) {
     if (t.joinable()) {
       t.join();
     }
@@ -302,8 +298,8 @@ void ThreadedCluster::GossipLoop() {
     if (repartition_enabled()) {
       // Storage-tier repartitioning folded into the same tick, exactly like
       // the arrival rebalance: the round plans against the monitor's
-      // decayed rates and physically migrates partitions while processor /
-      // fetch threads keep serving — MigratePartition's copy-flip-drain-
+      // decayed rates and physically migrates partitions while processor
+      // threads keep serving — MigratePartition's copy-flip-drain-
       // delete order plus the processor-side miss re-resolution keep every
       // answer exactly-once. The stall metric is the tick's wall time spent
       // moving data.
@@ -355,65 +351,6 @@ void ThreadedCluster::GossipLoop() {
   }
 }
 
-void ThreadedCluster::FetchLoop(uint32_t p) {
-  // The fetch thread plays the wire + remote server for its processor: it
-  // services each multiget against the (internally synchronised) storage
-  // tier as soon as the request is popped, but completes the handle only
-  // once the injected round trip has elapsed. Because execution and
-  // completion are decoupled, up to `window` round trips ripen
-  // concurrently while the processor probes its cache — the wall-clock
-  // overlap the async pipeline exists for. Completion order is FIFO, which
-  // matches the processor's oldest-first Wait() order.
-  std::deque<std::pair<std::shared_ptr<MultiGetHandle>, Clock::time_point>> pending;
-  const auto rtt_base = std::chrono::nanoseconds(
-      static_cast<int64_t>(2.0 * config_.injected_network_us * 1000.0));
-  // Transfer time scales with the reply's wire bytes (the cost model's
-  // per-KB term), so a compressed adjacency encoding genuinely shortens
-  // the trip. Gated like the base term: injected_network_us == 0 keeps the
-  // engine at memory speed.
-  const double per_kb_us =
-      config_.injected_network_us > 0.0 ? config_.cost.net.per_kb_us : 0.0;
-  const auto ripen = [&pending] {
-    while (!pending.empty() && Clock::now() >= pending.front().second) {
-      pending.front().first->MarkDone();
-      pending.pop_front();
-    }
-  };
-  while (true) {
-    std::optional<std::shared_ptr<MultiGetHandle>> request;
-    if (pending.empty()) {
-      request = fetch_queues_[p]->Pop();  // blocks; nullopt = closed + drained
-      if (!request.has_value()) {
-        break;
-      }
-    } else {
-      // Keep servicing new requests while earlier round trips ripen — a
-      // batch submitted during another's flight must start its own trip
-      // immediately, or the window degenerates back to serial RTTs.
-      request = fetch_queues_[p]->TryPop();
-      if (!request.has_value()) {
-        ripen();
-        // Yield rather than hard-spin: ripening is dead time, and on a
-        // core-starved host the processor thread needs the cycles more
-        // than the completion needs sub-microsecond precision.
-        std::this_thread::yield();
-        continue;
-      }
-    }
-    const auto sent_at = Clock::now();
-    (*request)->ExecuteOnly();
-    const auto transfer = std::chrono::nanoseconds(static_cast<int64_t>(
-        per_kb_us * static_cast<double>((*request)->payload_bytes()) / 1024.0 *
-        1000.0));
-    pending.emplace_back(std::move(*request), sent_at + rtt_base + transfer);
-    ripen();
-  }
-  while (!pending.empty()) {
-    std::this_thread::yield();
-    ripen();
-  }
-}
-
 void ThreadedCluster::ProcessorLoop(uint32_t p) {
   LatencySamples& samples = samples_[p];
   WallTracer* tracer = proc_tracers_.empty() ? nullptr : &proc_tracers_[p];
@@ -444,28 +381,6 @@ void ThreadedCluster::ProcessorLoop(uint32_t p) {
       rs.strategy->OnDispatch(routed.query.node, p, routed.target);
     }
     QueryResult result = processors_[p]->Execute(routed.query);
-    if (config_.injected_network_us > 0.0 && !async_fetch_) {
-      // Synchronous path: two one-way hops plus the per-KB transfer of each
-      // storage batch of the query just executed, serialised after the
-      // fact. The async pipeline incurs the same per-batch round trip
-      // inside FetchLoop instead, where the trips overlap with each other
-      // and with the processor's cache work.
-      const auto& batches = processors_[p]->last_trace().batches;
-      uint64_t wire_bytes = 0;
-      for (const auto& b : batches) {
-        wire_bytes += b.bytes;
-      }
-      const auto wait_start = Clock::now();
-      BusyWaitUs(2.0 * config_.injected_network_us *
-                     static_cast<double>(batches.size()) +
-                 config_.cost.net.per_kb_us *
-                     static_cast<double>(wire_bytes) / 1024.0);
-      if (tracer != nullptr && tracer->active()) {
-        // The post-hoc injected round trips are network exposure, not CPU.
-        tracer->Span(TraceEventType::kStall, tracer->AtUs(wait_start),
-                     tracer->NowUs(), 0, 0, batches.size());
-      }
-    }
     const auto completed = Clock::now();
     const double response_us = ElapsedUs(dispatched, completed);
     samples.response_us.Add(response_us);
@@ -531,15 +446,6 @@ ClusterMetrics ThreadedCluster::Run(std::span<const Query> queries) {
                                   tracer_->sample_every_n(), start);
     }
   }
-  if (async_fetch_) {
-    // Fetch threads first, and only then the executor seam: a processor
-    // must never submit a handle nobody will service.
-    fetch_threads_.reserve(config_.num_processors);
-    for (uint32_t p = 0; p < config_.num_processors; ++p) {
-      fetch_threads_.emplace_back([this, p] { FetchLoop(p); });
-      processors_[p]->set_fetch_executor(fetch_executors_[p].get());
-    }
-  }
   threads_.reserve(config_.num_processors);
   for (uint32_t p = 0; p < config_.num_processors; ++p) {
     threads_.emplace_back([this, p] { ProcessorLoop(p); });
@@ -587,13 +493,6 @@ ClusterMetrics ThreadedCluster::Run(std::span<const Query> queries) {
     t.join();
   }
   threads_.clear();
-  for (auto& q : fetch_queues_) {
-    q->Close();
-  }
-  for (auto& t : fetch_threads_) {
-    t.join();
-  }
-  fetch_threads_.clear();
 
   ClusterMetrics m;
   m.queries = answers_.size();

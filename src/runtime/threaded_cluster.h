@@ -20,15 +20,14 @@
 //                    state via MergeRemoteState,
 //   P processor threads : drain their channel; when empty they STEAL from
 //                    the longest sibling channel; every dispatch is fed
-//                    back to the routing shard's strategy (steal-aware),
-//   P fetch threads : (max_inflight_batches > 1) each processor's async
-//                    multiget handles are serviced on its own fetch thread:
-//                    the gets run against the shared storage tier while the
-//                    processor keeps probing its cache and merging earlier
-//                    batches, and the handle completes only once the
-//                    injected network round trip has elapsed — so up to
-//                    `window` round trips overlap instead of serialising
-//                    after execution as on the synchronous path,
+//                    back to the routing shard's strategy (steal-aware);
+//                    each runs its own multigets against the storage tier,
+//   the wire       : (injected_network_us > 0) one BatchFetchExecutor per
+//                    processor stamps each multiget's landing time, one
+//                    round trip after it was sent; the processor's Wait()
+//                    sits out what is left of the trip. At window 1 a
+//                    query's trips run one after another; at window W up to
+//                    W overlap while the processor probes its cache,
 //   storage tier   : shared, internally synchronised per server.
 //
 // The simulator answers "what would the paper's cluster do"; this runtime
@@ -103,12 +102,11 @@ class ThreadedCluster : public ClusterEngine {
   void RouterShardLoop(uint32_t shard);
   void GossipLoop();
   void ProcessorLoop(uint32_t p);
-  void FetchLoop(uint32_t p);
   // Mutation writer thread (config.enable_mutations with a timed schedule):
   // walks the schedule's apply_us > 0 entries in order, pacing each to its
   // offset from the run epoch — the wall-clock counterpart of the sim's
   // virtual-time mutation events — and applies it against the live tier
-  // while processor / fetch / gossip threads keep serving. Once the run has
+  // while processor and gossip threads keep serving. Once the run has
   // drained, remaining entries apply immediately (unpaced), so every
   // schedule entry is applied exactly once on both engines.
   void WriterLoop(Clock::time_point epoch);
@@ -164,13 +162,10 @@ class ThreadedCluster : public ClusterEngine {
   std::vector<WallTracer> proc_tracers_;
   std::vector<WallTracer> shard_tracers_;
 
-  // Async fetch pipeline (config.processor.max_inflight_batches > 1): a
-  // per-processor request queue + fetch thread pair; executors are installed
-  // on the processors' sources only while the fetch threads run.
-  bool async_fetch_;
-  std::vector<std::unique_ptr<MpmcQueue<std::shared_ptr<MultiGetHandle>>>> fetch_queues_;
-  std::vector<std::unique_ptr<BatchFetchExecutor>> fetch_executors_;
-  std::vector<std::thread> fetch_threads_;
+  // One wire per processor (injected_network_us > 0 only), installed on the
+  // processors' sources at construction: each multiget round trip elapses
+  // in the processor's own Wait(), for every window.
+  std::vector<std::unique_ptr<BatchFetchExecutor>> wire_executors_;
 };
 
 }  // namespace grouting

@@ -10,10 +10,11 @@
 
 #include <array>
 #include <atomic>
-#include <condition_variable>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -83,7 +84,7 @@ class StorageServer {
 
   // Epoch-tagged accounting of multiget handles opened against this server
   // but not yet serviced. StartMultiGet registers each handle in the
-  // current epoch's slot; the handle releases it once ExecuteOnly has
+  // current epoch's slot; the handle releases it once Execute() has
   // published its values (or on destruction if never serviced). A migration
   // drain advances the epoch and waits for the OLD epoch's slot to empty —
   // in-flight requests finish against the old owner while new ones (tagged
@@ -106,14 +107,17 @@ class StorageServer {
   std::array<std::atomic<int64_t>, 2> open_batches_{};
 };
 
-// One asynchronous multiget request against a single storage server: the
-// handle is created by StorageTier::StartMultiGet, executed by whichever
-// thread plays the "wire" (the issuing thread itself, or a per-processor
-// fetch thread in the threaded runtime), and completed exactly once. The
-// issuing processor overlaps cache probes with the outstanding request and
-// collects the blobs with Wait(); it decodes them itself.
+// One multiget request against a single storage server: the handle is
+// created by StorageTier::StartMultiGet, executed exactly once — inline by
+// the issuing processor, or by the BatchFetchExecutor it was submitted to —
+// and then collected by the same thread with Wait(). The processor overlaps
+// cache work with outstanding requests and decodes the blobs itself. An
+// executor that models the wire stamps a landing time on the handle: the
+// reply is then not available before it, so Wait() yields until it passes.
 class MultiGetHandle {
  public:
+  using Clock = std::chrono::steady_clock;
+
   MultiGetHandle(StorageServer* server, std::vector<NodeId> keys)
       : server_(server), keys_(std::move(keys)) {}
 
@@ -126,15 +130,8 @@ class MultiGetHandle {
   const std::vector<NodeId>& keys() const { return keys_; }
 
   // Services the request against the server (thread-safe; the server
-  // serialises internally) and publishes completion. Call exactly once.
-  // Execute() both fetches and completes; ExecuteOnly() + MarkDone() let a
-  // fetch thread service the gets first and hold the completion back until a
-  // modelled network round trip has elapsed.
+  // serialises internally). Call exactly once.
   void Execute() {
-    ExecuteOnly();
-    MarkDone();
-  }
-  void ExecuteOnly() {
     values_ = server_->MultiGet(keys_);
     uint64_t bytes = 0;
     for (const BlobPtr& v : values_) {
@@ -143,31 +140,30 @@ class MultiGetHandle {
       }
     }
     payload_bytes_ = bytes;
+    executed_ = true;
     ReleaseOpenSlot();
-  }
-  void MarkDone() {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      done_ = true;
-    }
-    cv_.notify_all();
-  }
-
-  bool done() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return done_;
   }
 
   // Wire bytes of the reply payload (sum of the fetched blobs' sizes).
-  // Valid after Execute/ExecuteOnly; what the modelled network round trip
-  // charges per kilobyte — so compressed blobs ship faster.
+  // Valid after Execute(); what the modelled network round trip charges per
+  // kilobyte — so compressed blobs ship faster.
   uint64_t payload_bytes() const { return payload_bytes_; }
 
-  // Blocks until completion; the returned blobs positionally match keys()
-  // (nullptr where the server did not hold the key).
-  const std::vector<BlobPtr>& Wait() {
-    std::unique_lock<std::mutex> lock(mu_);
-    cv_.wait(lock, [this] { return done_; });
+  // When the reply lands at the issuing processor. Unset (the default) means
+  // it is available as soon as Execute() returns.
+  void set_landing(Clock::time_point at) { landing_ = at; }
+
+  // Returns the blobs once the reply has landed; they positionally match
+  // keys() (nullptr where the server did not hold the key). Execute() must
+  // have run.
+  const std::vector<BlobPtr>& Wait() const {
+    GROUTING_CHECK(executed_);
+    if (landing_ != Clock::time_point{}) {
+      // Injected delays are microseconds: sleeping would oversleep them.
+      while (Clock::now() < landing_) {
+        std::this_thread::yield();
+      }
+    }
     return values_;
   }
 
@@ -187,16 +183,17 @@ class MultiGetHandle {
   std::vector<NodeId> keys_;
   std::vector<BlobPtr> values_;
   uint64_t payload_bytes_ = 0;
-  mutable std::mutex mu_;
-  std::condition_variable cv_;
-  bool done_ = false;
+  bool executed_ = false;
+  Clock::time_point landing_{};
   std::atomic<std::atomic<int64_t>*> open_slot_{nullptr};
 };
 
 // Seam between "who issues a multiget" and "who runs it". The default
 // (nullptr executor at the call sites) services the request inline on the
-// issuing thread; the threaded runtime submits to a per-processor fetch
-// thread so the request genuinely overlaps with the processor's cache work.
+// issuing thread. Submit must execute the handle before it returns; an
+// executor may also stamp a landing time on it. The threaded runtime's
+// executor models the wire that way: the round trip elapses in Wait(), so
+// up to `window` trips overlap with each other and with cache work.
 class BatchFetchExecutor {
  public:
   virtual ~BatchFetchExecutor() = default;

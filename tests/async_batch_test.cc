@@ -2,7 +2,8 @@
 // max_inflight_batches.
 //
 //   * storage layer — StorageServer multiget parity with sequential
-//     single-key gets, and the MultiGetHandle completing across threads;
+//     single-key gets, and the MultiGetHandle holding its reply until the
+//     modelled round trip has landed;
 //   * window=1 identity — the synchronous path is byte-identical run to run
 //     and answer-identical to every async window, on both engines;
 //   * exactly-once — a migration-concurrent adaptive run with the async
@@ -15,8 +16,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <map>
-#include <thread>
 #include <vector>
 
 #include "src/core/grouting.h"
@@ -147,27 +148,36 @@ TEST(StorageServerMultiGet, StatsMatchSequentialGets) {
             sequential.server(0).stats().bytes_served);
 }
 
-TEST(MultiGetHandle, CompletesAcrossThreads) {
+TEST(MultiGetHandle, WaitHoldsTheReplyUntilItLands) {
   GraphBuilder builder;
   builder.AddEdge(0, 1);
-  builder.AddEdge(1, 2);
-  builder.AddNode(NodeId{3});
+  builder.AddNode(NodeId{2});
   const Graph g = builder.Build();
   StorageTier tier(1);
   tier.LoadGraph(g);
 
-  auto handle = tier.StartMultiGet(0, {0, 1, 3});
-  EXPECT_FALSE(handle->done());
-  std::thread fetcher([handle] { handle->Execute(); });
+  auto handle = tier.StartMultiGet(0, {0, 1, 2});
+  handle->Execute();
+  const auto landing = MultiGetHandle::Clock::now() + std::chrono::milliseconds(2);
+  handle->set_landing(landing);
   const auto& values = handle->Wait();
-  fetcher.join();
-  EXPECT_TRUE(handle->done());
+  // Lower bound only: the reply is never handed over before it lands.
+  EXPECT_GE(MultiGetHandle::Clock::now(), landing);
   ASSERT_EQ(values.size(), 3u);
-  EXPECT_NE(values[0], nullptr);
-  EXPECT_NE(values[1], nullptr);
-  EXPECT_NE(values[2], nullptr);  // node 3 exists (isolated)
+  EXPECT_NE(values[2], nullptr);  // node 2 exists (isolated)
   EXPECT_EQ(DecodeAdjacency(*values[1])->node, 1u);
   EXPECT_EQ(tier.server(0).stats().batch_requests, 1u);
+}
+
+TEST(MultiGetHandleDeathTest, WaitBeforeExecuteDies) {
+  GraphBuilder builder;
+  builder.AddEdge(0, 1);
+  const Graph g = builder.Build();
+  StorageTier tier(1);
+  tier.LoadGraph(g);
+
+  auto handle = tier.StartMultiGet(0, {0, 1});
+  EXPECT_DEATH(handle->Wait(), "executed_");
 }
 
 // --- window=1 identity ---------------------------------------------------
@@ -234,7 +244,7 @@ TEST_F(AsyncBatchTest, EveryWindowIsAnswerIdenticalOnBothEngines) {
 
 TEST_F(AsyncBatchTest, ExactlyOnceUnderMigrationConcurrentRun) {
   // Adaptive re-splitting migrates sessions between router shards mid-run
-  // while every processor's fetch thread is completing multiget handles:
+  // while every processor keeps several multiget round trips in flight:
   // each query id must still be answered exactly once, on both engines.
   const Graph& g = env_->graph();
   const auto queries = env_->SkewedWorkload(/*sessions=*/30, /*queries=*/240,
@@ -323,7 +333,7 @@ TEST_F(AsyncBatchTest, ThreadedAsyncRunReportsOverlap) {
   opts.cache_bytes = std::max<uint64_t>(env_->graph().TotalAdjacencyBytes() / 16, 1);
   const ClusterMetrics m = env_->Run(EngineKind::kThreaded, opts);
   EXPECT_EQ(m.queries, 20u * 4u);
-  // Real fetch threads serviced real handles: some probe/merge work ran
+  // Real handles were serviced on real threads: some probe/merge work ran
   // while a batch was outstanding, and the window was genuinely occupied.
   EXPECT_GT(m.fetch_overlap_us, 0.0);
   EXPECT_GE(m.batches_inflight_peak, 1u);

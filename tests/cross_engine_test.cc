@@ -270,10 +270,10 @@ TEST_F(CrossEngineTest, ReplicationParityForEveryScheme) {
 
 TEST_F(CrossEngineTest, AsyncWindowParityForEveryScheme) {
   // The async storage pipeline (max_inflight_batches > 1) reshapes WHEN
-  // fetches happen — per-batch completion events in the sim, per-processor
-  // fetch threads in the runtime — but answer parity between the engines
-  // must hold exactly as on the synchronous path, and window=1 must stay
-  // answer-identical to the async windows.
+  // fetches happen — per-batch completion events in the sim, overlapping
+  // injected round trips in the runtime — but answer parity between the
+  // engines must hold exactly as on the synchronous path, and window=1 must
+  // stay answer-identical to the async windows.
   const Graph& g = env_->graph();
   const auto queries = env_->HotspotWorkload(2, 2, 25, 4);
 

@@ -296,6 +296,44 @@ TEST_F(TraceTest, ThreadedTracingPreservesAnswersAndCounts) {
   EXPECT_EQ(with_query_span.size(), queries.size());
 }
 
+TEST_F(TraceTest, ThreadedStallSpansNestInsideTheirLevel) {
+  // The injected round trip of a multiget is network exposure of the level
+  // that issued it: its stall span must sit inside that level's span, at
+  // window 1 too, so trace analysis charges the wait to the right level.
+  const auto queries = env_->HotspotWorkload(2, 2, 20, 4);
+  RunOptions opts = SmallRun(RoutingSchemeKind::kEmbed);
+  opts.max_inflight_batches = 1;
+  opts.trace_sample_every_n = 1;
+  ASSERT_GT(env_->MakeClusterConfig(opts).injected_network_us, 0.0);
+
+  auto engine = Build(EngineKind::kThreaded, opts);
+  const ClusterMetrics m = engine->Run(queries);
+  ASSERT_EQ(m.queries, queries.size());
+  ASSERT_EQ(m.trace_events_dropped, 0u);
+
+  const std::vector<TraceEvent> events = engine->tracer()->MergedEvents();
+  std::map<std::pair<uint64_t, uint32_t>, std::pair<double, double>> levels;
+  for (const TraceEvent& e : events) {
+    if (e.type == TraceEventType::kLevel) {
+      levels[{e.query_id, e.level}] = {e.ts_us, e.ts_us + e.dur_us};
+    }
+  }
+  size_t stalls = 0;
+  for (const TraceEvent& e : events) {
+    if (e.type != TraceEventType::kStall) {
+      continue;
+    }
+    ++stalls;
+    const auto it = levels.find({e.query_id, e.level});
+    ASSERT_NE(it, levels.end())
+        << "query " << e.query_id << " stall at level " << e.level;
+    const auto [lo, hi] = it->second;
+    EXPECT_GE(e.ts_us, lo - 1e-6) << "query " << e.query_id;
+    EXPECT_LE(e.ts_us + e.dur_us, hi + 1e-6) << "query " << e.query_id;
+  }
+  EXPECT_GT(stalls, 0u);
+}
+
 TEST_F(TraceTest, CrossEngineSpanStructureMatchesOnSequentialCluster) {
   // With one processor, one router shard and no stealing, execution order —
   // and therefore cache evolution and the per-level batch split — is
