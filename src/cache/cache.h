@@ -7,21 +7,25 @@
 //
 // Capacity is measured in BYTES (each entry is charged its serialised
 // adjacency size), matching the paper's "4 GB cache per processor" framing.
+//
+// Get hands out a pointer to the stored value instead of a copy, so a hit
+// costs no refcount traffic. The pointer stays valid until the next Put,
+// Erase or Clear on the same cache (any of which may evict or replace the
+// entry); a hit (Get) never invalidates it.
 
 #ifndef GROUTING_SRC_CACHE_CACHE_H_
 #define GROUTING_SRC_CACHE_CACHE_H_
 
 #include <cstdint>
 #include <list>
-#include <optional>
 #include <set>
 #include <string>
 #include <tuple>
-#include <unordered_map>
 #include <vector>
 
 #include "src/graph/graph.h"
 #include "src/util/check.h"
+#include "src/util/node_table.h"
 
 namespace grouting {
 
@@ -49,7 +53,6 @@ struct CacheStats {
 };
 
 // Single-owner (per-processor) cache mapping NodeId -> V.
-// V must be cheaply copyable (we store shared_ptr-like handles).
 template <typename V>
 class NodeCache {
  public:
@@ -57,10 +60,12 @@ class NodeCache {
       : capacity_bytes_(capacity_bytes), policy_(policy) {}
 
   // Looks up a node, updating recency/frequency state and hit/miss counters.
-  std::optional<V> Get(NodeId key);
+  // Returns the stored value (valid until the next Put/Erase/Clear), or
+  // nullptr on a miss.
+  const V* Get(NodeId key);
 
   // Probe without touching stats or policy state (for tests / introspection).
-  bool Contains(NodeId key) const { return map_.count(key) > 0; }
+  bool Contains(NodeId key) const { return map_.Contains(key); }
 
   // Inserts (or overwrites) an entry charged `bytes`, evicting per policy
   // until the entry fits. Oversized entries are rejected, not cached.
@@ -112,7 +117,7 @@ class NodeCache {
   //   LFU  : insertion order; eviction via lfu_index_.
   //   CLOCK: circular scan with hand_ and reference bits.
   EntryList entries_;
-  std::unordered_map<NodeId, typename EntryList::iterator> map_;
+  NodeTable<typename EntryList::iterator> map_;
   typename EntryList::iterator hand_ = entries_.end();  // CLOCK hand
   LfuIndex lfu_index_;
   uint64_t next_seq_ = 0;
@@ -121,20 +126,21 @@ class NodeCache {
 // ---- implementation ----
 
 template <typename V>
-std::optional<V> NodeCache<V>::Get(NodeId key) {
-  auto it = map_.find(key);
-  if (it == map_.end()) {
+const V* NodeCache<V>::Get(NodeId key) {
+  const auto* slot = map_.Find(key);
+  if (slot == nullptr) {
     ++stats_.misses;
-    return std::nullopt;
+    return nullptr;
   }
   ++stats_.hits;
-  auto entry_it = it->second;
+  const auto entry_it = *slot;
   BumpFreq(*entry_it);
   entry_it->referenced = true;
   if (policy_ == CachePolicy::kLru) {
+    // Splicing relinks the list node in place: the value's address holds.
     entries_.splice(entries_.end(), entries_, entry_it);  // move to back (MRU)
   }
-  return entry_it->value;
+  return &entry_it->value;
 }
 
 template <typename V>
@@ -144,23 +150,23 @@ void NodeCache<V>::Put(NodeId key, V value, uint64_t bytes) {
     Erase(key);
     return;
   }
-  auto it = map_.find(key);
-  if (it != map_.end()) {
+  if (const auto* slot = map_.Find(key); slot != nullptr) {
     // Overwrite in place, adjusting the byte charge. An overwrite is a use:
     // refresh recency/frequency state like a hit would.
-    size_bytes_ -= it->second->bytes;
-    it->second->value = std::move(value);
-    it->second->bytes = bytes;
-    it->second->referenced = true;
-    BumpFreq(*it->second);
+    const auto entry_it = *slot;
+    size_bytes_ -= entry_it->bytes;
+    entry_it->value = std::move(value);
+    entry_it->bytes = bytes;
+    entry_it->referenced = true;
+    BumpFreq(*entry_it);
     size_bytes_ += bytes;
     if (policy_ == CachePolicy::kLru) {
-      entries_.splice(entries_.end(), entries_, it->second);
+      entries_.splice(entries_.end(), entries_, entry_it);
     }
   } else {
     entries_.push_back(Entry{key, std::move(value), bytes});
     entries_.back().seq = next_seq_++;
-    map_[key] = std::prev(entries_.end());
+    map_.Insert(key, std::prev(entries_.end()));
     if (policy_ == CachePolicy::kLfu) {
       lfu_index_.insert({entries_.back().freq, entries_.back().seq, key});
     }
@@ -183,7 +189,9 @@ void NodeCache<V>::EvictOne() {
       break;
     case CachePolicy::kLfu: {
       GROUTING_CHECK(!lfu_index_.empty());
-      victim = map_.at(std::get<2>(*lfu_index_.begin()));
+      const auto* slot = map_.Find(std::get<2>(*lfu_index_.begin()));
+      GROUTING_CHECK(slot != nullptr);
+      victim = *slot;
       break;
     }
     case CachePolicy::kClock: {
@@ -212,7 +220,7 @@ void NodeCache<V>::EvictOne() {
   if (policy_ == CachePolicy::kLfu) {
     lfu_index_.erase({victim->freq, victim->seq, victim->key});
   }
-  map_.erase(victim->key);
+  map_.Erase(victim->key);
   if (hand_ == victim) {
     hand_ = entries_.end();
   }
@@ -221,25 +229,26 @@ void NodeCache<V>::EvictOne() {
 
 template <typename V>
 void NodeCache<V>::Erase(NodeId key) {
-  auto it = map_.find(key);
-  if (it == map_.end()) {
+  const auto* slot = map_.Find(key);
+  if (slot == nullptr) {
     return;
   }
-  if (hand_ == it->second) {
+  const auto entry_it = *slot;
+  if (hand_ == entry_it) {
     hand_ = entries_.end();
   }
   if (policy_ == CachePolicy::kLfu) {
-    lfu_index_.erase({it->second->freq, it->second->seq, key});
+    lfu_index_.erase({entry_it->freq, entry_it->seq, key});
   }
-  size_bytes_ -= it->second->bytes;
-  entries_.erase(it->second);
-  map_.erase(it);
+  size_bytes_ -= entry_it->bytes;
+  entries_.erase(entry_it);
+  map_.Erase(key);
 }
 
 template <typename V>
 void NodeCache<V>::Clear() {
   entries_.clear();
-  map_.clear();
+  map_.Clear();
   lfu_index_.clear();
   size_bytes_ = 0;
   hand_ = entries_.end();

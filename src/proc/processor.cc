@@ -167,9 +167,11 @@ std::vector<AdjacencyPtr> CachedStorageSource::FetchBatch(std::span<const NodeId
       // tier's live NodeVersion and, when stale, falls through to the miss
       // path (the refetch overwrites the slot with the new blob). With
       // mutations off both sides are 0 and the comparison is a no-op.
-      if (auto hit = cache_->Get(Key(nodes[i]));
-          hit.has_value() &&
-          hit->version == storage_->NodeVersion(Key(nodes[i]))) {
+      // The probe returns a pointer into the cache slot, valid until the
+      // next Put/Erase/Clear: this branch makes no such call and copies
+      // out only the decoded handle it keeps.
+      if (const CachedAdjacency* hit = cache_->Get(Key(nodes[i]));
+          hit != nullptr && hit->version == storage_->NodeVersion(Key(nodes[i]))) {
         ++trace_.cache_hits;
         ++level.hits;
         ++trace_.visited;

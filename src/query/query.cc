@@ -1,25 +1,11 @@
 #include "src/query/query.h"
 
 #include <algorithm>
-#include <unordered_map>
-#include <unordered_set>
 
+#include "src/util/node_table.h"
 #include "src/util/rng.h"
 
 namespace grouting {
-namespace {
-
-// Appends all bi-directed neighbours of `entry` to `out`.
-void CollectNeighbors(const AdjacencyEntry& entry, std::vector<NodeId>* out) {
-  for (const Edge& e : entry.out) {
-    out->push_back(e.dst);
-  }
-  for (const Edge& e : entry.in) {
-    out->push_back(e.dst);
-  }
-}
-
-}  // namespace
 
 std::string QueryTypeName(QueryType type) {
   switch (type) {
@@ -53,23 +39,26 @@ QueryResult ExecuteNeighborAggregation(const Query& q, NodeDataSource& source) {
   // Level-synchronous BFS. Every node within h hops is *fetched* (the paper's
   // queries retrieve all h-hop neighbours — labels live in their entries),
   // but only levels < h are expanded.
-  std::unordered_set<NodeId> seen{q.node};
+  NodeSet seen;
+  seen.Insert(q.node);
   std::vector<NodeId> frontier{q.node};
   std::vector<AdjacencyPtr> entries = source.FetchBatch(frontier);
   std::vector<NodeId> next;
+  auto visit = [&](const std::vector<Edge>& edges) {
+    for (const Edge& e : edges) {
+      if (seen.Insert(e.dst)) {
+        next.push_back(e.dst);
+      }
+    }
+  };
   for (int32_t depth = 0; depth < q.hops && !frontier.empty(); ++depth) {
     next.clear();
     for (const AdjacencyPtr& entry : entries) {
       if (entry == nullptr) {
         continue;
       }
-      std::vector<NodeId> nbrs;
-      CollectNeighbors(*entry, &nbrs);
-      for (NodeId v : nbrs) {
-        if (seen.insert(v).second) {
-          next.push_back(v);
-        }
-      }
+      visit(entry->out);
+      visit(entry->in);
     }
     frontier.swap(next);
     if (frontier.empty()) {
@@ -94,9 +83,9 @@ QueryResult ExecuteRandomWalk(const Query& q, NodeDataSource& source) {
   result.type = QueryType::kRandomWalk;
   Rng rng(q.seed ^ 0x5bd1e995u);
 
-  std::unordered_set<NodeId> distinct{q.node};
+  NodeSet distinct;
+  distinct.Insert(q.node);
   NodeId current = q.node;
-  std::vector<NodeId> nbrs;
   for (int32_t step = 0; step < q.hops; ++step) {
     const AdjacencyPtr entry = source.FetchOne(current);
     if (entry == nullptr) {
@@ -104,17 +93,19 @@ QueryResult ExecuteRandomWalk(const Query& q, NodeDataSource& source) {
     }
     if (step > 0 && rng.NextBool(q.restart_prob)) {
       current = q.node;
-      distinct.insert(current);
+      distinct.Insert(current);
       continue;
     }
-    nbrs.clear();
-    CollectNeighbors(*entry, &nbrs);
-    if (nbrs.empty()) {
+    // Uniform pick over the bi-directed neighbour list: out-edges, then in.
+    const size_t degree = entry->out.size() + entry->in.size();
+    if (degree == 0) {
       current = q.node;  // dead end: restart
       continue;
     }
-    current = nbrs[rng.NextBounded(nbrs.size())];
-    distinct.insert(current);
+    const size_t pick = rng.NextBounded(degree);
+    current = pick < entry->out.size() ? entry->out[pick].dst
+                                       : entry->in[pick - entry->out.size()].dst;
+    distinct.Insert(current);
   }
   result.walk_end = current;
   result.walk_distinct_nodes = distinct.size();
@@ -138,8 +129,10 @@ QueryResult ExecuteReachability(const Query& q, NodeDataSource& source) {
   // Bidirectional BFS: forward over out-edges from the source, backward over
   // in-edges from the target (feasible because each adjacency entry stores
   // both directions). Each round expands the smaller frontier.
-  std::unordered_map<NodeId, int32_t> fwd_dist{{q.node, 0}};
-  std::unordered_map<NodeId, int32_t> bwd_dist{{q.target, 0}};
+  NodeTable<int32_t> fwd_dist;
+  NodeTable<int32_t> bwd_dist;
+  fwd_dist.Insert(q.node, 0);
+  bwd_dist.Insert(q.target, 0);
   std::vector<NodeId> fwd_frontier{q.node};
   std::vector<NodeId> bwd_frontier{q.target};
   int32_t fwd_depth = 0;
@@ -169,13 +162,11 @@ QueryResult ExecuteReachability(const Query& q, NodeDataSource& source) {
       }
       const auto& edges = expand_fwd ? entries[i]->out : entries[i]->in;
       for (const Edge& e : edges) {
-        if (dist.count(e.dst) > 0) {
+        if (!dist.Insert(e.dst, depth + 1)) {
           continue;
         }
-        dist[e.dst] = depth + 1;
-        auto hit = other_dist.find(e.dst);
-        if (hit != other_dist.end()) {
-          const int32_t total = depth + 1 + hit->second;
+        if (const int32_t* other = other_dist.Find(e.dst); other != nullptr) {
+          const int32_t total = depth + 1 + *other;
           if (total <= q.hops) {
             result.reachable = true;
             result.distance = total;

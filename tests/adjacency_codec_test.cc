@@ -216,8 +216,8 @@ TEST(CompressedCacheTest, HitDecodesToSameEntryAndCountsDecompressTime) {
   // The cache charged the compressed size, not the logical one.
   EXPECT_LT(cache.size_bytes(), miss->SerializedBytes());
   // And it holds the very blob the storage server shipped, not a copy.
-  const auto slot = cache.Get(5);
-  ASSERT_TRUE(slot.has_value());
+  const CachedAdjacency* slot = cache.Get(5);
+  ASSERT_NE(slot, nullptr);
   EXPECT_EQ(slot->encoded, tier.PeekCurrent(5));
 }
 

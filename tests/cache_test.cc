@@ -1,9 +1,10 @@
-// Tests for the byte-bounded node cache: exact LRU semantics, capacity
-// invariants across all policies (property sweep), stats accounting, and
-// edge cases (oversized entries, zero-capacity caches).
+// Tests for the byte-bounded node cache: exact LRU semantics, the by-pointer
+// probe contract, capacity invariants across all policies (property sweep),
+// stats accounting, and edge cases (oversized entries, zero-capacity caches).
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 
 #include "src/cache/cache.h"
@@ -16,7 +17,7 @@ using IntCache = NodeCache<int>;
 
 TEST(CacheTest, GetMissOnEmpty) {
   IntCache cache(1024);
-  EXPECT_FALSE(cache.Get(1).has_value());
+  EXPECT_EQ(cache.Get(1), nullptr);
   EXPECT_EQ(cache.stats().misses, 1u);
   EXPECT_EQ(cache.stats().hits, 0u);
 }
@@ -24,11 +25,44 @@ TEST(CacheTest, GetMissOnEmpty) {
 TEST(CacheTest, PutThenGet) {
   IntCache cache(1024);
   cache.Put(1, 100, 10);
-  auto v = cache.Get(1);
-  ASSERT_TRUE(v.has_value());
+  const int* v = cache.Get(1);
+  ASSERT_NE(v, nullptr);
   EXPECT_EQ(*v, 100);
   EXPECT_EQ(cache.stats().hits, 1u);
   EXPECT_EQ(cache.size_bytes(), 10u);
+}
+
+// Get hands out the stored value itself: no copy is made (a shared handle's
+// count does not move) and repeated hits address the same slot.
+TEST(CacheTest, HitPointerAddressesStoredValue) {
+  NodeCache<std::shared_ptr<int>> cache(1024);
+  const auto value = std::make_shared<int>(42);
+  cache.Put(7, value, 10);
+  EXPECT_EQ(value.use_count(), 2);  // caller + cache slot
+  const std::shared_ptr<int>* hit = cache.Get(7);
+  ASSERT_NE(hit, nullptr);
+  EXPECT_EQ(hit->get(), value.get());
+  EXPECT_EQ(value.use_count(), 2);  // the probe copied nothing
+  EXPECT_EQ(cache.Get(7), hit);
+  EXPECT_EQ(cache.stats().hits, 2u);
+}
+
+// A hit through the pointer API still refreshes recency: each hit entry
+// moves to MRU, so the next evictions take the untouched entries first.
+TEST(CacheTest, HitMovesEntryToMru) {
+  IntCache cache(30, CachePolicy::kLru);
+  cache.Put(1, 1, 10);
+  cache.Put(2, 2, 10);
+  cache.Put(3, 3, 10);
+  ASSERT_NE(cache.Get(1), nullptr);
+  ASSERT_NE(cache.Get(2), nullptr);
+  cache.Put(4, 4, 10);
+  EXPECT_FALSE(cache.Contains(3));  // the only entry not hit
+  EXPECT_TRUE(cache.Contains(1));
+  EXPECT_TRUE(cache.Contains(2));
+  cache.Put(5, 5, 10);
+  EXPECT_FALSE(cache.Contains(1));  // least recently hit of the survivors
+  EXPECT_TRUE(cache.Contains(2));
 }
 
 TEST(CacheTest, OverwriteAdjustsBytes) {
@@ -37,7 +71,9 @@ TEST(CacheTest, OverwriteAdjustsBytes) {
   cache.Put(1, 200, 30);
   EXPECT_EQ(cache.size_bytes(), 30u);
   EXPECT_EQ(cache.entry_count(), 1u);
-  EXPECT_EQ(*cache.Get(1), 200);
+  const int* v = cache.Get(1);
+  ASSERT_NE(v, nullptr);
+  EXPECT_EQ(*v, 200);
 }
 
 TEST(CacheTest, ExactLruEvictionOrder) {
@@ -46,7 +82,7 @@ TEST(CacheTest, ExactLruEvictionOrder) {
   cache.Put(2, 2, 10);
   cache.Put(3, 3, 10);
   // Touch 1 so 2 becomes the LRU victim.
-  EXPECT_TRUE(cache.Get(1).has_value());
+  EXPECT_NE(cache.Get(1), nullptr);
   cache.Put(4, 4, 10);
   EXPECT_TRUE(cache.Contains(1));
   EXPECT_FALSE(cache.Contains(2));  // evicted
@@ -59,7 +95,7 @@ TEST(CacheTest, FifoIgnoresRecency) {
   cache.Put(1, 1, 10);
   cache.Put(2, 2, 10);
   cache.Put(3, 3, 10);
-  EXPECT_TRUE(cache.Get(1).has_value());  // touching does not save 1
+  EXPECT_NE(cache.Get(1), nullptr);  // touching does not save 1
   cache.Put(4, 4, 10);
   EXPECT_FALSE(cache.Contains(1));  // first in, first out
   EXPECT_TRUE(cache.Contains(2));

@@ -4,7 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <unordered_map>
 #include <unordered_set>
+#include <utility>
 
 #include "src/graph/generators.h"
 #include "src/graph/traversal.h"
@@ -271,6 +274,259 @@ TEST(TraceTest, ResultsIdenticalWithAndWithoutCache) {
     const auto w_a = ExecuteQuery(Walk(u, 8, trial), cached);
     const auto w_b = ExecuteQuery(Walk(u, 8, trial), direct);
     EXPECT_EQ(w_a.walk_end, w_b.walk_end);
+  }
+}
+
+// ------------------------------------------------ fetch-order pin ------
+//
+// The executors' visited tables are flat open-addressing tables. Their
+// answers AND the exact sequence of node lists they hand to FetchBatch must
+// match the original node-based std::unordered_set/unordered_map executors
+// below, kept verbatim as the reference: the fetch sequence is what fixes
+// cache state, hit counts and both engines' replayed costs.
+
+QueryResult RefNeighborAggregation(const Query& q, NodeDataSource& source) {
+  QueryResult result;
+  result.type = QueryType::kNeighborAggregation;
+  std::unordered_set<NodeId> seen{q.node};
+  std::vector<NodeId> frontier{q.node};
+  std::vector<AdjacencyPtr> entries = source.FetchBatch(frontier);
+  std::vector<NodeId> next;
+  for (int32_t depth = 0; depth < q.hops && !frontier.empty(); ++depth) {
+    next.clear();
+    for (const AdjacencyPtr& entry : entries) {
+      if (entry == nullptr) {
+        continue;
+      }
+      std::vector<NodeId> nbrs;
+      for (const Edge& e : entry->out) {
+        nbrs.push_back(e.dst);
+      }
+      for (const Edge& e : entry->in) {
+        nbrs.push_back(e.dst);
+      }
+      for (NodeId v : nbrs) {
+        if (seen.insert(v).second) {
+          next.push_back(v);
+        }
+      }
+    }
+    frontier.swap(next);
+    if (frontier.empty()) {
+      break;
+    }
+    entries = source.FetchBatch(frontier);
+    if (q.label_filter == kNoLabel) {
+      result.aggregate += frontier.size();
+    } else {
+      for (const AdjacencyPtr& entry : entries) {
+        if (entry != nullptr && entry->node_label == q.label_filter) {
+          ++result.aggregate;
+        }
+      }
+    }
+  }
+  return result;
+}
+
+QueryResult RefRandomWalk(const Query& q, NodeDataSource& source) {
+  QueryResult result;
+  result.type = QueryType::kRandomWalk;
+  Rng rng(q.seed ^ 0x5bd1e995u);
+  std::unordered_set<NodeId> distinct{q.node};
+  NodeId current = q.node;
+  std::vector<NodeId> nbrs;
+  for (int32_t step = 0; step < q.hops; ++step) {
+    const AdjacencyPtr entry = source.FetchOne(current);
+    if (entry == nullptr) {
+      break;
+    }
+    if (step > 0 && rng.NextBool(q.restart_prob)) {
+      current = q.node;
+      distinct.insert(current);
+      continue;
+    }
+    nbrs.clear();
+    for (const Edge& e : entry->out) {
+      nbrs.push_back(e.dst);
+    }
+    for (const Edge& e : entry->in) {
+      nbrs.push_back(e.dst);
+    }
+    if (nbrs.empty()) {
+      current = q.node;
+      continue;
+    }
+    current = nbrs[rng.NextBounded(nbrs.size())];
+    distinct.insert(current);
+  }
+  result.walk_end = current;
+  result.walk_distinct_nodes = distinct.size();
+  return result;
+}
+
+QueryResult RefReachability(const Query& q, NodeDataSource& source) {
+  QueryResult result;
+  result.type = QueryType::kReachability;
+  if (q.node == q.target) {
+    result.reachable = true;
+    result.distance = 0;
+    return result;
+  }
+  if (q.hops <= 0) {
+    return result;
+  }
+  std::unordered_map<NodeId, int32_t> fwd_dist{{q.node, 0}};
+  std::unordered_map<NodeId, int32_t> bwd_dist{{q.target, 0}};
+  std::vector<NodeId> fwd_frontier{q.node};
+  std::vector<NodeId> bwd_frontier{q.target};
+  int32_t fwd_depth = 0;
+  int32_t bwd_depth = 0;
+  auto passes_filter = [&](const AdjacencyEntry& entry, NodeId v) {
+    if (q.label_filter == kNoLabel || v == q.node || v == q.target) {
+      return true;
+    }
+    return entry.node_label == q.label_filter;
+  };
+  while (!fwd_frontier.empty() && !bwd_frontier.empty() &&
+         fwd_depth + bwd_depth < q.hops) {
+    const bool expand_fwd = fwd_frontier.size() <= bwd_frontier.size();
+    auto& frontier = expand_fwd ? fwd_frontier : bwd_frontier;
+    auto& dist = expand_fwd ? fwd_dist : bwd_dist;
+    auto& other_dist = expand_fwd ? bwd_dist : fwd_dist;
+    int32_t& depth = expand_fwd ? fwd_depth : bwd_depth;
+    const auto entries = source.FetchBatch(frontier);
+    std::vector<NodeId> next;
+    for (size_t i = 0; i < frontier.size(); ++i) {
+      if (entries[i] == nullptr) {
+        continue;
+      }
+      const auto& edges = expand_fwd ? entries[i]->out : entries[i]->in;
+      for (const Edge& e : edges) {
+        if (dist.count(e.dst) > 0) {
+          continue;
+        }
+        dist[e.dst] = depth + 1;
+        auto hit = other_dist.find(e.dst);
+        if (hit != other_dist.end()) {
+          const int32_t total = depth + 1 + hit->second;
+          if (total <= q.hops) {
+            result.reachable = true;
+            result.distance = total;
+            return result;
+          }
+        }
+        next.push_back(e.dst);
+      }
+    }
+    if (q.label_filter != kNoLabel && !next.empty()) {
+      const auto next_entries = source.FetchBatch(next);
+      std::vector<NodeId> kept;
+      for (size_t i = 0; i < next.size(); ++i) {
+        if (next_entries[i] != nullptr && passes_filter(*next_entries[i], next[i])) {
+          kept.push_back(next[i]);
+        }
+      }
+      next.swap(kept);
+    }
+    frontier = std::move(next);
+    ++depth;
+  }
+  return result;
+}
+
+QueryResult RefExecute(const Query& q, NodeDataSource& source) {
+  switch (q.type) {
+    case QueryType::kNeighborAggregation:
+      return RefNeighborAggregation(q, source);
+    case QueryType::kRandomWalk:
+      return RefRandomWalk(q, source);
+    case QueryType::kReachability:
+      return RefReachability(q, source);
+  }
+  return {};
+}
+
+// Direct graph source that logs every node list passed to FetchBatch.
+class RecordingSource : public NodeDataSource {
+ public:
+  explicit RecordingSource(const Graph& g) : inner_(g) {}
+
+  std::vector<AdjacencyPtr> FetchBatch(std::span<const NodeId> nodes) override {
+    log_.emplace_back(nodes.begin(), nodes.end());
+    return inner_.FetchBatch(nodes);
+  }
+  const FetchTrace& trace() const override { return inner_.trace(); }
+  void ResetTrace() override { inner_.ResetTrace(); }
+
+  std::vector<std::vector<NodeId>> TakeLog() { return std::exchange(log_, {}); }
+
+ private:
+  DirectGraphSource inner_;
+  std::vector<std::vector<NodeId>> log_;
+};
+
+void ExpectSameAnswerAndFetches(const Graph& g, const Query& q) {
+  RecordingSource flat(g);
+  RecordingSource reference(g);
+  const QueryResult got = ExecuteQuery(q, flat);
+  const QueryResult want = RefExecute(q, reference);
+  const std::string what = QueryTypeName(q.type) + " node=" + std::to_string(q.node) +
+                           " target=" + std::to_string(q.target) +
+                           " hops=" + std::to_string(q.hops) +
+                           " label=" + std::to_string(q.label_filter);
+  EXPECT_EQ(got.type, want.type) << what;
+  EXPECT_EQ(got.aggregate, want.aggregate) << what;
+  EXPECT_EQ(got.walk_end, want.walk_end) << what;
+  EXPECT_EQ(got.walk_distinct_nodes, want.walk_distinct_nodes) << what;
+  EXPECT_EQ(got.reachable, want.reachable) << what;
+  EXPECT_EQ(got.distance, want.distance) << what;
+  EXPECT_EQ(flat.TakeLog(), reference.TakeLog()) << what;
+}
+
+// Seeded queries of every type, with and without label filters.
+std::vector<Query> PinQueries(const Graph& g, int count, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<Query> queries;
+  for (int i = 0; i < count; ++i) {
+    Query q;
+    q.type = static_cast<QueryType>(i % 3);
+    q.node = static_cast<NodeId>(rng.NextBounded(g.num_nodes()));
+    q.target = static_cast<NodeId>(rng.NextBounded(g.num_nodes()));
+    q.hops = 1 + static_cast<int32_t>(rng.NextBounded(q.type == QueryType::kRandomWalk ? 12 : 4));
+    q.label_filter = (i / 3) % 2 == 0 ? kNoLabel : static_cast<Label>(1 + rng.NextBounded(3));
+    q.seed = rng.Next();
+    queries.push_back(q);
+  }
+  return queries;
+}
+
+TEST(FetchOrderPinTest, FlatTablesMatchNodeBasedReferenceOnGeneratedGraph) {
+  const Graph g = GenerateBarabasiAlbert(2000, 4, 21, LabelConfig{3, 0});
+  for (const Query& q : PinQueries(g, 240, 22)) {
+    ExpectSameAnswerAndFetches(g, q);
+  }
+}
+
+// A 3000-spoke star drives the visited tables through many doublings:
+// aggregation from the hub or a spoke sees every spoke, and reachability
+// from the hub inserts spokes until it meets the target.
+TEST(FetchOrderPinTest, FlatTablesMatchNodeBasedReferenceThroughTableGrowth) {
+  const Graph g = GenerateStar(3000, LabelConfig{3, 0});
+  std::vector<Query> queries = PinQueries(g, 48, 23);
+  for (const Label label : {kNoLabel, Label{1}}) {
+    queries.push_back(Agg(0, 1));
+    queries.push_back(Agg(17, 2));
+    queries.push_back(Reach(0, 2999, 2));
+    queries.push_back(Reach(0, 3000, 3));
+    queries.push_back(Reach(5, 0, 3));
+    queries.push_back(Walk(0, 10, 24));
+    for (size_t i = queries.size() - 6; i < queries.size(); ++i) {
+      queries[i].label_filter = label;
+    }
+  }
+  for (const Query& q : queries) {
+    ExpectSameAnswerAndFetches(g, q);
   }
 }
 

@@ -1,5 +1,5 @@
 // Unit tests for src/util: RNG, MurmurHash3, statistics, table formatting,
-// byte-size parsing, and the MPMC queue.
+// byte-size parsing, the MPMC queue, and the flat NodeId hash table.
 
 #include <gtest/gtest.h>
 
@@ -8,11 +8,13 @@
 #include <numeric>
 #include <set>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "src/util/check.h"
 #include "src/util/mpmc_queue.h"
 #include "src/util/murmur3.h"
+#include "src/util/node_table.h"
 #include "src/util/rng.h"
 #include "src/util/stats.h"
 #include "src/util/table.h"
@@ -443,6 +445,106 @@ TEST(MpmcQueueTest, ConcurrentProducersConsumers) {
   const int total = kProducers * kPerProducer;
   EXPECT_EQ(consumed.load(), total);
   EXPECT_EQ(sum.load(), static_cast<int64_t>(total) * (total - 1) / 2);
+}
+
+// ---------------------------------------------------------- NodeTable ----
+
+TEST(NodeTableTest, GrowthKeepsEveryKeyAndValue) {
+  NodeTable<uint64_t> table;
+  constexpr NodeId kKeys = 5000;  // 16 slots -> 16384: ten doublings
+  for (NodeId i = 0; i < kKeys; ++i) {
+    const NodeId key = i * 2654435761u;  // scattered, distinct
+    EXPECT_TRUE(table.Insert(key, uint64_t{i} * 3));
+  }
+  EXPECT_EQ(table.size(), kKeys);
+  for (NodeId i = 0; i < kKeys; ++i) {
+    const uint64_t* value = table.Find(i * 2654435761u);
+    ASSERT_NE(value, nullptr) << "key #" << i;
+    EXPECT_EQ(*value, uint64_t{i} * 3);
+  }
+}
+
+TEST(NodeTableTest, DuplicateInsertKeepsFirstValue) {
+  NodeTable<int32_t> table;
+  EXPECT_TRUE(table.Insert(9, 1));
+  EXPECT_FALSE(table.Insert(9, 2));
+  ASSERT_NE(table.Find(9), nullptr);
+  EXPECT_EQ(*table.Find(9), 1);
+  EXPECT_EQ(table.size(), 1u);
+}
+
+TEST(NodeTableTest, InvalidNodeIsAKey) {
+  NodeTable<int32_t> table;
+  EXPECT_EQ(table.Find(kInvalidNode), nullptr);
+  EXPECT_TRUE(table.Insert(kInvalidNode, 5));
+  EXPECT_FALSE(table.Insert(kInvalidNode, 6));
+  EXPECT_TRUE(table.Insert(0, 7));
+  ASSERT_NE(table.Find(kInvalidNode), nullptr);
+  EXPECT_EQ(*table.Find(kInvalidNode), 5);
+  EXPECT_EQ(*table.Find(0), 7);
+  EXPECT_EQ(table.size(), 2u);
+  EXPECT_TRUE(table.Erase(kInvalidNode));
+  EXPECT_FALSE(table.Contains(kInvalidNode));
+  EXPECT_TRUE(table.Contains(0));
+
+  NodeSet set;
+  EXPECT_TRUE(set.Insert(kInvalidNode));
+  EXPECT_FALSE(set.Insert(kInvalidNode));
+  EXPECT_TRUE(set.Contains(kInvalidNode));
+  EXPECT_EQ(set.size(), 1u);
+}
+
+TEST(NodeTableTest, FindAbsentKeyReturnsNullptr) {
+  const NodeTable<int32_t> empty;
+  EXPECT_EQ(empty.Find(0), nullptr);
+  EXPECT_EQ(empty.Find(123), nullptr);
+  NodeTable<int32_t> table;
+  for (NodeId key = 0; key < 100; key += 2) {
+    table.Insert(key, 1);
+  }
+  for (NodeId key = 1; key < 100; key += 2) {
+    EXPECT_EQ(table.Find(key), nullptr) << key;
+  }
+  EXPECT_EQ(table.Find(kInvalidNode), nullptr);
+}
+
+// Random inserts and erases over a pool of 64 random keys must agree with
+// std::unordered_map after every operation. Random keys (unlike a run of
+// consecutive ids, which Fibonacci hashing spreads without a collision)
+// share home slots and form probe runs that wrap around the array: this is
+// what checks the backward-shift deletion.
+TEST(NodeTableTest, EraseAgreesWithReferenceMap) {
+  NodeTable<uint32_t> table;
+  std::unordered_map<NodeId, uint32_t> reference;
+  Rng rng(31);
+  std::vector<NodeId> pool(64);
+  for (NodeId& key : pool) {
+    key = static_cast<NodeId>(rng.Next());
+  }
+  pool.back() = kInvalidNode;
+  for (uint32_t step = 0; step < 20000; ++step) {
+    const NodeId key = pool[rng.NextBounded(pool.size())];
+    if (rng.NextBool(0.55)) {
+      EXPECT_EQ(table.Insert(key, step), reference.emplace(key, step).second);
+    } else {
+      EXPECT_EQ(table.Erase(key), reference.erase(key) > 0);
+    }
+    ASSERT_EQ(table.size(), reference.size()) << "step " << step;
+    for (const NodeId k : pool) {
+      const auto it = reference.find(k);
+      const uint32_t* got = table.Find(k);
+      ASSERT_EQ(got != nullptr, it != reference.end()) << "step " << step << " key " << k;
+      if (got != nullptr) {
+        EXPECT_EQ(*got, it->second);
+      }
+    }
+  }
+  table.Clear();
+  EXPECT_EQ(table.size(), 0u);
+  for (const NodeId k : pool) {
+    EXPECT_EQ(table.Find(k), nullptr);
+  }
+  EXPECT_TRUE(table.Insert(3, 1));
 }
 
 }  // namespace
