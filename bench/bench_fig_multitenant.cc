@@ -65,7 +65,6 @@ RunOptions MultitenantOpts(uint32_t tenants, double quota_qps) {
   opts.scheme = RoutingSchemeKind::kEmbed;
   opts.num_tenants = tenants;
   opts.tenant_quota_qps = quota_qps;
-  opts.open_loop = true;
   return opts;
 }
 

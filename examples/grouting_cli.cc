@@ -315,7 +315,7 @@ int main(int argc, char** argv) {
   opts.num_tenants = static_cast<uint32_t>(flags.GetInt("num-tenants", 1));
   opts.tenant_quota_qps = flags.GetDouble("tenant-quota-qps", 0.0);
   opts.tenant_quota_burst = flags.GetDouble("tenant-quota-burst", 32.0);
-  opts.open_loop = flags.values.count("open-loop") > 0;
+  const bool open_loop = flags.values.count("open-loop") > 0;
   const std::string tenant_metrics_out = flags.Get("tenant-metrics-out", "");
   if (opts.num_tenants == 0) {
     std::fprintf(stderr, "--num-tenants must be >= 1\n");
@@ -326,7 +326,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "--mutation-fraction must be in [0, 1]\n");
     return 1;
   }
-  if (mutation_fraction > 0.0 && !opts.open_loop) {
+  if (mutation_fraction > 0.0 && !open_loop) {
     std::fprintf(stderr, "--mutation-fraction requires --open-loop\n");
     return 1;
   }
@@ -344,7 +344,7 @@ int main(int argc, char** argv) {
   // the trace export reads the recorder after the metrics come back.
   std::vector<Query> workload;
   std::vector<GraphMutation> mutations;
-  if (opts.open_loop) {
+  if (open_loop) {
     OpenLoopConfig ol;
     ol.num_tenants = opts.num_tenants;
     ol.num_arrivals = static_cast<size_t>(flags.GetInt("arrivals", 8192));

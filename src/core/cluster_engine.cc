@@ -90,16 +90,6 @@ ClusterEngine::ClusterEngine(const Graph& graph, const ClusterConfig& config,
   }
 }
 
-void ClusterEngine::AddTraceStats(ClusterMetrics* m) const {
-  if (tracer_ == nullptr) {
-    return;
-  }
-  const TraceCounters c = tracer_->counters();
-  m->trace_events_recorded = c.recorded;
-  m->trace_events_dropped = c.dropped;
-  m->trace_buffer_high_water = c.high_water;
-}
-
 bool ClusterEngine::ExportTrace(const std::string& path, TraceMetadata metadata) const {
   if (tracer_ == nullptr) {
     return false;
@@ -116,32 +106,6 @@ bool ClusterEngine::ExportTrace(const std::string& path, TraceMetadata metadata)
   metadata.emplace_back("time_unit", "us");
   return WriteChromeTrace(path, tracer_->MergedEvents(), config_.num_processors,
                           config_.num_router_shards, metadata);
-}
-
-void ClusterEngine::AddProcessorStats(ClusterMetrics* m) const {
-  for (const auto& proc : processors_) {
-    m->cache_hits += proc->stats().cache_hits;
-    m->cache_misses += proc->stats().cache_misses;
-    m->nodes_visited += proc->stats().nodes_visited;
-    m->bytes_from_storage += proc->stats().bytes_fetched;
-    m->storage_batches += proc->stats().storage_batches;
-    m->batches_inflight_peak =
-        std::max(m->batches_inflight_peak, proc->stats().batches_inflight_peak);
-    m->fetch_overlap_us += proc->stats().fetch_overlap_us;
-    m->decompress_us += proc->stats().decompress_us;
-    if (proc->cache_enabled()) {
-      m->cache_entries += proc->cache()->entry_count();
-    }
-  }
-}
-
-void ClusterEngine::AddStorageTierStats(ClusterMetrics* m) const {
-  m->storage_load_imbalance = StorageLoadImbalance(storage_->GetRequestsPerServer());
-  m->partitions_migrated = partitions_migrated_;
-  m->adjacency_compression_ratio = storage_->AdjacencyCompressionRatio();
-  m->partitions_replicated = replica_promotions_;
-  m->replica_demotions = replica_demotions_;
-  m->replica_reads = storage_->replica_reads();
 }
 
 std::vector<StorageTier::MigrationResult> ClusterEngine::RepartitionRound() {
@@ -245,16 +209,8 @@ uint64_t ClusterEngine::RunIndexMaintenance(double now_us) {
   return dirty.size();
 }
 
-void ClusterEngine::AddMutationStats(ClusterMetrics* m) const {
-  m->mutations_applied = mutations_applied_;
-  m->index_refreshes = index_refreshes_;
-  m->stale_distance_error =
-      stale_error_sum_ /
-      static_cast<double>(std::max<uint64_t>(1, stale_error_samples_));
-}
-
 double ClusterEngine::ArrivalTimeUs(const Query& q, size_t index) const {
-  if (config_.open_loop_arrivals && q.arrive_us >= 0.0) {
+  if (q.arrive_us >= 0.0) {
     return q.arrive_us;
   }
   return config_.arrival_gap_us * static_cast<double>(index);
@@ -291,40 +247,108 @@ ClusterEngine::AdmissionPlan ClusterEngine::PlanAdmission(
   return plan;
 }
 
-void ClusterEngine::FillTenantMetrics(
-    ClusterMetrics* m, std::span<const LatencyHistogram> tenant_response_us,
-    std::span<const uint64_t> tenant_queries, const AdmissionPlan& plan) const {
-  m->queries_shed = plan.shed;
-  m->per_tenant.clear();
-  m->per_tenant.reserve(config_.num_tenants);
+void ClusterEngine::RunSamples::Add(uint32_t tenant, double response_us) {
+  this->response_us.Add(response_us);
+  tenant_response_us[tenant].Add(response_us);
+  ++tenant_queries[tenant];
+}
+
+void ClusterEngine::RunSamples::Merge(const RunSamples& other) {
+  response_us.Merge(other.response_us);
+  queue_wait_us.Merge(other.queue_wait_us);
+  for (size_t t = 0; t < tenant_queries.size(); ++t) {
+    tenant_response_us[t].Merge(other.tenant_response_us[t]);
+    tenant_queries[t] += other.tenant_queries[t];
+  }
+}
+
+ClusterMetrics ClusterEngine::Run(std::span<const Query> queries) {
+  GROUTING_CHECK_MSG(!ran_, "ClusterEngine::Run may only be called once");
+  ran_ = true;
+  // Admission is decided from the schedule's own timestamps before the
+  // engine starts, so both engines shed the same arrivals; only admitted
+  // queries count towards run completion.
+  const AdmissionPlan plan = PlanAdmission(queries);
+  answers_.reserve(plan.admitted);
+  // Quiesced mutation entries land before any dispatch or worker thread
+  // exists: the deterministic mode the cross-engine parity tests run in.
+  ApplyQuiescedMutations();
+  const RunOutcome run = Execute(queries, plan);
+  ClusterMetrics m = FillMetrics(run, plan);
+  AddEngineMetrics(&m);
+  return m;
+}
+
+ClusterMetrics ClusterEngine::FillMetrics(const RunOutcome& run,
+                                          const AdmissionPlan& plan) const {
+  ClusterMetrics m;
+  m.queries = answers_.size();
+  m.makespan_us = run.makespan_us;
+  m.throughput_qps =
+      m.makespan_us > 0.0 ? static_cast<double>(m.queries) / (m.makespan_us / 1e6) : 0.0;
+  // The histogram's embedded RunningStat keeps the mean exact; every
+  // percentile is one bucket walk instead of a full sort per quantile.
+  const LatencyHistogram& response = run.samples.response_us;
+  m.mean_response_ms = response.mean() / 1000.0;
+  m.p50_response_ms = response.Percentile(50.0) / 1000.0;
+  m.p95_response_ms = response.Percentile(95.0) / 1000.0;
+  m.p99_response_ms = response.Percentile(99.0) / 1000.0;
+  m.p999_response_ms = response.Percentile(99.9) / 1000.0;
+  m.mean_queue_wait_ms = run.samples.queue_wait_us.mean() / 1000.0;
+
+  for (const auto& proc : processors_) {
+    const ProcessorStats& ps = proc->stats();
+    m.cache_hits += ps.cache_hits;
+    m.cache_misses += ps.cache_misses;
+    m.nodes_visited += ps.nodes_visited;
+    m.bytes_from_storage += ps.bytes_fetched;
+    m.storage_batches += ps.storage_batches;
+    m.batches_inflight_peak = std::max(m.batches_inflight_peak, ps.batches_inflight_peak);
+    m.fetch_overlap_us += ps.fetch_overlap_us;
+    m.decompress_us += ps.decompress_us;
+    if (proc->cache_enabled()) {
+      m.cache_entries += proc->cache()->entry_count();
+    }
+  }
+
+  m.storage_load_imbalance = StorageLoadImbalance(storage_->GetRequestsPerServer());
+  m.partitions_migrated = partitions_migrated_;
+  m.repartition_stall_us = repartition_stall_us_;
+  m.partitions_replicated = replica_promotions_;
+  m.replica_reads = storage_->replica_reads();
+  m.replica_demotions = replica_demotions_;
+  m.adjacency_compression_ratio = storage_->AdjacencyCompressionRatio();
+
+  if (tracer_ != nullptr) {
+    const TraceCounters c = tracer_->counters();
+    m.trace_events_recorded = c.recorded;
+    m.trace_events_dropped = c.dropped;
+    m.trace_buffer_high_water = c.high_water;
+  }
+
+  m.mutations_applied = mutations_applied_;
+  m.index_refreshes = index_refreshes_;
+  m.stale_distance_error =
+      stale_error_sum_ /
+      static_cast<double>(std::max<uint64_t>(1, stale_error_samples_));
+
+  m.queries_shed = plan.shed;
+  m.per_tenant.reserve(config_.num_tenants);
   for (uint32_t t = 0; t < config_.num_tenants; ++t) {
     TenantMetrics tm;
     tm.tenant = t;
-    tm.queries = tenant_queries[t];
-    tm.shed = t < plan.shed_per_tenant.size() ? plan.shed_per_tenant[t] : 0;
-    const LatencyHistogram& h = tenant_response_us[t];
+    tm.queries = run.samples.tenant_queries[t];
+    tm.shed = plan.shed_per_tenant[t];
+    const LatencyHistogram& h = run.samples.tenant_response_us[t];
     if (h.count() > 0) {
       tm.mean_response_ms = h.mean() / 1000.0;
       tm.p50_response_ms = h.Percentile(50.0) / 1000.0;
       tm.p99_response_ms = h.Percentile(99.0) / 1000.0;
       tm.p999_response_ms = h.Percentile(99.9) / 1000.0;
     }
-    m->per_tenant.push_back(tm);
+    m.per_tenant.push_back(tm);
   }
-}
-
-void ClusterEngine::FillLatencyStats(ClusterMetrics* m,
-                                     const LatencyHistogram& response_us,
-                                     const RunningStat& queue_wait_us) {
-  // The histogram's embedded RunningStat keeps the mean exact (identical to
-  // the historical sample-vector mean); every percentile is one bucket walk
-  // instead of a full sort per quantile.
-  m->mean_response_ms = response_us.mean() / 1000.0;
-  m->p50_response_ms = response_us.Percentile(50.0) / 1000.0;
-  m->p95_response_ms = response_us.Percentile(95.0) / 1000.0;
-  m->p99_response_ms = response_us.Percentile(99.0) / 1000.0;
-  m->p999_response_ms = response_us.Percentile(99.9) / 1000.0;
-  m->mean_queue_wait_ms = queue_wait_us.mean() / 1000.0;
+  return m;
 }
 
 std::unique_ptr<ClusterEngine> MakeClusterEngine(

@@ -13,9 +13,11 @@
 //   * EngineKind     — kSimulated | kThreaded, resolved by the
 //                      MakeClusterEngine factory.
 //
-// The base class owns the assembly that used to be duplicated in both
-// engine constructors: loading the graph into the storage tier (hash
-// placement or an explicit assignment) and standing up the processors.
+// The base class owns what both engines share: the assembly (loading the
+// graph into the storage tier, hash placement or an explicit assignment,
+// and standing up the processors) and the run itself — Run() plans
+// admission, applies quiesced mutations and fills the metrics once for
+// both engines, which supply only Execute and AddEngineMetrics.
 
 #ifndef GROUTING_SRC_CORE_CLUSTER_ENGINE_H_
 #define GROUTING_SRC_CORE_CLUSTER_ENGINE_H_
@@ -69,7 +71,9 @@ struct ClusterConfig {
   CostModel cost = CostModel::InfinibandDefaults();
   // Inter-arrival gap between queries at the router (µs); the paper sends
   // queries back to back. The simulated engine schedules arrivals in
-  // virtual time; the threaded engine's feeder paces it in wall time.
+  // virtual time; the threaded engine's feeder paces it in wall time. A
+  // query carrying an open-loop timestamp (Query::arrive_us >= 0, set by
+  // the open-loop generators) arrives at that instant instead.
   double arrival_gap_us = 0.0;
   // Threaded engine: injected one-way network delay per storage batch (µs),
   // sat out by the issuing processor in its wait for the batch's reply.
@@ -163,12 +167,6 @@ struct ClusterConfig {
   // Token-bucket depth per tenant, in queries: bursts this deep above the
   // quota are absorbed before shedding starts.
   double tenant_quota_burst = 32.0;
-  // Honour each query's Query::arrive_us open-loop timestamp (Poisson
-  // schedules from GenerateOpenLoopWorkload) instead of pacing arrivals
-  // arrival_gap_us apart. Both engines consume the same schedule: the sim
-  // fires arrival events at arrive_us in virtual time, the threaded feeder
-  // paces them in wall time from the run's epoch.
-  bool open_loop_arrivals = false;
 
   // --- Online graph mutations (StorageTier::ApplyMutation) ---
   // Versioned write path: the tier allocates one monotonic version counter
@@ -436,6 +434,10 @@ struct IndexRefreshResult {
 // strategy's index state race-free.
 using IndexMaintainer = std::function<IndexRefreshResult(std::span<const NodeId>)>;
 
+// The engine abstraction, as a template method: Run() is the same sequence
+// on both engines, and each engine supplies only the two private hooks at
+// the bottom — Execute (move the admitted stream through its routers and
+// processors) and AddEngineMetrics (the fields only it can measure).
 class ClusterEngine {
  public:
   virtual ~ClusterEngine() = default;
@@ -446,8 +448,11 @@ class ClusterEngine {
   virtual EngineKind kind() const = 0;
 
   // Runs the workload to completion (cold caches) and returns the metrics.
-  // May be called once per instance.
-  virtual ClusterMetrics Run(std::span<const Query> queries) = 0;
+  // May be called once per instance. In order: plans admission from the
+  // schedule's own timestamps, reserves the answers, applies the quiesced
+  // mutations, hands the stream to the engine's Execute, fills every
+  // engine-independent metric, then lets the engine add its own fields.
+  ClusterMetrics Run(std::span<const Query> queries);
 
   // Completion-order answers from Run.
   const std::vector<AnsweredQuery>& answers() const { return answers_; }
@@ -488,27 +493,10 @@ class ClusterEngine {
   ClusterEngine(const Graph& graph, const ClusterConfig& config,
                 const PartitionAssignment* placement);
 
-  // Sums per-processor execution stats (cache interaction, visited nodes,
-  // storage bytes/batches) into `m`.
-  void AddProcessorStats(ClusterMetrics* m) const;
-
-  // Storage-tier stats: the per-server served-load spread and the
-  // repartition counters accumulated by RepartitionRound.
-  void AddStorageTierStats(ClusterMetrics* m) const;
-
-  // Derives the mean and the p50/p95/p99/p999 response percentiles (ms)
-  // from the histogram — one pass for every quantile, O(1) memory — plus
-  // the mean queue wait.
-  static void FillLatencyStats(ClusterMetrics* m, const LatencyHistogram& response_us,
-                               const RunningStat& queue_wait_us);
-
-  // Trace-subsystem counters (recorded/dropped/high-water) into `m`.
-  void AddTraceStats(ClusterMetrics* m) const;
-
-  // Deterministic per-tenant admission decisions for one arrival schedule.
-  // Computed once, up front, by BOTH engines from the schedule's own
-  // timestamps — so they shed exactly the same arrivals. An empty `admit`
-  // vector means no quota: everything is admitted.
+  // Deterministic per-tenant admission decisions for one arrival schedule,
+  // computed by Run() from the schedule's own timestamps before Execute —
+  // so both engines shed exactly the same arrivals. An empty `admit` vector
+  // means no quota: everything is admitted.
   struct AdmissionPlan {
     std::vector<uint8_t> admit;  // parallel to the schedule; empty = all
     uint64_t admitted = 0;
@@ -517,23 +505,50 @@ class ClusterEngine {
 
     bool Admitted(size_t i) const { return admit.empty() || admit[i] != 0; }
   };
-  AdmissionPlan PlanAdmission(std::span<const Query> queries) const;
+
+  // Per-query latency samples of a run (µs). Response times feed a
+  // log-bucketed histogram (O(1) memory, mergeable), queue waits only feed
+  // a mean. The per-tenant vectors are indexed by Query::tenant and sized
+  // config.num_tenants. The simulated engine keeps one; the threaded engine
+  // keeps one per processor thread, written only by that thread and merged
+  // after join.
+  struct RunSamples {
+    explicit RunSamples(uint32_t num_tenants)
+        : tenant_response_us(num_tenants), tenant_queries(num_tenants, 0) {}
+
+    // One answered query of `tenant`: its dispatch -> completion time.
+    void Add(uint32_t tenant, double response_us);
+    void Merge(const RunSamples& other);
+
+    LatencyHistogram response_us;
+    RunningStat queue_wait_us;  // routed -> dispatched
+    std::vector<LatencyHistogram> tenant_response_us;
+    std::vector<uint64_t> tenant_queries;
+  };
+
+  // What an engine's Execute hands back to Run.
+  struct RunOutcome {
+    // First arrival -> last completion (virtual or wall µs).
+    double makespan_us = 0.0;
+    RunSamples samples;
+  };
 
   // Schedule time (µs) of the i-th arrival: the query's open-loop
-  // timestamp when open_loop_arrivals is on, else i * arrival_gap_us.
+  // timestamp when it carries one (arrive_us >= 0), else
+  // i * arrival_gap_us.
   double ArrivalTimeUs(const Query& q, size_t index) const;
-
-  // Fills the per-tenant rows and the shed counter from per-tenant response
-  // histograms / answer counts (both indexed by tenant id, sized
-  // config.num_tenants) plus the run's admission plan.
-  void FillTenantMetrics(ClusterMetrics* m,
-                         std::span<const LatencyHistogram> tenant_response_us,
-                         std::span<const uint64_t> tenant_queries,
-                         const AdmissionPlan& plan) const;
 
   // Whether the config enables storage-tier repartition rounds at all —
   // hot-partition migration, replication, or both.
   bool repartition_enabled() const { return repartition_config_.active(); }
+
+  // Whether the storage side needs the periodic gossip tick: repartition
+  // rounds or index maintenance ride it, and a zero period disables both.
+  // The router-shard gossip is the engines' own, on top of this.
+  bool storage_tick_enabled() const {
+    return (repartition_enabled() || config_.enable_mutations) &&
+           config_.gossip_period_us > 0.0;
+  }
 
   // One storage-tier repartition round, shared by both engines: rolls the
   // access monitor's window into decayed rates, then (replication on)
@@ -543,10 +558,10 @@ class ClusterEngine {
   // Replica changes execute BEFORE the migration plan is computed, so
   // PlanRepartition sees the fresh replica sets and never picks a
   // just-promoted partition as a migration victim. Returns what
-  // physically moved so the caller can charge engine-specific time for it.
-  // Thread-safe against concurrent query execution, but rounds themselves
-  // must be serialised (the sim's event loop / the threaded gossip tick
-  // are).
+  // physically moved so the caller can charge engine-specific time for it
+  // (into repartition_stall_us_). Thread-safe against concurrent query
+  // execution, but rounds themselves must be serialised (the sim's event
+  // loop / the threaded gossip tick are).
   std::vector<StorageTier::MigrationResult> RepartitionRound();
 
   // Applies one schedule entry against the tier, counts it, and marks the
@@ -554,10 +569,6 @@ class ClusterEngine {
   // writes the tier performed (the sim's mutation_per_write_us multiplier).
   // Thread-safe (the tier serialises writes; the dirty list is locked).
   uint64_t ApplyOneMutation(const GraphMutation& m);
-
-  // Applies every apply_us <= 0 schedule entry. Engines call this at the
-  // start of Run(), before any query dispatch or worker thread exists.
-  void ApplyQuiescedMutations();
 
   // One index-maintenance pass at schedule time `now_us`: honours
   // config.index_refresh_period_us against the previous pass, drains the
@@ -568,12 +579,9 @@ class ClusterEngine {
   // serialised controller context (sim event loop / threaded gossip tick).
   uint64_t RunIndexMaintenance(double now_us);
 
-  // Mutation counters into `m` (mutations_applied, index_refreshes,
-  // stale_distance_error).
-  void AddMutationStats(ClusterMetrics* m) const;
-
   // The installed schedule, stably sorted by apply_us (empty without
-  // mutations). Timed entries are the ones with apply_us > 0.
+  // mutations). Timed entries are the ones with apply_us > 0; the quiesced
+  // rest were applied by Run() before Execute.
   const std::vector<GraphMutation>& mutation_schedule() const {
     return mutation_schedule_;
   }
@@ -585,6 +593,35 @@ class ClusterEngine {
   // Built in the base ctor when config.trace_sample_every_n > 0; engines
   // record lifecycle spans into its per-track rings.
   std::unique_ptr<TraceRecorder> tracer_;
+  // Storage-server time consumed by migrations, charged by the engine that
+  // ran the round: added virtual busy time on the simulated engine, the
+  // gossip tick's wall time on the threaded one (written only by that
+  // serialised context, read after Execute).
+  double repartition_stall_us_ = 0.0;
+
+ private:
+  // Engine hook: runs the admitted part of `queries` (plan.Admitted(i)) to
+  // completion through the engine's routers and processors, pushing every
+  // answer onto answers_ and applying the timed mutation entries on the
+  // way. Returns the makespan and the run's latency samples.
+  virtual RunOutcome Execute(std::span<const Query> queries,
+                             const AdmissionPlan& plan) = 0;
+
+  // Engine hook: the fields only the engine can measure — steals, the
+  // per-processor and per-router-shard splits, gossip and splitter stats —
+  // plus any engine-specific override of a field Run already filled.
+  virtual void AddEngineMetrics(ClusterMetrics* m) const = 0;
+
+  AdmissionPlan PlanAdmission(std::span<const Query> queries) const;
+
+  // Applies every apply_us <= 0 schedule entry, before Execute starts any
+  // dispatch or worker thread.
+  void ApplyQuiescedMutations();
+
+  // Every engine-independent ClusterMetrics field, from the run's outcome,
+  // its admission plan, and the counters the base class keeps.
+  ClusterMetrics FillMetrics(const RunOutcome& run, const AdmissionPlan& plan) const;
+
   // Lowered from config_: the storage rebalancer's controller policy.
   RepartitionConfig repartition_config_;
   // Partitions moved / replica copies created / replica copies torn down so
@@ -595,7 +632,7 @@ class ClusterEngine {
   // Online mutations: the installed schedule, the dirty-node list awaiting
   // the next index-refresh pass (guarded by mutation_mu_ — the threaded
   // writer thread appends while the gossip tick drains), and the counters
-  // behind AddMutationStats.
+  // FillMetrics reports.
   std::vector<GraphMutation> mutation_schedule_;
   IndexMaintainer index_maintainer_;
   std::mutex mutation_mu_;

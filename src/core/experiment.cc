@@ -139,7 +139,6 @@ ClusterConfig ExperimentEnv::MakeClusterConfig(const RunOptions& options) {
   config.num_tenants = options.num_tenants;
   config.tenant_quota_qps = options.tenant_quota_qps;
   config.tenant_quota_burst = options.tenant_quota_burst;
-  config.open_loop_arrivals = options.open_loop;
   config.enable_mutations = options.enable_mutations;
   config.index_refresh_period_us = options.index_refresh_period_us;
   return config;

@@ -103,14 +103,13 @@ struct RunOptions {
   int32_t hops = 2;
   size_t num_hotspots = PaperDefaults::kHotspots;
   size_t queries_per_hotspot = PaperDefaults::kQueriesPerHotspot;
-  // Multi-tenant graph federation: tenant keyspace count, per-tenant
+  // Multi-tenant graph federation: tenant keyspace count and per-tenant
   // admission quota (qps of schedule time; <= 0 = no quota) with its token
-  // burst, and whether Query::arrive_us open-loop timestamps drive arrivals
-  // instead of arrival_gap_us pacing.
+  // burst. Open-loop arrival timestamps need no switch: a query carrying
+  // Query::arrive_us >= 0 arrives at that instant on both engines.
   uint32_t num_tenants = 1;
   double tenant_quota_qps = 0.0;
   double tenant_quota_burst = 32.0;
-  bool open_loop = false;
   // Online graph mutations (src/workload/mutations.h): enable the storage
   // tier's versioned write path, and — when num_mutations > 0 — generate a
   // deterministic edge-mutation schedule (seed = env seed ^ 0x66) spaced

@@ -203,9 +203,6 @@ class PartitionMap {
   uint64_t ReplicaStamp(uint32_t partition) const {
     return replicas_[partition].load(std::memory_order_acquire);
   }
-  uint64_t ReplicaStampOf(NodeId node) const {
-    return ReplicaStamp(PartitionOf(node));
-  }
   uint32_t replica_count(uint32_t partition) const {
     return StampReplicaCount(ReplicaStamp(partition));
   }

@@ -86,11 +86,7 @@ ThreadedCluster::ThreadedCluster(const Graph& graph, const ClusterConfig& config
       processors_[p]->set_fetch_executor(wire_executors_.back().get());
     }
   }
-  samples_.resize(config_.num_processors);
-  for (auto& s : samples_) {
-    s.tenant_response_us.resize(config_.num_tenants);
-    s.tenant_queries.assign(config_.num_tenants, 0);
-  }
+  samples_.assign(config_.num_processors, RunSamples(config_.num_tenants));
 }
 
 ThreadedCluster::~ThreadedCluster() {
@@ -148,7 +144,8 @@ bool ThreadedCluster::StealInto(uint32_t thief, Routed* out) {
   return true;
 }
 
-void ThreadedCluster::FeederLoop(std::span<const Query> queries) {
+void ThreadedCluster::FeederLoop(std::span<const Query> queries,
+                                 const AdmissionPlan& plan) {
   // The splitter is sequential state, so one thread walks the arrival stream
   // in order; between any two arrivals the gossip tick may migrate sessions
   // under the same mutex, changing where the NEXT arrival of a session goes.
@@ -166,7 +163,7 @@ void ThreadedCluster::FeederLoop(std::span<const Query> queries) {
     if (shutdown_.load(std::memory_order_acquire)) {
       break;
     }
-    if (config_.open_loop_arrivals && q.arrive_us >= 0.0) {
+    if (q.arrive_us >= 0.0) {
       const auto target =
           epoch + std::chrono::nanoseconds(
                       static_cast<int64_t>(q.arrive_us * 1000.0));
@@ -181,7 +178,7 @@ void ThreadedCluster::FeederLoop(std::span<const Query> queries) {
     } else {
       BusyWaitUs(config_.arrival_gap_us);
     }
-    if (!admission_plan_.Admitted(i)) {
+    if (!plan.Admitted(i)) {
       continue;
     }
     uint32_t shard;
@@ -352,7 +349,7 @@ void ThreadedCluster::GossipLoop() {
 }
 
 void ThreadedCluster::ProcessorLoop(uint32_t p) {
-  LatencySamples& samples = samples_[p];
+  RunSamples& samples = samples_[p];
   WallTracer* tracer = proc_tracers_.empty() ? nullptr : &proc_tracers_[p];
   while (!shutdown_.load(std::memory_order_acquire) &&
          remaining_.load(std::memory_order_acquire) > 0) {
@@ -382,10 +379,7 @@ void ThreadedCluster::ProcessorLoop(uint32_t p) {
     }
     QueryResult result = processors_[p]->Execute(routed.query);
     const auto completed = Clock::now();
-    const double response_us = ElapsedUs(dispatched, completed);
-    samples.response_us.Add(response_us);
-    samples.tenant_response_us[routed.query.tenant].Add(response_us);
-    ++samples.tenant_queries[routed.query.tenant];
+    samples.Add(routed.query.tenant, ElapsedUs(dispatched, completed));
     if (tracer != nullptr && tracer->active()) {
       tracer->Span(TraceEventType::kQuery, tracer->AtUs(dispatched),
                    tracer->AtUs(completed), 0, 0,
@@ -397,36 +391,22 @@ void ThreadedCluster::ProcessorLoop(uint32_t p) {
   }
 }
 
-ClusterMetrics ThreadedCluster::Run(std::span<const Query> queries) {
-  GROUTING_CHECK_MSG(!ran_, "ThreadedCluster::Run may only be called once");
-  ran_ = true;
-
-  // Per-tenant admission decisions, computed from the schedule's own
-  // timestamps before any thread spawns — identical to the simulated
-  // engine's plan for the same schedule, so both engines shed the same
-  // arrivals. Only admitted queries count towards run completion.
-  admission_plan_ = PlanAdmission(queries);
-  answers_.reserve(admission_plan_.admitted);
-  remaining_.store(admission_plan_.admitted, std::memory_order_release);
-
-  // Quiesced mutation entries (apply_us <= 0) land now, before any worker
-  // thread exists — the deterministic mode the cross-engine parity tests
-  // run in. Timed entries are paced by the writer thread below.
-  ApplyQuiescedMutations();
+ThreadedCluster::RunOutcome ThreadedCluster::Execute(std::span<const Query> queries,
+                                                    const AdmissionPlan& plan) {
+  remaining_.store(plan.admitted, std::memory_order_release);
 
   const uint32_t num_shards = static_cast<uint32_t>(shards_.size());
 
   // Spawn the gossip tick only when it has work: EMA state to blend, an
-  // adaptive rebalance to drive, or storage-tier repartition rounds to run.
+  // adaptive rebalance to drive, or storage-side repartition rounds or
+  // index maintenance to run.
   // Stateless strategies under a static splitter would pay the per-tick
   // locks and clones for a guaranteed no-op. Decided before any thread can
   // touch the strategies.
   router_gossip_ = num_shards > 1 && config_.gossip_period_us > 0.0 &&
                    (!shards_[0]->strategy->GossipState().empty() ||
                     (adaptive_ && rebalance_.enabled()));
-  const bool gossip =
-      router_gossip_ || ((repartition_enabled() || config_.enable_mutations) &&
-                         config_.gossip_period_us > 0.0);
+  const bool gossip = router_gossip_ || storage_tick_enabled();
 
   const auto start = Clock::now();
   if (tracer_ != nullptr) {
@@ -464,8 +444,8 @@ ClusterMetrics ThreadedCluster::Run(std::span<const Query> queries) {
   // This thread feeds the arrival stream itself, then waits for completion,
   // collecting answers as they arrive. Shed arrivals never produce an
   // answer, so completion is the admitted count.
-  FeederLoop(queries);
-  while (answers_.size() < admission_plan_.admitted) {
+  FeederLoop(queries, plan);
+  while (answers_.size() < plan.admitted) {
     auto a = completions_.Pop();
     if (!a.has_value()) {
       break;
@@ -494,46 +474,31 @@ ClusterMetrics ThreadedCluster::Run(std::span<const Query> queries) {
   }
   threads_.clear();
 
-  ClusterMetrics m;
-  m.queries = answers_.size();
-  m.makespan_us = ElapsedUs(start, end);
-  m.throughput_qps =
-      m.makespan_us > 0.0 ? static_cast<double>(m.queries) / (m.makespan_us / 1e6) : 0.0;
-  LatencyHistogram response_us;
-  RunningStat queue_wait_us;
-  std::vector<LatencyHistogram> tenant_response_us(config_.num_tenants);
-  std::vector<uint64_t> tenant_queries(config_.num_tenants, 0);
-  m.queries_per_processor.assign(config_.num_processors, 0);
-  for (uint32_t p = 0; p < config_.num_processors; ++p) {
-    response_us.Merge(samples_[p].response_us);
-    queue_wait_us.Merge(samples_[p].queue_wait_us);
-    for (uint32_t t = 0; t < config_.num_tenants; ++t) {
-      tenant_response_us[t].Merge(samples_[p].tenant_response_us[t]);
-      tenant_queries[t] += samples_[p].tenant_queries[t];
-    }
-    m.queries_per_processor[p] = processors_[p]->stats().queries_executed;
+  RunOutcome run{ElapsedUs(start, end), RunSamples(config_.num_tenants)};
+  for (const RunSamples& samples : samples_) {
+    run.samples.Merge(samples);
   }
-  FillLatencyStats(&m, response_us, queue_wait_us);
-  AddProcessorStats(&m);
-  AddTraceStats(&m);
-  m.steals = steals_.load(std::memory_order_relaxed);
-  m.queries_per_router_shard.assign(num_shards, 0);
+  return run;
+}
+
+void ThreadedCluster::AddEngineMetrics(ClusterMetrics* m) const {
+  m->steals = steals_.load(std::memory_order_relaxed);
+  m->queries_per_processor.assign(config_.num_processors, 0);
+  for (uint32_t p = 0; p < config_.num_processors; ++p) {
+    m->queries_per_processor[p] = processors_[p]->stats().queries_executed;
+  }
+  m->queries_per_router_shard.assign(shards_.size(), 0);
   std::vector<const RoutingStrategy*> views;
-  views.reserve(num_shards);
-  for (uint32_t s = 0; s < num_shards; ++s) {
-    m.queries_per_router_shard[s] = shards_[s]->routed.load(std::memory_order_relaxed);
+  views.reserve(shards_.size());
+  for (size_t s = 0; s < shards_.size(); ++s) {
+    m->queries_per_router_shard[s] = shards_[s]->routed.load(std::memory_order_relaxed);
     views.push_back(shards_[s]->strategy.get());
   }
-  m.gossip_rounds = gossip_stats_.rounds;
-  m.router_ema_divergence = CrossShardStateDivergence(views);
-  m.sessions_migrated = sessions_migrated_.load(std::memory_order_relaxed);
-  m.sticky_evictions = splitter_.stats().evictions;
-  m.router_load_imbalance = RoutedLoadImbalance(m.queries_per_router_shard);
-  AddStorageTierStats(&m);
-  m.repartition_stall_us = repartition_stall_us_;
-  AddMutationStats(&m);
-  FillTenantMetrics(&m, tenant_response_us, tenant_queries, admission_plan_);
-  return m;
+  m->gossip_rounds = gossip_stats_.rounds;
+  m->router_ema_divergence = CrossShardStateDivergence(views);
+  m->sessions_migrated = sessions_migrated_.load(std::memory_order_relaxed);
+  m->sticky_evictions = splitter_.stats().evictions;
+  m->router_load_imbalance = RoutedLoadImbalance(m->queries_per_router_shard);
 }
 
 }  // namespace grouting

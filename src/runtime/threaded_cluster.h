@@ -68,12 +68,16 @@ class ThreadedCluster : public ClusterEngine {
 
   EngineKind kind() const override { return EngineKind::kThreaded; }
 
-  // Runs the workload to completion; answers (in completion order) are
-  // available via answers() afterwards. May be called once per instance.
-  ClusterMetrics Run(std::span<const Query> queries) override;
-
  private:
   using Clock = std::chrono::steady_clock;
+
+  // Spawns the processor, router-shard, writer and gossip threads, feeds
+  // the arrival stream from the calling thread, collects the answers and
+  // joins every thread; the makespan is the feeder's start -> last answer.
+  RunOutcome Execute(std::span<const Query> queries, const AdmissionPlan& plan) override;
+  // Steals, the per-processor and per-router-shard splits, and the gossip
+  // and splitter stats.
+  void AddEngineMetrics(ClusterMetrics* m) const override;
 
   // A query travelling through a processor channel, stamped at routing time
   // so the dispatching processor can account the queue wait and feed the
@@ -85,20 +89,7 @@ class ThreadedCluster : public ClusterEngine {
     uint32_t target = 0;  // processor the shard chose (pre-stealing)
   };
 
-  // Per-processor latency samples (µs), written only by the owning thread
-  // and read after all threads joined. Response times feed a log-bucketed
-  // histogram (O(1) memory, mergeable across processors); queue waits only
-  // feed a mean, so a RunningStat suffices.
-  struct LatencySamples {
-    LatencyHistogram response_us;
-    RunningStat queue_wait_us;
-    // Per-tenant completion tracking (multi-tenant federation); sized
-    // config.num_tenants per processor, merged post-join.
-    std::vector<LatencyHistogram> tenant_response_us;
-    std::vector<uint64_t> tenant_queries;
-  };
-
-  void FeederLoop(std::span<const Query> queries);
+  void FeederLoop(std::span<const Query> queries, const AdmissionPlan& plan);
   void RouterShardLoop(uint32_t shard);
   void GossipLoop();
   void ProcessorLoop(uint32_t p);
@@ -123,7 +114,9 @@ class ThreadedCluster : public ClusterEngine {
 
   std::vector<std::unique_ptr<RouterShard>> shards_;
   std::vector<std::unique_ptr<MpmcQueue<Routed>>> channels_;
-  std::vector<LatencySamples> samples_;
+  // Per-processor latency samples, written only by the owning thread and
+  // merged after all threads joined.
+  std::vector<RunSamples> samples_;
   std::atomic<uint64_t> steals_{0};
   std::atomic<uint64_t> remaining_{0};
   MpmcQueue<AnsweredQuery> completions_;
@@ -134,11 +127,8 @@ class ThreadedCluster : public ClusterEngine {
   std::atomic<bool> gossip_stop_{false};
   GossipStats gossip_stats_;  // written by the gossip thread, read post-join
   // Router-shard gossip actually has state to blend (vs the tick existing
-  // only to drive storage repartitioning). Decided in Run().
+  // only to drive the storage side). Decided in Execute().
   bool router_gossip_ = false;
-  // Wall time the gossip tick spent migrating partitions (copy + drain +
-  // delete); written by the gossip thread, read post-join.
-  double repartition_stall_us_ = 0.0;
 
   // Arrival splitter, shared between the feeder (ShardFor) and the gossip
   // tick (the adaptive splitter's Rebalance) behind splitter_mu_.
@@ -146,10 +136,6 @@ class ThreadedCluster : public ClusterEngine {
   std::mutex splitter_mu_;
   RebalanceConfig rebalance_;
   bool adaptive_;  // adaptive splitter: rebalance at gossip ticks
-  // Per-tenant admission decisions for the run's schedule, computed in
-  // Run() before any thread spawns and identical to the simulated engine's
-  // plan for the same schedule.
-  AdmissionPlan admission_plan_;
   std::vector<std::unique_ptr<MpmcQueue<Query>>> arrival_channels_;
   std::thread writer_thread_;
   std::atomic<bool> arrivals_done_{false};
@@ -157,7 +143,7 @@ class ThreadedCluster : public ClusterEngine {
 
   // Wall-clock tracers, one per processor thread and one per router-shard
   // thread (each written only by its owning thread into its own ring).
-  // Constructed in Run() — all sharing the run's epoch — before any thread
+  // Constructed in Execute() — all sharing the run's epoch — before any thread
   // spawns; empty when tracing is off.
   std::vector<WallTracer> proc_tracers_;
   std::vector<WallTracer> shard_tracers_;

@@ -1,7 +1,6 @@
 #include "src/sim/decoupled_sim.h"
 
 #include <algorithm>
-#include <unordered_map>
 #include <utility>
 
 namespace grouting {
@@ -9,7 +8,7 @@ namespace grouting {
 DecoupledClusterSim::DecoupledClusterSim(const Graph& graph, const ClusterConfig& config,
                                          std::unique_ptr<RoutingStrategy> strategy,
                                          const PartitionAssignment* placement)
-    : ClusterEngine(graph, config, placement) {
+    : ClusterEngine(graph, config, placement), samples_(config.num_tenants) {
   FleetConfig fc;
   fc.num_shards = config_.num_router_shards;
   fc.splitter = config_.router_splitter;
@@ -23,23 +22,12 @@ DecoupledClusterSim::DecoupledClusterSim(const Graph& graph, const ClusterConfig
   server_busy_until_.assign(config_.num_storage_servers, 0.0);
 }
 
-ClusterMetrics DecoupledClusterSim::Run(std::span<const Query> queries) {
-  GROUTING_CHECK_MSG(!ran_, "DecoupledClusterSim::Run may only be called once");
-  ran_ = true;
-
-  // Per-tenant admission decisions, shared with the threaded engine: shed
-  // arrivals never get an arrival event, so they never reach a router shard.
-  const AdmissionPlan plan = PlanAdmission(queries);
-  tenant_response_us_.resize(config_.num_tenants);
-  tenant_queries_.assign(config_.num_tenants, 0);
-  answers_.reserve(plan.admitted);
-
-  // Mutation schedule: quiesced entries (apply_us <= 0) land before the
-  // first arrival event exists; timed entries become virtual-time events
-  // that apply functionally at their instant (the event loop is the only
-  // executor) and charge the write cost to the mutated key's owning
-  // server — queries whose batches land there queue behind the write.
-  ApplyQuiescedMutations();
+DecoupledClusterSim::RunOutcome DecoupledClusterSim::Execute(
+    std::span<const Query> queries, const AdmissionPlan& plan) {
+  // Timed mutation entries become virtual-time events that apply
+  // functionally at their instant (the event loop is the only executor)
+  // and charge the write cost to the mutated key's owning server — queries
+  // whose batches land there queue behind the write.
   for (const GraphMutation& mut : mutation_schedule()) {
     if (mut.apply_us <= 0.0) {
       continue;
@@ -56,21 +44,21 @@ ClusterMetrics DecoupledClusterSim::Run(std::span<const Query> queries) {
     });
   }
 
-  std::unordered_map<uint64_t, SimTimeUs> arrival_time;
-  arrival_time.reserve(plan.admitted);
+  arrival_time_.reserve(plan.admitted);
 
-  // Arrivals: the splitter hands each query of the stream to its router
-  // shard, which routes it on arrival; dispatch to a processor happens on
-  // that processor's ack. Open-loop schedules arrive at their own
-  // arrive_us timestamps instead of the uniform arrival_gap_us pacing.
+  // Arrivals: the splitter hands each admitted query of the stream to its
+  // router shard, which routes it on arrival; dispatch to a processor
+  // happens on that processor's ack. Shed arrivals never get an event.
+  // Open-loop schedules arrive at their own arrive_us timestamps instead of
+  // the uniform arrival_gap_us pacing.
   for (size_t i = 0; i < queries.size(); ++i) {
     if (!plan.Admitted(i)) {
       continue;
     }
     const Query q = queries[i];
     const SimTimeUs t = ArrivalTimeUs(q, i);
-    events_.ScheduleAt(t, [this, q, &arrival_time] {
-      arrival_time[q.id] = events_.now();
+    events_.ScheduleAt(t, [this, q] {
+      arrival_time_[q.id] = events_.now();
       const RouterFleet::RoutedArrival routed = fleet_->Enqueue(q);
       if (tracer_ != nullptr && tracer_->Sample(q.id)) {
         // The sim routes on arrival, so arrival and routing-decision
@@ -101,25 +89,11 @@ ClusterMetrics DecoupledClusterSim::Run(std::span<const Query> queries) {
     });
   }
 
-  // Track arrival->dispatch wait through a small shim in TryDispatch: we
-  // capture it via the arrival_time map when the query is dispatched.
-  dispatch_wait_hook_ = [&arrival_time, this](const Query& q, uint32_t p) {
-    auto it = arrival_time.find(q.id);
-    if (it != arrival_time.end()) {
-      queue_wait_us_.Add(events_.now() - it->second);
-      EmitSpan(p, TraceEventType::kQueueWait, it->second, events_.now());
-    }
-  };
-
   // Load/EMA gossip between router shards — and the storage-tier
-  // repartition rounds that ride the same cadence — as recurring
-  // virtual-time events. Repartitioning alone (single router shard) still
-  // needs the tick chain, gated on a positive period exactly like gossip;
-  // so does incremental index maintenance, which drains mutation-dirtied
-  // nodes at each tick.
-  if (fleet_->gossip_enabled() ||
-      ((repartition_enabled() || config_.enable_mutations) &&
-       config_.gossip_period_us > 0.0)) {
+  // repartition rounds and index maintenance that ride the same cadence —
+  // as recurring virtual-time events. The storage side alone (single
+  // router shard) still needs the tick chain.
+  if (fleet_->gossip_enabled() || storage_tick_enabled()) {
     // The tick chain stops when the ADMITTED queries drain — shed arrivals
     // never produce an answer.
     events_.ScheduleAt(config_.gossip_period_us,
@@ -127,36 +101,22 @@ ClusterMetrics DecoupledClusterSim::Run(std::span<const Query> queries) {
   }
 
   events_.RunUntilEmpty(/*max_events=*/2'000'000'000ULL);
-  dispatch_wait_hook_ = nullptr;
+  return RunOutcome{last_ack_us_, std::move(samples_)};
+}
 
-  ClusterMetrics m;
-  m.queries = answers_.size();
-  m.makespan_us = last_ack_us_;
-  m.throughput_qps =
-      m.makespan_us > 0.0 ? static_cast<double>(m.queries) / (m.makespan_us / 1e6) : 0.0;
-  FillLatencyStats(&m, response_us_, queue_wait_us_);
-  AddProcessorStats(&m);
-  AddTraceStats(&m);
+void DecoupledClusterSim::AddEngineMetrics(ClusterMetrics* m) const {
   const RouterStats router_stats = fleet_->AggregateRouterStats();
-  m.steals = router_stats.steals;
-  m.queries_per_processor = router_stats.per_processor;
-  m.queries_per_router_shard = fleet_->RoutedPerShard();
-  m.gossip_rounds = fleet_->gossip_stats().rounds;
-  m.router_ema_divergence = fleet_->CurrentEmaDivergence();
-  m.sessions_migrated = fleet_->splitter().stats().migrations;
-  m.sticky_evictions = fleet_->splitter().stats().evictions;
-  m.router_load_imbalance = RoutedLoadImbalance(m.queries_per_router_shard);
-  // The replay model's numbers are authoritative here: the functional layer
-  // executed inline, so the wall-clock overlap AddProcessorStats summed is
-  // meaningless for the simulated engine.
-  m.batches_inflight_peak = batches_inflight_peak_;
-  m.fetch_overlap_us = total_fetch_overlap_us_;
-  m.decompress_us = decompress_us_;
-  AddStorageTierStats(&m);
-  m.repartition_stall_us = repartition_stall_us_;
-  AddMutationStats(&m);
-  FillTenantMetrics(&m, tenant_response_us_, tenant_queries_, plan);
-  return m;
+  m->steals = router_stats.steals;
+  m->queries_per_processor = router_stats.per_processor;
+  m->queries_per_router_shard = fleet_->RoutedPerShard();
+  m->gossip_rounds = fleet_->gossip_stats().rounds;
+  m->router_ema_divergence = fleet_->CurrentEmaDivergence();
+  m->sessions_migrated = fleet_->splitter().stats().migrations;
+  m->sticky_evictions = fleet_->splitter().stats().evictions;
+  m->router_load_imbalance = RoutedLoadImbalance(m->queries_per_router_shard);
+  m->batches_inflight_peak = batches_inflight_peak_;
+  m->fetch_overlap_us = total_fetch_overlap_us_;
+  m->decompress_us = decompress_us_;
 }
 
 void DecoupledClusterSim::GossipTick(size_t total_queries) {
@@ -228,8 +188,10 @@ void DecoupledClusterSim::TryDispatch(uint32_t p) {
   f.query = *next;
   f.dispatch_time = events_.now();
   f.traced = tracer_ != nullptr && tracer_->Sample(f.query.id);
-  if (dispatch_wait_hook_) {
-    dispatch_wait_hook_(f.query, p);
+  const auto arrived = arrival_time_.find(f.query.id);
+  if (arrived != arrival_time_.end()) {
+    samples_.queue_wait_us.Add(events_.now() - arrived->second);
+    EmitSpan(p, TraceEventType::kQueueWait, arrived->second, events_.now());
   }
 
   // Functional execution happens now: per-processor queries are sequential,
@@ -271,10 +233,7 @@ void DecoupledClusterSim::AdvanceLevel(uint32_t p) {
   if (f.next_level >= f.trace.level_stats.size()) {
     // Query complete: result travels back to the router (the ack that lets
     // the router send the next query to this processor).
-    const SimTimeUs response = events_.now() - f.dispatch_time;
-    response_us_.Add(response);
-    tenant_response_us_[f.query.tenant].Add(response);
-    ++tenant_queries_[f.query.tenant];
+    samples_.Add(f.query.tenant, events_.now() - f.dispatch_time);
     EmitSpan(p, TraceEventType::kQuery, f.dispatch_time, events_.now(), 0, 0,
              f.trace.level_stats.size());
     answers_.push_back(AnsweredQuery{f.query.id, p, f.result});

@@ -38,9 +38,9 @@
 #define GROUTING_SRC_SIM_DECOUPLED_SIM_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <span>
+#include <unordered_map>
 #include <vector>
 
 #include "src/core/cluster_engine.h"
@@ -58,10 +58,6 @@ class DecoupledClusterSim : public ClusterEngine {
                       const PartitionAssignment* placement = nullptr);
 
   EngineKind kind() const override { return EngineKind::kSimulated; }
-
-  // Runs the workload to completion (cold caches) and returns the metrics.
-  // May be called once per instance.
-  ClusterMetrics Run(std::span<const Query> queries) override;
 
   RouterFleet& fleet() { return *fleet_; }
   // The classic single-router view (shard 0) — fleet().shard(s) for others.
@@ -81,6 +77,14 @@ class DecoupledClusterSim : public ClusterEngine {
   }
 
  private:
+  // Schedules the timed mutations, the admitted arrivals and the gossip
+  // chain as virtual-time events, then drains the event queue.
+  RunOutcome Execute(std::span<const Query> queries, const AdmissionPlan& plan) override;
+  // Fleet/splitter stats, plus the replay model's overrides of the async
+  // and decode fields (the functional layer executed inline, so the
+  // processors' wall-clock numbers are meaningless here).
+  void AddEngineMetrics(ClusterMetrics* m) const override;
+
   // Asks the router fleet for work for processor p; begins execution or idles.
   void TryDispatch(uint32_t p);
   // Advances the in-flight query on processor p to its next traversal level
@@ -112,7 +116,6 @@ class DecoupledClusterSim : public ClusterEngine {
     uint32_t batches_outstanding = 0;
     SimTimeUs level_fetch_done = 0.0;
     SimTimeUs dispatch_time = 0.0;
-    SimTimeUs arrival_time = 0.0;
     // Tracing state: whether this query is sampled, and the virtual anchors
     // the span emissions need (recording is passive — replay timing never
     // reads these).
@@ -135,17 +138,14 @@ class DecoupledClusterSim : public ClusterEngine {
                 uint32_t level = 0, uint32_t server = 0, uint64_t value = 0);
 
   EventQueue events_;
-  std::function<void(const Query&, uint32_t)> dispatch_wait_hook_;
   std::unique_ptr<RouterFleet> fleet_;
   std::vector<InFlight> in_flight_;  // per processor
   std::vector<uint8_t> processor_idle_;
   std::vector<SimTimeUs> server_busy_until_;
-  RunningStat queue_wait_us_;
-  LatencyHistogram response_us_;
-  // Per-tenant completion tracking (multi-tenant federation); sized
-  // config.num_tenants, single-tenant runs use index 0 only.
-  std::vector<LatencyHistogram> tenant_response_us_;
-  std::vector<uint64_t> tenant_queries_;
+  // Virtual arrival instant per query id, read at dispatch for the queue
+  // wait (arrival -> dispatch).
+  std::unordered_map<uint64_t, SimTimeUs> arrival_time_;
+  RunSamples samples_;
   // Time of the last completion ack back at the router: the run's makespan.
   // Tracked explicitly so trailing gossip events cannot inflate it.
   SimTimeUs last_ack_us_ = 0.0;
@@ -153,8 +153,6 @@ class DecoupledClusterSim : public ClusterEngine {
   // layer executes inline, so its wall-clock overlap is meaningless here).
   double total_fetch_overlap_us_ = 0.0;
   uint32_t batches_inflight_peak_ = 0;
-  // Virtual storage-server busy time added by partition migrations.
-  double repartition_stall_us_ = 0.0;
   // Virtual decode time charged for compressed adjacency blobs (cache hits
   // under cache_compressed, fetched values under delta_varint). Overrides
   // the processors' wall-clock decompress_us in the reported metrics.

@@ -73,11 +73,6 @@ class MpmcQueue {
     return items_.size();
   }
 
-  bool Closed() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return closed_;
-  }
-
  private:
   mutable std::mutex mu_;
   std::condition_variable cv_;

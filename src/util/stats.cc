@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 
 #include "src/util/check.h"
 
@@ -50,46 +49,6 @@ void RunningStat::Merge(const RunningStat& other) {
   sum_ += other.sum_;
   min_ = std::min(min_, other.min_);
   max_ = std::max(max_, other.max_);
-}
-
-Histogram::Histogram() { std::memset(buckets_, 0, sizeof(buckets_)); }
-
-void Histogram::Add(uint64_t value) {
-  const int bucket = value == 0 ? 0 : 64 - __builtin_clzll(value);
-  buckets_[std::min(bucket, kBuckets - 1)] += 1;
-  ++count_;
-  sum_ += static_cast<double>(value);
-}
-
-double Histogram::Quantile(double q) const {
-  GROUTING_CHECK(q >= 0.0 && q <= 1.0);
-  if (count_ == 0) {
-    return 0.0;
-  }
-  const auto target = static_cast<int64_t>(q * static_cast<double>(count_ - 1));
-  int64_t seen = 0;
-  for (int i = 0; i < kBuckets; ++i) {
-    seen += buckets_[i];
-    if (seen > target) {
-      const double lo = i == 0 ? 0.0 : std::pow(2.0, i - 1);
-      const double hi = std::pow(2.0, i);
-      return (lo + hi) / 2.0;
-    }
-  }
-  return std::pow(2.0, kBuckets - 1);
-}
-
-std::string Histogram::ToString() const {
-  std::string out;
-  for (int i = 0; i < kBuckets; ++i) {
-    if (buckets_[i] == 0) {
-      continue;
-    }
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "[2^%d): %lld  ", i, static_cast<long long>(buckets_[i]));
-    out += buf;
-  }
-  return out;
 }
 
 LatencyHistogram::LatencyHistogram() : buckets_(kBuckets, 0) {}

@@ -1,13 +1,13 @@
 // Streaming statistics helpers used throughout metrics collection:
-// RunningStat (Welford mean/variance), Histogram (log2-bucketed, for latency
-// distributions), and simple percentile extraction over collected samples.
+// RunningStat (Welford mean/variance), LatencyHistogram (log-linear
+// buckets, for latency distributions), and exact percentile extraction over
+// collected samples.
 
 #ifndef GROUTING_SRC_UTIL_STATS_H_
 #define GROUTING_SRC_UTIL_STATS_H_
 
 #include <cstdint>
 #include <span>
-#include <string>
 #include <vector>
 
 namespace grouting {
@@ -52,26 +52,6 @@ class RunningStat {
   double m2_ = 0.0;
   double min_ = 0.0;
   double max_ = 0.0;
-  double sum_ = 0.0;
-};
-
-// Log2-bucketed histogram for non-negative integer measurements (e.g.
-// microsecond latencies). Bucket i covers [2^i, 2^(i+1)).
-class Histogram {
- public:
-  Histogram();
-
-  void Add(uint64_t value);
-  int64_t count() const { return count_; }
-  // Approximate quantile (q in [0,1]) using bucket midpoints.
-  double Quantile(double q) const;
-  double mean() const { return count_ > 0 ? sum_ / static_cast<double>(count_) : 0.0; }
-  std::string ToString() const;
-
- private:
-  static constexpr int kBuckets = 64;
-  int64_t buckets_[kBuckets];
-  int64_t count_ = 0;
   double sum_ = 0.0;
 };
 

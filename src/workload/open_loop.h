@@ -10,11 +10,11 @@
 // drawn bounded-Pareto so a few sessions dominate; the session determines
 // the query node by hashing, so hot sessions re-read hot nodes.
 //
-// Each query carries an absolute `Query::arrive_us` timestamp. Both engines
-// consume the same schedule deterministically when
-// ClusterConfig::open_loop_arrivals is set: the simulator fires arrival
-// events at arrive_us in virtual time, the threaded feeder paces them in
-// wall time from the run's epoch. The generator itself is pure and
+// Each query carries an absolute `Query::arrive_us` timestamp (>= 0), and
+// that alone makes both engines consume the same schedule
+// deterministically: the simulator fires arrival events at arrive_us in
+// virtual time, the threaded feeder paces them in wall time from the run's
+// epoch. No config switch is involved. The generator itself is pure and
 // deterministic in OpenLoopConfig::seed.
 
 #ifndef GROUTING_SRC_WORKLOAD_OPEN_LOOP_H_

@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "src/core/grouting.h"
@@ -63,24 +64,61 @@ constexpr RoutingSchemeKind kAllSchemes[] = {
     RoutingSchemeKind::kEmbed};
 
 TEST_F(CrossEngineTest, IdenticalAnswersForEveryScheme) {
+  // Two tenants under a quota that sheds, a quiesced mutation schedule and
+  // compressed blobs: beyond the answers, every engine-independent counter
+  // ClusterEngine::Run fills must come out the same on both engines.
   const Graph& g = env_->graph();
-  const auto queries = env_->HotspotWorkload(2, 2, 25, 4);
+  auto queries = env_->HotspotWorkload(2, 2, 25, 4);
+  for (Query& q : queries) {
+    q.tenant = q.id % 3 == 0 ? 1 : 0;
+  }
+  MutationScheduleConfig mc;
+  mc.num_mutations = 16;
+  mc.gap_us = 0.0;  // quiesced: applied before the first dispatch
+  const auto mutations = GenerateMutationSchedule(g, {}, mc);
 
   for (const RoutingSchemeKind scheme : kAllSchemes) {
     SCOPED_TRACE(RoutingSchemeKindName(scheme));
-    const RunOptions opts = SmallRun(scheme);
+    RunOptions opts = SmallRun(scheme);
+    opts.num_tenants = 2;
+    opts.arrival_gap_us = 1.0;
+    opts.tenant_quota_qps = 250000.0;
+    opts.tenant_quota_burst = 8.0;
+    opts.enable_mutations = true;
+    opts.adjacency_encoding = AdjacencyEncoding::kDeltaVarint;
     const ClusterConfig config = env_->MakeClusterConfig(opts);
 
     auto sim = MakeClusterEngine(EngineKind::kSimulated, g, config,
                                  env_->MakeStrategy(opts));
     auto threaded = MakeClusterEngine(EngineKind::kThreaded, g, config,
                                       env_->MakeStrategy(opts));
+    sim->set_mutation_schedule(mutations);
+    threaded->set_mutation_schedule(mutations);
     const ClusterMetrics sim_m = sim->Run(queries);
     const ClusterMetrics thr_m = threaded->Run(queries);
 
-    // Identical total queries, every single one answered.
-    ASSERT_EQ(sim_m.queries, queries.size());
-    ASSERT_EQ(thr_m.queries, queries.size());
+    // Every admitted query answered; the quota really sheds.
+    ASSERT_GT(sim_m.queries_shed, 0u);
+    ASSERT_EQ(sim_m.queries + sim_m.queries_shed, queries.size());
+    for (const ClusterMetrics* m : {&sim_m, &thr_m}) {
+      const uint64_t split_total = std::accumulate(
+          m->queries_per_processor.begin(), m->queries_per_processor.end(),
+          uint64_t{0});
+      EXPECT_EQ(split_total, m->queries);
+    }
+    EXPECT_EQ(sim_m.queries, thr_m.queries);
+    EXPECT_EQ(sim_m.queries_shed, thr_m.queries_shed);
+    ASSERT_EQ(sim_m.per_tenant.size(), 2u);
+    ASSERT_EQ(thr_m.per_tenant.size(), 2u);
+    for (uint32_t t = 0; t < 2; ++t) {
+      SCOPED_TRACE("tenant " + std::to_string(t));
+      EXPECT_EQ(sim_m.per_tenant[t].queries, thr_m.per_tenant[t].queries);
+      EXPECT_EQ(sim_m.per_tenant[t].shed, thr_m.per_tenant[t].shed);
+    }
+    EXPECT_EQ(sim_m.mutations_applied, mutations.size());
+    EXPECT_EQ(thr_m.mutations_applied, mutations.size());
+    EXPECT_GT(sim_m.adjacency_compression_ratio, 1.0);
+    EXPECT_EQ(sim_m.adjacency_compression_ratio, thr_m.adjacency_compression_ratio);
 
     const auto sim_answers = SortedAnswers(*sim);
     const auto thr_answers = SortedAnswers(*threaded);

@@ -179,7 +179,6 @@ class MultiTenantTest : public ::testing::Test {
     opts.min_separation = 2;
     opts.dimensions = 6;
     opts.num_tenants = tenants;
-    opts.open_loop = true;
     return opts;
   }
 

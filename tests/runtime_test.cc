@@ -172,5 +172,14 @@ TEST_F(ThreadedClusterTest, EmptyWorkload) {
   EXPECT_EQ(metrics.queries, 0u);
 }
 
+TEST_F(ThreadedClusterTest, RunTwiceIsRejected) {
+  // Both engines share ClusterEngine::Run, so the run-once check holds on
+  // real threads too. Every worker of the first run has joined by the time
+  // Run returns, so the death test forks a single-threaded process.
+  ThreadedCluster cluster(graph_, BaseConfig(), std::make_unique<NextReadyStrategy>());
+  cluster.Run(queries_);
+  EXPECT_DEATH(cluster.Run(queries_), "Run may only be called once");
+}
+
 }  // namespace
 }  // namespace grouting

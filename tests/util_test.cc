@@ -230,27 +230,6 @@ TEST(RunningStatTest, MergeWithEmpty) {
   EXPECT_DOUBLE_EQ(empty.mean(), 1.0);
 }
 
-TEST(HistogramTest, QuantilesRoughlyCorrect) {
-  Histogram h;
-  for (uint64_t i = 1; i <= 1024; ++i) {
-    h.Add(i);
-  }
-  EXPECT_EQ(h.count(), 1024);
-  // Median of 1..1024 is ~512; log-bucketed estimate within its bucket.
-  const double q50 = h.Quantile(0.5);
-  EXPECT_GE(q50, 256.0);
-  EXPECT_LE(q50, 1024.0);
-  EXPECT_LE(h.Quantile(0.01), h.Quantile(0.99));
-}
-
-TEST(HistogramTest, ZeroValuesLandInFirstBucket) {
-  Histogram h;
-  h.Add(0);
-  h.Add(0);
-  EXPECT_EQ(h.count(), 2);
-  EXPECT_LE(h.Quantile(0.5), 1.0);
-}
-
 TEST(PercentileTest, ExactValues) {
   std::vector<double> v{1, 2, 3, 4, 5, 6, 7, 8, 9, 10};
   EXPECT_DOUBLE_EQ(Percentile(v, 0), 1.0);
