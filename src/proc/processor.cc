@@ -112,8 +112,11 @@ void CachedStorageSource::CompleteOldest(std::vector<Inflight>* inflight,
       continue;
     }
     // The one decode of this fetched blob, here on the processor with no
-    // storage lock held.
-    AdjacencyPtr entry = DecodeAdjacency(*blob);
+    // storage lock held. Only a decoded-mode cache keeps the entry, so only
+    // it gets a fresh one; every other miss decodes into a pool slot.
+    AdjacencyPtr entry = cache_ != nullptr && !cache_compressed_
+                             ? DecodeAdjacency(*blob)
+                             : DecodePooled(*blob);
     GROUTING_CHECK(entry != nullptr);
     const uint64_t edges = entry->out.size() + entry->in.size();
     stats.values += 1;
@@ -143,8 +146,31 @@ void CachedStorageSource::CompleteOldest(std::vector<Inflight>* inflight,
   trace_.batches.push_back(stats);
 }
 
+AdjacencyPtr CachedStorageSource::DecodePooled(std::span<const uint8_t> blob) {
+  // Slots behind the cursor were either handed out earlier in this call
+  // (still referenced from its result vector) or found held by the caller,
+  // so the scan never revisits them.
+  while (pool_cursor_ < pool_.size() && pool_[pool_cursor_].use_count() != 1) {
+    ++pool_cursor_;
+  }
+  if (pool_cursor_ == pool_.size()) {
+    pool_.push_back(std::make_shared<AdjacencyEntry>());
+  }
+  AdjacencyEntry* entry = pool_[pool_cursor_].get();
+  GROUTING_CHECK(DecodeAdjacencyInto(blob, entry));
+  // Memory bound: a slot that once held a hub keeps no more than about
+  // twice what it holds now.
+  for (std::vector<Edge>* edges : {&entry->out, &entry->in}) {
+    if (edges->capacity() > 2 * edges->size() + 32) {
+      edges->shrink_to_fit();
+    }
+  }
+  return pool_[pool_cursor_++];
+}
+
 std::vector<AdjacencyPtr> CachedStorageSource::FetchBatch(std::span<const NodeId> nodes) {
   std::vector<AdjacencyPtr> result(nodes.size());
+  pool_cursor_ = 0;  // slots the caller released since the last call are free
   trace_.level_stats.emplace_back();
   FetchTrace::Level& level = trace_.level_stats.back();
   const bool traced = tracer_ != nullptr && tracer_->active();
@@ -177,18 +203,18 @@ std::vector<AdjacencyPtr> CachedStorageSource::FetchBatch(std::span<const NodeId
         ++trace_.visited;
         AdjacencyPtr entry;
         if (hit->encoded != nullptr) {
-          // Compressed slot: pay the decode, for real, on every hit. The
-          // wall time lands in the trace so the threaded runtime reports
-          // it; the sim charges its virtual equivalent during replay.
+          // Compressed slot: pay the decode, for real, on every hit — into
+          // a reused pool slot, not a fresh entry. The wall time lands in
+          // the trace so the threaded runtime reports it; the sim charges
+          // its virtual equivalent during replay.
           const auto decode_start = std::chrono::steady_clock::now();
-          entry = DecodeAdjacency(*hit->encoded);
+          entry = DecodePooled(*hit->encoded);
           const auto decode_end = std::chrono::steady_clock::now();
           trace_.decompress_us += ElapsedUs(decode_start, decode_end);
           if (tracer_ != nullptr && tracer_->active()) {
             tracer_->Span(TraceEventType::kDecode, tracer_->AtUs(decode_start),
                           tracer_->AtUs(decode_end), trace_.levels);
           }
-          GROUTING_CHECK(entry != nullptr);
         } else {
           entry = hit->decoded;
         }

@@ -39,7 +39,8 @@ namespace grouting {
 // One processor-cache slot. Normal mode holds the decoded entry; compressed
 // mode (ProcessorConfig::cache_compressed) holds the fetched blob instead —
 // shared with the storage server, charged at its encoded size against the
-// byte budget, and decoded again on every hit. Exactly one of the two
+// byte budget, and decoded again on every hit (into a reused slot of the
+// source's decode pool, not a fresh entry). Exactly one of the two
 // pointers is set. `version` is the adjacency version snapshot taken BEFORE
 // the blob was fetched (always 0 with mutations off): a probe re-validates
 // it against the tier's current NodeVersion, so a hit can never serve a
@@ -76,7 +77,9 @@ struct ProcessorConfig {
   uint32_t max_inflight_batches = 1;
   // Cache the ENCODED wire blob instead of the decoded entry: the byte
   // budget holds several times more vertices under delta_varint encoding,
-  // at the price of a decode (CostModel::decompress_*) on every hit.
+  // at the price of a decode (CostModel::decompress_*) on every hit. The
+  // decode reuses a pooled entry's vectors, so a hit allocates only when
+  // those must grow or shrink.
   bool cache_compressed = false;
   // Multi-tenant federation: keyspace stride (the graph's node count; set
   // by the engine when ClusterConfig::num_tenants > 1). A query from tenant
@@ -146,6 +149,10 @@ class CachedStorageSource : public NodeDataSource {
                       std::vector<AdjacencyPtr>* result, FetchTrace::Level* level,
                       double* blocked_us);
 
+  // Decodes `blob` into the first free pool slot at or after the cursor,
+  // growing the pool when none is free, and returns that slot.
+  AdjacencyPtr DecodePooled(std::span<const uint8_t> blob);
+
   StorageTier* storage_;
   NodeCache<CachedAdjacency>* cache_;  // nullptr = no-cache mode
   uint32_t window_;
@@ -155,6 +162,14 @@ class CachedStorageSource : public NodeDataSource {
   BatchFetchExecutor* executor_ = nullptr;
   WallTracer* tracer_ = nullptr;
   FetchTrace trace_;
+  // Decoded entries the cache does not keep: compressed hits, compressed
+  // misses and every no-cache fetch. A slot is reused only once the caller
+  // has dropped it (use_count() == 1, exact because entries never leave
+  // this thread — see NodeDataSource), so a held entry never changes. Slots
+  // free up only between FetchBatch calls: the cursor restarts at 0 on
+  // each call and only moves forward within it.
+  std::vector<std::shared_ptr<AdjacencyEntry>> pool_;
+  size_t pool_cursor_ = 0;
 };
 
 struct ProcessorStats {

@@ -110,6 +110,12 @@ struct FetchTrace {
 
 // The processor-side data access seam. FetchBatch must return entries
 // positionally matching `nodes` (nullptr where the node does not exist).
+// Lifetime contract:
+//   * a returned entry stays valid and unchanged for as long as the caller
+//     holds its AdjacencyPtr — later calls never write into it;
+//   * returned entries are never handed to another thread, so a source
+//     may recycle an entry once its own reference is the only one left
+//     (use_count() == 1 is then exact, not a racy hint).
 class NodeDataSource {
  public:
   virtual ~NodeDataSource() = default;

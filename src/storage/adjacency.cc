@@ -216,8 +216,7 @@ std::vector<uint8_t> EncodeV2(NodeId node, Label node_label,
   return buf;
 }
 
-AdjacencyPtr DecodeV1(std::span<const uint8_t> bytes) {
-  auto entry = std::make_shared<AdjacencyEntry>();
+void DecodeV1(std::span<const uint8_t> bytes, AdjacencyEntry* entry) {
   entry->node = ReadU32(bytes.data());
   entry->node_label = ReadU16(bytes.data() + 4);
   const uint32_t out_count = ReadU32(bytes.data() + 8);
@@ -231,10 +230,9 @@ AdjacencyPtr DecodeV1(std::span<const uint8_t> bytes) {
   for (uint32_t i = 0; i < in_count; ++i, p += 6) {
     entry->in[i] = Edge{ReadU32(p), ReadU16(p + 4)};
   }
-  return entry;
 }
 
-AdjacencyPtr DecodeV2(std::span<const uint8_t> bytes) {
+bool DecodeV2(std::span<const uint8_t> bytes, AdjacencyEntry* entry) {
   size_t pos = 2;  // past magic + version
   uint64_t node = 0;
   uint64_t label = 0;
@@ -242,15 +240,14 @@ AdjacencyPtr DecodeV2(std::span<const uint8_t> bytes) {
   uint64_t in_count = 0;
   if (!ReadVarint(bytes, &pos, &node) || !ReadVarint(bytes, &pos, &label) ||
       !ReadVarint(bytes, &pos, &out_count) || !ReadVarint(bytes, &pos, &in_count)) {
-    return nullptr;
+    return false;
   }
   // Each encoded edge costs at least one byte for its dst delta, so counts
   // beyond the remaining payload are corruption — reject before allocating.
   if (node > kInvalidNode || label > 0xffff || out_count > bytes.size() ||
       in_count > bytes.size() || out_count + in_count > bytes.size() - pos) {
-    return nullptr;
+    return false;
   }
-  auto entry = std::make_shared<AdjacencyEntry>();
   entry->node = static_cast<NodeId>(node);
   entry->node_label = static_cast<Label>(label);
   entry->out.resize(out_count);
@@ -261,13 +258,11 @@ AdjacencyPtr DecodeV2(std::span<const uint8_t> bytes) {
       !ReadRleLabels(&p, end, &entry->out) ||
       !ReadDeltaDsts(&p, end, &entry->in) ||
       !ReadRleLabels(&p, end, &entry->in)) {
-    return nullptr;
+    return false;
   }
   const size_t remaining = static_cast<size_t>(end - p);
-  if (remaining > 1 || (remaining == 1 && *p != 0)) {
-    return nullptr;  // trailing garbage (one zero pad byte is legitimate)
-  }
-  return entry;
+  // Trailing garbage is rejected; one zero pad byte is legitimate.
+  return remaining == 0 || (remaining == 1 && *p == 0);
 }
 
 }  // namespace
@@ -288,14 +283,23 @@ std::vector<uint8_t> EncodeAdjacency(const AdjacencyEntry& entry,
              : EncodeV1(entry.node, entry.node_label, entry.out, entry.in);
 }
 
-AdjacencyPtr DecodeAdjacency(std::span<const uint8_t> bytes) {
+bool DecodeAdjacencyInto(std::span<const uint8_t> bytes, AdjacencyEntry* entry) {
   if (LooksLikeRawV1(bytes)) {
-    return DecodeV1(bytes);
+    DecodeV1(bytes, entry);
+    return true;
   }
   if (bytes.size() >= 2 && bytes[0] == kV2Magic && bytes[1] == kV2Version) {
-    return DecodeV2(bytes);
+    return DecodeV2(bytes, entry);
   }
-  return nullptr;
+  return false;
+}
+
+AdjacencyPtr DecodeAdjacency(std::span<const uint8_t> bytes) {
+  auto entry = std::make_shared<AdjacencyEntry>();
+  if (!DecodeAdjacencyInto(bytes, entry.get())) {
+    return nullptr;
+  }
+  return entry;
 }
 
 }  // namespace grouting

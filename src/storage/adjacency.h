@@ -78,8 +78,13 @@ std::vector<uint8_t> EncodeAdjacency(const Graph& g, NodeId u,
 std::vector<uint8_t> EncodeAdjacency(const AdjacencyEntry& entry,
                                      AdjacencyEncoding encoding = AdjacencyEncoding::kRaw);
 
-// Parses a wire blob of either version (auto-detected). Returns nullptr on
-// malformed input — never crashes, whatever the bytes.
+// Parses a wire blob of either version (auto-detected) into `*entry`,
+// reusing the capacity its edge vectors already have. Returns false on
+// malformed input — never crashes, whatever the bytes — and then leaves
+// `*entry` in an unspecified (but valid) state.
+bool DecodeAdjacencyInto(std::span<const uint8_t> bytes, AdjacencyEntry* entry);
+
+// DecodeAdjacencyInto a fresh entry. Returns nullptr on malformed input.
 AdjacencyPtr DecodeAdjacency(std::span<const uint8_t> bytes);
 
 }  // namespace grouting
