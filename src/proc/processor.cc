@@ -12,6 +12,18 @@ double ElapsedUs(std::chrono::steady_clock::time_point from,
   return std::chrono::duration<double, std::micro>(to - from).count();
 }
 
+// Decodes `blob` into `*entry`, reusing its vectors. Memory bound: a
+// reused entry that once held a hub keeps no more than about twice what it
+// holds now.
+void DecodeReusing(std::span<const uint8_t> blob, AdjacencyEntry* entry) {
+  GROUTING_CHECK(DecodeAdjacencyInto(blob, entry));
+  for (std::vector<Edge>* edges : {&entry->out, &entry->in}) {
+    if (edges->capacity() > 2 * edges->size() + 32) {
+      edges->shrink_to_fit();
+    }
+  }
+}
+
 }  // namespace
 
 size_t ResolveMigratedMisses(StorageTier* storage, std::span<const NodeId> keys,
@@ -57,8 +69,7 @@ size_t ResolveMigratedMisses(StorageTier* storage, std::span<const NodeId> keys,
 }
 
 void CachedStorageSource::CompleteOldest(std::vector<Inflight>* inflight,
-                                         std::span<const NodeId> nodes,
-                                         std::vector<AdjacencyPtr>* result,
+                                         std::span<const NodeId> nodes, Output out,
                                          FetchTrace::Level* level, double* blocked_us) {
   Inflight batch = std::move(inflight->front());
   inflight->erase(inflight->begin());
@@ -112,13 +123,25 @@ void CachedStorageSource::CompleteOldest(std::vector<Inflight>* inflight,
       continue;
     }
     // The one decode of this fetched blob, here on the processor with no
-    // storage lock held. Only a decoded-mode cache keeps the entry, so only
-    // it gets a fresh one; every other miss decodes into a pool slot.
-    AdjacencyPtr entry = cache_ != nullptr && !cache_compressed_
-                             ? DecodeAdjacency(*blob)
-                             : DecodePooled(*blob);
-    GROUTING_CHECK(entry != nullptr);
-    const uint64_t edges = entry->out.size() + entry->in.size();
+    // storage lock held. It runs in full even when the caller reads only
+    // the label: it validates every blob before the cache installs it, so
+    // a later compressed hit may read just the header. Only a decoded-mode
+    // cache keeps the entry, so only it gets a fresh one; every other miss
+    // decodes into a pool slot, or into the scratch entry when nothing but
+    // the label leaves this call.
+    AdjacencyPtr entry;
+    const AdjacencyEntry* decoded = &scratch_;
+    if (cache_ != nullptr && !cache_compressed_) {
+      entry = DecodeAdjacency(*blob);
+      GROUTING_CHECK(entry != nullptr);
+      decoded = entry.get();
+    } else if (out.labels == nullptr) {
+      entry = DecodePooled(*blob);
+      decoded = entry.get();
+    } else {
+      DecodeReusing(*blob, &scratch_);
+    }
+    const uint64_t edges = decoded->out.size() + decoded->in.size();
     stats.values += 1;
     stats.bytes += blob->size();  // what actually crossed the network
     stats.edges += edges;
@@ -141,7 +164,11 @@ void CachedStorageSource::CompleteOldest(std::vector<Inflight>* inflight,
                     entry->SerializedBytes());
       }
     }
-    (*result)[pos] = std::move(entry);
+    if (out.labels != nullptr) {
+      (*out.labels)[pos] = decoded->node_label;
+    } else {
+      (*out.entries)[pos] = std::move(entry);
+    }
   }
   trace_.batches.push_back(stats);
 }
@@ -156,20 +183,24 @@ AdjacencyPtr CachedStorageSource::DecodePooled(std::span<const uint8_t> blob) {
   if (pool_cursor_ == pool_.size()) {
     pool_.push_back(std::make_shared<AdjacencyEntry>());
   }
-  AdjacencyEntry* entry = pool_[pool_cursor_].get();
-  GROUTING_CHECK(DecodeAdjacencyInto(blob, entry));
-  // Memory bound: a slot that once held a hub keeps no more than about
-  // twice what it holds now.
-  for (std::vector<Edge>* edges : {&entry->out, &entry->in}) {
-    if (edges->capacity() > 2 * edges->size() + 32) {
-      edges->shrink_to_fit();
-    }
-  }
+  DecodeReusing(blob, pool_[pool_cursor_].get());
   return pool_[pool_cursor_++];
 }
 
 std::vector<AdjacencyPtr> CachedStorageSource::FetchBatch(std::span<const NodeId> nodes) {
-  std::vector<AdjacencyPtr> result(nodes.size());
+  std::vector<AdjacencyPtr> entries(nodes.size());
+  Fetch(nodes, Output{.entries = &entries});
+  return entries;
+}
+
+std::vector<std::optional<Label>> CachedStorageSource::FetchLabels(
+    std::span<const NodeId> nodes) {
+  std::vector<std::optional<Label>> labels(nodes.size());
+  Fetch(nodes, Output{.labels = &labels});
+  return labels;
+}
+
+void CachedStorageSource::Fetch(std::span<const NodeId> nodes, Output out) {
   pool_cursor_ = 0;  // slots the caller released since the last call are free
   trace_.level_stats.emplace_back();
   FetchTrace::Level& level = trace_.level_stats.back();
@@ -201,12 +232,30 @@ std::vector<AdjacencyPtr> CachedStorageSource::FetchBatch(std::span<const NodeId
         ++trace_.cache_hits;
         ++level.hits;
         ++trace_.visited;
+        if (out.labels != nullptr) {
+          // Label-only hit: no decode and no copy of the handle. A
+          // compressed slot's blob is immutable and passed a full decode
+          // when its miss was completed (CompleteOldest installs nothing
+          // else), so reading only its header skips no validation; the
+          // check still guards the header itself.
+          if (hit->encoded != nullptr) {
+            AdjacencyHeader header;
+            GROUTING_CHECK(DecodeAdjacencyHeader(*hit->encoded, &header));
+            (*out.labels)[i] = header.node_label;
+            level.hit_edges += header.out_count + header.in_count;
+          } else {
+            (*out.labels)[i] = hit->decoded->node_label;
+            level.hit_edges += hit->decoded->out.size() + hit->decoded->in.size();
+          }
+          continue;
+        }
         AdjacencyPtr entry;
         if (hit->encoded != nullptr) {
-          // Compressed slot: pay the decode, for real, on every hit — into
-          // a reused pool slot, not a fresh entry. The wall time lands in
-          // the trace so the threaded runtime reports it; the sim charges
-          // its virtual equivalent during replay.
+          // Compressed slot: pay the decode, for real, on every hit whose
+          // edges the caller reads — into a reused pool slot, not a fresh
+          // entry. The wall time lands in the trace so the threaded runtime
+          // reports it; the sim charges its virtual equivalent during
+          // replay.
           const auto decode_start = std::chrono::steady_clock::now();
           entry = DecodePooled(*hit->encoded);
           const auto decode_end = std::chrono::steady_clock::now();
@@ -219,7 +268,7 @@ std::vector<AdjacencyPtr> CachedStorageSource::FetchBatch(std::span<const NodeId
           entry = hit->decoded;
         }
         level.hit_edges += entry->out.size() + entry->in.size();
-        result[i] = std::move(entry);
+        (*out.entries)[i] = std::move(entry);
         continue;
       }
       ++trace_.cache_misses;
@@ -280,7 +329,7 @@ std::vector<AdjacencyPtr> CachedStorageSource::FetchBatch(std::span<const NodeId
         ++i;
       }
       if (inflight.size() >= window_) {
-        CompleteOldest(&inflight, nodes, &result, &level, &blocked_us);
+        CompleteOldest(&inflight, nodes, out, &level, &blocked_us);
       }
       const size_t batch_keys = keys.size();
       batch.handle = storage_->StartMultiGet(server, std::move(keys));
@@ -307,7 +356,7 @@ std::vector<AdjacencyPtr> CachedStorageSource::FetchBatch(std::span<const NodeId
       peak = std::max(peak, static_cast<uint32_t>(inflight.size()));
     }
     while (!inflight.empty()) {
-      CompleteOldest(&inflight, nodes, &result, &level, &blocked_us);
+      CompleteOldest(&inflight, nodes, out, &level, &blocked_us);
     }
 
     if (timed) {
@@ -321,7 +370,6 @@ std::vector<AdjacencyPtr> CachedStorageSource::FetchBatch(std::span<const NodeId
                   trace_.levels, 0, nodes.size());
   }
   ++trace_.levels;
-  return result;
 }
 
 QueryProcessor::QueryProcessor(uint32_t id, StorageTier* storage,

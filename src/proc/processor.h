@@ -39,9 +39,10 @@ namespace grouting {
 // One processor-cache slot. Normal mode holds the decoded entry; compressed
 // mode (ProcessorConfig::cache_compressed) holds the fetched blob instead —
 // shared with the storage server, charged at its encoded size against the
-// byte budget, and decoded again on every hit (into a reused slot of the
-// source's decode pool, not a fresh entry). Exactly one of the two
-// pointers is set. `version` is the adjacency version snapshot taken BEFORE
+// byte budget, and decoded again on every hit whose edges the query reads
+// (into a reused slot of the source's decode pool, not a fresh entry); a
+// hit that needs only the label reads the blob's header. Exactly one of the
+// two pointers is set. `version` is the adjacency version snapshot taken BEFORE
 // the blob was fetched (always 0 with mutations off): a probe re-validates
 // it against the tier's current NodeVersion, so a hit can never serve a
 // list from before a mutation — the snapshot may under-claim (forcing a
@@ -77,9 +78,9 @@ struct ProcessorConfig {
   uint32_t max_inflight_batches = 1;
   // Cache the ENCODED wire blob instead of the decoded entry: the byte
   // budget holds several times more vertices under delta_varint encoding,
-  // at the price of a decode (CostModel::decompress_*) on every hit. The
-  // decode reuses a pooled entry's vectors, so a hit allocates only when
-  // those must grow or shrink.
+  // at the price of a decode (CostModel::decompress_*) on every hit whose
+  // edges the query reads. The decode reuses a pooled entry's vectors, so a
+  // hit allocates only when those must grow or shrink.
   bool cache_compressed = false;
   // Multi-tenant federation: keyspace stride (the graph's node count; set
   // by the engine when ClusterConfig::num_tenants > 1). A query from tenant
@@ -104,6 +105,10 @@ class CachedStorageSource : public NodeDataSource {
   }
 
   std::vector<AdjacencyPtr> FetchBatch(std::span<const NodeId> nodes) override;
+  // Same probes, batches, cache installs and trace as FetchBatch. A
+  // compressed hit reads only its blob's header and a decoded hit only its
+  // entry's label; misses still decode in full.
+  std::vector<std::optional<Label>> FetchLabels(std::span<const NodeId> nodes) override;
   const FetchTrace& trace() const override { return trace_; }
   void ResetTrace() override { trace_.Clear(); }
 
@@ -142,12 +147,22 @@ class CachedStorageSource : public NodeDataSource {
     double issue_ts_us = 0.0;  // tracer timestamp at issue (if tracing)
   };
 
+  // Where one fetch delivers its nodes: the entries (FetchBatch) or, when
+  // `labels` is set, only the labels (FetchLabels). Exactly one is set,
+  // sized like the fetch's node list.
+  struct Output {
+    std::vector<AdjacencyPtr>* entries = nullptr;
+    std::vector<std::optional<Label>>* labels = nullptr;
+  };
+
+  // The probe / issue / complete pipeline behind both fetch calls.
+  void Fetch(std::span<const NodeId> nodes, Output out);
+
   // Waits for the oldest in-flight batch, decodes its blobs and merges them
-  // into `result`, the cache and the trace (issue order keeps this
+  // into `out`, the cache and the trace (issue order keeps this
   // deterministic).
   void CompleteOldest(std::vector<Inflight>* inflight, std::span<const NodeId> nodes,
-                      std::vector<AdjacencyPtr>* result, FetchTrace::Level* level,
-                      double* blocked_us);
+                      Output out, FetchTrace::Level* level, double* blocked_us);
 
   // Decodes `blob` into the first free pool slot at or after the cursor,
   // growing the pool when none is free, and returns that slot.
@@ -162,14 +177,17 @@ class CachedStorageSource : public NodeDataSource {
   BatchFetchExecutor* executor_ = nullptr;
   WallTracer* tracer_ = nullptr;
   FetchTrace trace_;
-  // Decoded entries the cache does not keep: compressed hits, compressed
-  // misses and every no-cache fetch. A slot is reused only once the caller
-  // has dropped it (use_count() == 1, exact because entries never leave
-  // this thread — see NodeDataSource), so a held entry never changes. Slots
-  // free up only between FetchBatch calls: the cursor restarts at 0 on
-  // each call and only moves forward within it.
+  // Decoded entries FetchBatch hands out that the cache does not keep:
+  // compressed hits, compressed misses and every no-cache fetch. A slot is
+  // reused only once the caller has dropped it (use_count() == 1, exact
+  // because entries never leave this thread — see NodeDataSource), so a
+  // held entry never changes. Slots free up only between fetch calls: the
+  // cursor restarts at 0 on each call and only moves forward within it.
   std::vector<std::shared_ptr<AdjacencyEntry>> pool_;
   size_t pool_cursor_ = 0;
+  // Where a label-only fetch decodes a miss the cache does not keep: the
+  // entry is read for its label and dropped, so it never needs a slot.
+  AdjacencyEntry scratch_;
 };
 
 struct ProcessorStats {

@@ -64,6 +64,17 @@ QueryResult ExecuteNeighborAggregation(const Query& q, NodeDataSource& source) {
     if (frontier.empty()) {
       break;
     }
+    if (depth + 1 == q.hops) {
+      // The last level is fetched like the others but never expanded, so
+      // only its labels are read.
+      const auto labels = source.FetchLabels(frontier);
+      result.aggregate +=
+          q.label_filter == kNoLabel
+              ? frontier.size()
+              : static_cast<uint64_t>(
+                    std::count(labels.begin(), labels.end(), q.label_filter));
+      break;
+    }
     entries = source.FetchBatch(frontier);
     if (q.label_filter == kNoLabel) {
       result.aggregate += frontier.size();
@@ -138,12 +149,12 @@ QueryResult ExecuteReachability(const Query& q, NodeDataSource& source) {
   int32_t fwd_depth = 0;
   int32_t bwd_depth = 0;
 
-  auto passes_filter = [&](const AdjacencyEntry& entry, NodeId v) {
+  auto passes_filter = [&](Label label, NodeId v) {
     // Endpoints are exempt from the label constraint.
     if (q.label_filter == kNoLabel || v == q.node || v == q.target) {
       return true;
     }
-    return entry.node_label == q.label_filter;
+    return label == q.label_filter;
   };
 
   while (!fwd_frontier.empty() && !bwd_frontier.empty() &&
@@ -176,12 +187,12 @@ QueryResult ExecuteReachability(const Query& q, NodeDataSource& source) {
         next.push_back(e.dst);
       }
     }
-    // Apply the label filter to the next frontier (requires their entries).
+    // Apply the label filter to the next frontier (requires their labels).
     if (q.label_filter != kNoLabel && !next.empty()) {
-      const auto next_entries = source.FetchBatch(next);
+      const auto next_labels = source.FetchLabels(next);
       std::vector<NodeId> kept;
       for (size_t i = 0; i < next.size(); ++i) {
-        if (next_entries[i] != nullptr && passes_filter(*next_entries[i], next[i])) {
+        if (next_labels[i].has_value() && passes_filter(*next_labels[i], next[i])) {
           kept.push_back(next[i]);
         }
       }
@@ -191,6 +202,18 @@ QueryResult ExecuteReachability(const Query& q, NodeDataSource& source) {
     ++depth;
   }
   return result;
+}
+
+std::vector<std::optional<Label>> NodeDataSource::FetchLabels(
+    std::span<const NodeId> nodes) {
+  std::vector<std::optional<Label>> labels(nodes.size());
+  const std::vector<AdjacencyPtr> entries = FetchBatch(nodes);
+  for (size_t i = 0; i < entries.size(); ++i) {
+    if (entries[i] != nullptr) {
+      labels[i] = entries[i]->node_label;
+    }
+  }
+  return labels;
 }
 
 std::vector<AdjacencyPtr> DirectGraphSource::FetchBatch(std::span<const NodeId> nodes) {

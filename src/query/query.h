@@ -16,6 +16,7 @@
 #define GROUTING_SRC_QUERY_QUERY_H_
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -121,6 +122,17 @@ class NodeDataSource {
   virtual ~NodeDataSource() = default;
 
   virtual std::vector<AdjacencyPtr> FetchBatch(std::span<const NodeId> nodes) = 0;
+
+  // For callers that read only each node's label: the last level of an
+  // aggregation, which is fetched but never expanded, and reachability's
+  // label filter. Positionally matches `nodes`; std::nullopt where the node
+  // does not exist (kNoLabel is a real label). It must leave the same
+  // trace, cache state and storage traffic as FetchBatch(nodes) — the
+  // default is exactly that call, so decorators that forward only
+  // FetchBatch see an unchanged call sequence — and an override may skip
+  // only work whose result the caller never reads, such as decoding edge
+  // lists.
+  virtual std::vector<std::optional<Label>> FetchLabels(std::span<const NodeId> nodes);
 
   AdjacencyPtr FetchOne(NodeId node) {
     const NodeId ids[1] = {node};

@@ -71,9 +71,9 @@ int64_t Unzigzag(uint64_t v) {
 }
 
 // Reads one LEB128 varint from [*pp, end); false on truncation/overflow.
-// Decode runs on every compressed cache hit, so the 1- and 2-byte shapes
-// (sorted CSR deltas, run lengths, small labels) take branch-light fast
-// paths before the general guarded loop.
+// Decode runs on every compressed cache hit whose edges a query reads, so
+// the 1- and 2-byte shapes (sorted CSR deltas, run lengths, small labels)
+// take branch-light fast paths before the general guarded loop.
 inline bool ReadVarint(const uint8_t** pp, const uint8_t* end, uint64_t* out) {
   const uint8_t* p = *pp;
   if (p < end && p[0] < 0x80) {
@@ -216,43 +216,23 @@ std::vector<uint8_t> EncodeV2(NodeId node, Label node_label,
   return buf;
 }
 
-void DecodeV1(std::span<const uint8_t> bytes, AdjacencyEntry* entry) {
-  entry->node = ReadU32(bytes.data());
-  entry->node_label = ReadU16(bytes.data() + 4);
-  const uint32_t out_count = ReadU32(bytes.data() + 8);
-  const uint32_t in_count = ReadU32(bytes.data() + 12);
-  const uint8_t* p = bytes.data() + 16;
-  entry->out.resize(out_count);
-  for (uint32_t i = 0; i < out_count; ++i, p += 6) {
-    entry->out[i] = Edge{ReadU32(p), ReadU16(p + 4)};
+// Edge lists of a v1 blob whose header, and so its exact size, is checked.
+void DecodeV1Edges(std::span<const uint8_t> bytes, const AdjacencyHeader& header,
+                   AdjacencyEntry* entry) {
+  const uint8_t* p = bytes.data() + header.edges_offset;
+  for (Edge& e : entry->out) {
+    e = Edge{ReadU32(p), ReadU16(p + 4)};
+    p += 6;
   }
-  entry->in.resize(in_count);
-  for (uint32_t i = 0; i < in_count; ++i, p += 6) {
-    entry->in[i] = Edge{ReadU32(p), ReadU16(p + 4)};
+  for (Edge& e : entry->in) {
+    e = Edge{ReadU32(p), ReadU16(p + 4)};
+    p += 6;
   }
 }
 
-bool DecodeV2(std::span<const uint8_t> bytes, AdjacencyEntry* entry) {
-  size_t pos = 2;  // past magic + version
-  uint64_t node = 0;
-  uint64_t label = 0;
-  uint64_t out_count = 0;
-  uint64_t in_count = 0;
-  if (!ReadVarint(bytes, &pos, &node) || !ReadVarint(bytes, &pos, &label) ||
-      !ReadVarint(bytes, &pos, &out_count) || !ReadVarint(bytes, &pos, &in_count)) {
-    return false;
-  }
-  // Each encoded edge costs at least one byte for its dst delta, so counts
-  // beyond the remaining payload are corruption — reject before allocating.
-  if (node > kInvalidNode || label > 0xffff || out_count > bytes.size() ||
-      in_count > bytes.size() || out_count + in_count > bytes.size() - pos) {
-    return false;
-  }
-  entry->node = static_cast<NodeId>(node);
-  entry->node_label = static_cast<Label>(label);
-  entry->out.resize(out_count);
-  entry->in.resize(in_count);
-  const uint8_t* p = bytes.data() + pos;
+bool DecodeV2Edges(std::span<const uint8_t> bytes, const AdjacencyHeader& header,
+                   AdjacencyEntry* entry) {
+  const uint8_t* p = bytes.data() + header.edges_offset;
   const uint8_t* end = bytes.data() + bytes.size();
   if (!ReadDeltaDsts(&p, end, &entry->out) ||
       !ReadRleLabels(&p, end, &entry->out) ||
@@ -283,15 +263,57 @@ std::vector<uint8_t> EncodeAdjacency(const AdjacencyEntry& entry,
              : EncodeV1(entry.node, entry.node_label, entry.out, entry.in);
 }
 
-bool DecodeAdjacencyInto(std::span<const uint8_t> bytes, AdjacencyEntry* entry) {
+bool DecodeAdjacencyHeader(std::span<const uint8_t> bytes, AdjacencyHeader* header) {
   if (LooksLikeRawV1(bytes)) {
-    DecodeV1(bytes, entry);
+    header->node = ReadU32(bytes.data());
+    header->node_label = ReadU16(bytes.data() + 4);
+    header->out_count = ReadU32(bytes.data() + 8);
+    header->in_count = ReadU32(bytes.data() + 12);
+    header->encoding = AdjacencyEncoding::kRaw;
+    header->edges_offset = 16;
     return true;
   }
-  if (bytes.size() >= 2 && bytes[0] == kV2Magic && bytes[1] == kV2Version) {
-    return DecodeV2(bytes, entry);
+  if (bytes.size() < 2 || bytes[0] != kV2Magic || bytes[1] != kV2Version) {
+    return false;
   }
-  return false;
+  size_t pos = 2;  // past magic + version
+  uint64_t node = 0;
+  uint64_t label = 0;
+  uint64_t out_count = 0;
+  uint64_t in_count = 0;
+  if (!ReadVarint(bytes, &pos, &node) || !ReadVarint(bytes, &pos, &label) ||
+      !ReadVarint(bytes, &pos, &out_count) || !ReadVarint(bytes, &pos, &in_count)) {
+    return false;
+  }
+  // Each encoded edge costs at least one byte for its dst delta, so counts
+  // beyond the remaining payload are corruption — reject before allocating.
+  if (node > kInvalidNode || label > 0xffff || out_count > bytes.size() ||
+      in_count > bytes.size() || out_count + in_count > bytes.size() - pos) {
+    return false;
+  }
+  header->node = static_cast<NodeId>(node);
+  header->node_label = static_cast<Label>(label);
+  header->out_count = out_count;
+  header->in_count = in_count;
+  header->encoding = AdjacencyEncoding::kDeltaVarint;
+  header->edges_offset = pos;
+  return true;
+}
+
+bool DecodeAdjacencyInto(std::span<const uint8_t> bytes, AdjacencyEntry* entry) {
+  AdjacencyHeader header;
+  if (!DecodeAdjacencyHeader(bytes, &header)) {
+    return false;
+  }
+  entry->node = header.node;
+  entry->node_label = header.node_label;
+  entry->out.resize(header.out_count);
+  entry->in.resize(header.in_count);
+  if (header.encoding == AdjacencyEncoding::kRaw) {
+    DecodeV1Edges(bytes, header, entry);
+    return true;
+  }
+  return DecodeV2Edges(bytes, header, entry);
 }
 
 AdjacencyPtr DecodeAdjacency(std::span<const uint8_t> bytes) {

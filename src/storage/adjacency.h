@@ -33,6 +33,8 @@
 #ifndef GROUTING_SRC_STORAGE_ADJACENCY_H_
 #define GROUTING_SRC_STORAGE_ADJACENCY_H_
 
+#include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <string>
@@ -77,6 +79,25 @@ std::vector<uint8_t> EncodeAdjacency(const Graph& g, NodeId u,
 // Serialises an already-decoded entry (used for dynamic updates).
 std::vector<uint8_t> EncodeAdjacency(const AdjacencyEntry& entry,
                                      AdjacencyEncoding encoding = AdjacencyEncoding::kRaw);
+
+// What a blob says about itself before its edge lists: the node, its label
+// and both edge counts, plus where the edge lists begin.
+struct AdjacencyHeader {
+  NodeId node = kInvalidNode;
+  Label node_label = kNoLabel;
+  uint64_t out_count = 0;
+  uint64_t in_count = 0;
+  AdjacencyEncoding encoding = AdjacencyEncoding::kRaw;
+  size_t edges_offset = 0;  // first byte after the header
+};
+
+// Parses only the header of a wire blob of either version (auto-detected),
+// the one header parser DecodeAdjacencyInto also runs. Returns false on a
+// blob the full decoder rejects for a header reason (unknown format,
+// truncated or out-of-range fields, counts the payload cannot hold) —
+// never crashes, whatever the bytes. Accepting says nothing about the edge
+// lists: only a full decode validates those.
+bool DecodeAdjacencyHeader(std::span<const uint8_t> bytes, AdjacencyHeader* header);
 
 // Parses a wire blob of either version (auto-detected) into `*entry`,
 // reusing the capacity its edge vectors already have. Returns false on

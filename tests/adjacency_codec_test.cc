@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
+#include <tuple>
 #include <vector>
 
 #include "src/graph/generators.h"
@@ -33,18 +35,33 @@ void ExpectEntriesEqual(const AdjacencyEntry& a, const AdjacencyEntry& b) {
   }
 }
 
-// The one decoder through both entry points: DecodeAdjacency (fresh entry)
-// and DecodeAdjacencyInto (in place). They must agree on accept/reject and,
-// on accept, on the entry. The in-place side decodes into one entry reused
-// across every call of the test binary, after hubs, leaves and rejected
-// blobs alike — the way a processor's decode pool reuses its slots.
-AdjacencyPtr DecodeBoth(std::span<const uint8_t> bytes) {
+// The one decoder through every entry point: DecodeAdjacency (fresh
+// entry), DecodeAdjacencyInto (in place) and DecodeAdjacencyHeader (header
+// only). The two full decoders must agree on accept/reject and, on accept,
+// on the entry. The header reader must accept whatever they accept, with
+// the entry's node, label and edge counts; whatever it rejects, they
+// reject too. The in-place side decodes into one entry reused across every
+// call of the test binary, after hubs, leaves and rejected blobs alike —
+// the way a processor's decode pool reuses its slots.
+AdjacencyPtr DecodeAllWays(std::span<const uint8_t> bytes) {
   static AdjacencyEntry reused;
   const AdjacencyPtr fresh = DecodeAdjacency(bytes);
   const bool accepted = DecodeAdjacencyInto(bytes, &reused);
   EXPECT_EQ(accepted, fresh != nullptr);
   if (accepted && fresh != nullptr) {
     ExpectEntriesEqual(*fresh, reused);
+  }
+  AdjacencyHeader header;
+  const bool header_ok = DecodeAdjacencyHeader(bytes, &header);
+  if (fresh != nullptr) {
+    EXPECT_TRUE(header_ok);
+    EXPECT_EQ(header.node, fresh->node);
+    EXPECT_EQ(header.node_label, fresh->node_label);
+    EXPECT_EQ(header.out_count, fresh->out.size());
+    EXPECT_EQ(header.in_count, fresh->in.size());
+  }
+  if (!header_ok) {
+    EXPECT_EQ(fresh, nullptr);
   }
   return fresh;
 }
@@ -60,8 +77,8 @@ void ExpectGraphParity(const Graph& g, uint64_t* v1_total = nullptr,
     const auto dv = EncodeAdjacency(g, u, AdjacencyEncoding::kDeltaVarint);
     v1_bytes += raw.size();
     v2_bytes += dv.size();
-    const AdjacencyPtr from_raw = DecodeBoth(raw);
-    const AdjacencyPtr from_dv = DecodeBoth(dv);
+    const AdjacencyPtr from_raw = DecodeAllWays(raw);
+    const AdjacencyPtr from_dv = DecodeAllWays(dv);
     ASSERT_NE(from_raw, nullptr);
     ASSERT_NE(from_dv, nullptr);
     ExpectEntriesEqual(*from_raw, *from_dv);
@@ -106,7 +123,7 @@ TEST(AdjacencyV2Test, EmptySingletonAndHighDegreeNodes) {
   // Isolated node: header-only blob, well under the 16-byte v1 floor.
   const auto dv = EncodeAdjacency(g, 0, AdjacencyEncoding::kDeltaVarint);
   EXPECT_LT(dv.size(), 16u);
-  const AdjacencyPtr decoded = DecodeBoth(dv);
+  const AdjacencyPtr decoded = DecodeAllWays(dv);
   ASSERT_NE(decoded, nullptr);
   EXPECT_TRUE(decoded->out.empty());
   EXPECT_TRUE(decoded->in.empty());
@@ -121,7 +138,7 @@ TEST(AdjacencyV2Test, UnsortedDynamicEntryRoundTrips) {
   entry.out = {{900, 1}, {3, 2}, {kInvalidNode - 1, 3}, {10, 2}};
   entry.in = {{5, 0}, {5, 0}, {2, 65535}};
   const auto dv = EncodeAdjacency(entry, AdjacencyEncoding::kDeltaVarint);
-  const AdjacencyPtr decoded = DecodeBoth(dv);
+  const AdjacencyPtr decoded = DecodeAllWays(dv);
   ASSERT_NE(decoded, nullptr);
   ExpectEntriesEqual(entry, *decoded);
 }
@@ -132,7 +149,7 @@ TEST(AdjacencyV2Test, TruncatedInputReturnsNullNoCrash) {
     const auto dv = EncodeAdjacency(g, u, AdjacencyEncoding::kDeltaVarint);
     for (size_t len = 0; len < dv.size(); ++len) {
       const std::span<const uint8_t> prefix(dv.data(), len);
-      EXPECT_EQ(DecodeBoth(prefix), nullptr) << "len=" << len;
+      EXPECT_EQ(DecodeAllWays(prefix), nullptr) << "len=" << len;
     }
   }
 }
@@ -147,7 +164,7 @@ TEST(AdjacencyV2Test, CorruptInputReturnsNullNoCrash) {
     for (size_t pos = 0; pos < dv.size(); ++pos) {
       auto bad = dv;
       bad[pos] ^= static_cast<uint8_t>(1 + rng.NextBounded(255));
-      (void)DecodeBoth(bad);
+      (void)DecodeAllWays(bad);
     }
     // Random garbage of assorted sizes.
     for (int trial = 0; trial < 50; ++trial) {
@@ -155,7 +172,7 @@ TEST(AdjacencyV2Test, CorruptInputReturnsNullNoCrash) {
       for (auto& byte : junk) {
         byte = static_cast<uint8_t>(rng.NextBounded(256));
       }
-      (void)DecodeBoth(junk);
+      (void)DecodeAllWays(junk);
     }
   }
   // Structured corruption: v2 header with absurd counts must be rejected
@@ -163,7 +180,7 @@ TEST(AdjacencyV2Test, CorruptInputReturnsNullNoCrash) {
   const std::vector<uint8_t> absurd = {0xC2, 0x02, 0x01, 0x00,
                                        0xff, 0xff, 0xff, 0xff, 0x0f,  // out count
                                        0x00};
-  EXPECT_EQ(DecodeBoth(absurd), nullptr);
+  EXPECT_EQ(DecodeAllWays(absurd), nullptr);
 }
 
 TEST(AdjacencyV2Test, V1BlobsStillDecode) {
@@ -173,10 +190,72 @@ TEST(AdjacencyV2Test, V1BlobsStillDecode) {
   for (NodeId u = 0; u < g.num_nodes(); ++u) {
     const auto raw = EncodeAdjacency(g, u);  // default = kRaw = v1
     EXPECT_EQ(raw.size(), g.AdjacencyBytes(u));
-    const AdjacencyPtr decoded = DecodeBoth(raw);
+    const AdjacencyPtr decoded = DecodeAllWays(raw);
     ASSERT_NE(decoded, nullptr);
     EXPECT_EQ(decoded->node, u);
     EXPECT_EQ(decoded->SerializedBytes(), raw.size());
+  }
+}
+
+// A v2 encoding that would also pass the v1 structural check: 28 bytes
+// (16 + 6 * 2), zero "reserved" bytes 6..7 (the first two dst deltas),
+// "out count" 2 (the third delta) and "in count" 0. The encoder pads it to
+// 29 bytes, and every reader must take the padded blob as v2.
+TEST(AdjacencyV2Test, PaddedBlobDecodesAsV2Everywhere) {
+  AdjacencyEntry entry;
+  entry.node = 1;
+  entry.node_label = 0;
+  entry.out.assign(20, Edge{1, 0});
+  entry.out[0].dst = 0;
+  entry.out[1].dst = 0;
+  const auto dv = EncodeAdjacency(entry, AdjacencyEncoding::kDeltaVarint);
+  ASSERT_EQ(dv.size(), 29u);
+  EXPECT_EQ(dv.back(), 0);
+  const AdjacencyPtr decoded = DecodeAllWays(dv);
+  ASSERT_NE(decoded, nullptr);
+  ExpectEntriesEqual(entry, *decoded);
+  AdjacencyHeader header;
+  ASSERT_TRUE(DecodeAdjacencyHeader(dv, &header));
+  EXPECT_EQ(header.encoding, AdjacencyEncoding::kDeltaVarint);
+
+  // Without the pad the same bytes are a well-formed v1 blob of another
+  // entry, which is why the pad exists.
+  const std::span<const uint8_t> unpadded(dv.data(), dv.size() - 1);
+  ASSERT_TRUE(DecodeAdjacencyHeader(unpadded, &header));
+  EXPECT_EQ(header.encoding, AdjacencyEncoding::kRaw);
+  EXPECT_EQ(header.out_count, 2u);
+  EXPECT_EQ(header.in_count, 0u);
+  EXPECT_NE(DecodeAllWays(unpadded), nullptr);
+}
+
+// Blobs whose header alone is malformed: the header reader rejects each
+// one, and so does the full decoder.
+TEST(AdjacencyV2Test, HeaderReaderRejectsWhatTheDecoderRejectsForHeaderReasons) {
+  const std::vector<std::vector<uint8_t>> bad_headers = {
+      {},                                      // empty
+      {0xC2},                                  // magic only
+      {0xC3, 0x02, 0x01, 0x00, 0x00, 0x00},    // wrong magic
+      {0xC2, 0x03, 0x01, 0x00, 0x00, 0x00},    // wrong version
+      {0xC2, 0x02},                            // no fields
+      {0xC2, 0x02, 0x80},                      // truncated node varint
+      {0xC2, 0x02, 0x01, 0x00, 0x00},          // missing in count
+      {0xC2, 0x02, 0x80, 0x80, 0x80, 0x80, 0x10, 0x00, 0x00, 0x00},  // node 2^32
+      {0xC2, 0x02, 0x01, 0x80, 0x80, 0x04, 0x00, 0x00},  // label 0x10000
+      {0xC2, 0x02, 0x01, 0x00, 0x02, 0x01, 0x00},  // 3 edges, 1 payload byte
+      {0xC2, 0x02, 0x01, 0x00, 0xff, 0xff, 0xff, 0xff, 0x0f, 0x00},  // absurd
+      {0xC2, 0x02, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
+       0xff, 0x01, 0x00, 0x00, 0x00},          // node varint over 10 bytes
+      // v1-shaped but the size disagrees with the counts (one edge short).
+      {0x05, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00,
+       0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00},
+      // v1 size for its counts but nonzero reserved bytes.
+      {0x05, 0x00, 0x00, 0x00, 0x01, 0x00, 0x07, 0x00,
+       0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00},
+  };
+  for (size_t i = 0; i < bad_headers.size(); ++i) {
+    AdjacencyHeader header;
+    EXPECT_FALSE(DecodeAdjacencyHeader(bad_headers[i], &header)) << "case " << i;
+    EXPECT_EQ(DecodeAllWays(bad_headers[i]), nullptr) << "case " << i;
   }
 }
 
@@ -377,6 +456,144 @@ TEST(CompressedCacheTest, PooledDecodeKeepsAnswersAndHitsAcrossModes) {
     total_hits += raw.hits[i];
   }
   EXPECT_GT(total_hits, 0u);
+}
+
+// ---- label-only fetches -------------------------------------------------
+
+// Forwards only FetchBatch, so FetchLabels runs the NodeDataSource default:
+// a full FetchBatch whose labels are read. The reference for the label-only
+// path of CachedStorageSource.
+class FetchBatchOnly : public NodeDataSource {
+ public:
+  explicit FetchBatchOnly(NodeDataSource* inner) : inner_(inner) {}
+
+  std::vector<AdjacencyPtr> FetchBatch(std::span<const NodeId> nodes) override {
+    return inner_->FetchBatch(nodes);
+  }
+  const FetchTrace& trace() const override { return inner_->trace(); }
+  void ResetTrace() override { inner_->ResetTrace(); }
+
+ private:
+  NodeDataSource* inner_;
+};
+
+void ExpectSameTrace(const FetchTrace& a, const FetchTrace& b, size_t query) {
+  EXPECT_EQ(a.cache_hits, b.cache_hits) << "query " << query;
+  EXPECT_EQ(a.cache_misses, b.cache_misses) << "query " << query;
+  EXPECT_EQ(a.cache_lookups, b.cache_lookups) << "query " << query;
+  EXPECT_EQ(a.visited, b.visited) << "query " << query;
+  EXPECT_EQ(a.bytes_fetched, b.bytes_fetched) << "query " << query;
+  EXPECT_EQ(a.levels, b.levels) << "query " << query;
+  ASSERT_EQ(a.batches.size(), b.batches.size()) << "query " << query;
+  for (size_t k = 0; k < a.batches.size(); ++k) {
+    const FetchTrace::Batch& x = a.batches[k];
+    const FetchTrace::Batch& y = b.batches[k];
+    EXPECT_EQ(std::tie(x.server, x.values, x.bytes, x.edges, x.level),
+              std::tie(y.server, y.values, y.bytes, y.edges, y.level))
+        << "query " << query << " batch " << k;
+  }
+  ASSERT_EQ(a.level_stats.size(), b.level_stats.size()) << "query " << query;
+  for (size_t k = 0; k < a.level_stats.size(); ++k) {
+    const FetchTrace::Level& x = a.level_stats[k];
+    const FetchTrace::Level& y = b.level_stats[k];
+    EXPECT_EQ(std::tie(x.lookups, x.hits, x.misses, x.fetched, x.hit_edges,
+                       x.fetched_edges),
+              std::tie(y.lookups, y.hits, y.misses, y.fetched, y.hit_edges,
+                       y.fetched_edges))
+        << "query " << query << " level " << k;
+  }
+}
+
+// CachedStorageSource::FetchLabels (header-only compressed hits, no handle
+// copy on decoded hits, scratch decode of uncached misses) must be
+// invisible: over 300 seeded queries the answers and the whole FetchTrace
+// equal those of the FetchBatch-only reference, in every cache mode. The
+// hotspot generator never sets a label filter, so label-filtered
+// aggregations and reachability queries are built here. Entries a caller
+// holds from FetchBatch survive all of it unchanged.
+TEST(LabelFetchTest, LabelOnlyFetchesMatchFullFetchesInEveryCacheMode) {
+  const Graph g = GenerateBarabasiAlbert(2000, 5, 18, LabelConfig{3, 0});
+  WorkloadConfig wc;
+  wc.num_hotspots = 15;
+  wc.queries_per_hotspot = 10;
+  wc.hops = 3;
+  wc.seed = 20;
+  std::vector<Query> queries = GenerateHotspotWorkload(g, wc);
+  Rng rng(21);
+  for (int i = 0; i < 150; ++i) {
+    Query q;
+    q.type = i % 2 == 0 ? QueryType::kNeighborAggregation : QueryType::kReachability;
+    q.node = static_cast<NodeId>(rng.NextBounded(g.num_nodes()));
+    q.target = static_cast<NodeId>(rng.NextBounded(g.num_nodes()));
+    q.hops = 1 + static_cast<int32_t>(rng.NextBounded(4));
+    q.label_filter = static_cast<Label>(1 + rng.NextBounded(3));
+    queries.push_back(q);
+  }
+  ASSERT_EQ(queries.size(), 300u);
+
+  struct Mode {
+    const char* name;
+    AdjacencyEncoding encoding;
+    bool use_cache;
+    bool compressed;
+  };
+  const Mode modes[] = {
+      {"raw/decoded", AdjacencyEncoding::kRaw, true, false},
+      {"delta_varint/compressed", AdjacencyEncoding::kDeltaVarint, true, true},
+      {"delta_varint/no-cache", AdjacencyEncoding::kDeltaVarint, false, false},
+  };
+  const NodeId held_nodes[] = {0, 1, 7};
+  for (const Mode& mode : modes) {
+    SCOPED_TRACE(mode.name);
+    // A budget that evicts, so both paths also see identical churn.
+    const uint64_t budget = g.TotalAdjacencyBytes() / 8;
+    StorageTier tier_a(4);
+    StorageTier tier_b(4);
+    NodeCache<CachedAdjacency> cache_a(budget);
+    NodeCache<CachedAdjacency> cache_b(budget);
+    for (StorageTier* tier : {&tier_a, &tier_b}) {
+      tier->set_encoding(mode.encoding);
+      tier->LoadGraph(g);
+    }
+    CachedStorageSource labels(&tier_a, mode.use_cache ? &cache_a : nullptr, 1,
+                               mode.compressed);
+    CachedStorageSource full(&tier_b, mode.use_cache ? &cache_b : nullptr, 1,
+                             mode.compressed);
+    FetchBatchOnly reference(&full);
+
+    // Held across every label fetch below: misses (or no-cache fetches),
+    // then hits in the cached modes. The reference makes the same fetches,
+    // so both caches start the queries in the same state.
+    const auto held_first = labels.FetchBatch(held_nodes);
+    const auto held_again = labels.FetchBatch(held_nodes);
+    full.FetchBatch(held_nodes);
+    full.FetchBatch(held_nodes);
+
+    for (size_t i = 0; i < queries.size(); ++i) {
+      labels.ResetTrace();
+      reference.ResetTrace();
+      const QueryResult a = ExecuteQuery(queries[i], labels);
+      const QueryResult b = ExecuteQuery(queries[i], reference);
+      EXPECT_EQ(a.aggregate, b.aggregate) << "query " << i;
+      EXPECT_EQ(a.walk_end, b.walk_end) << "query " << i;
+      EXPECT_EQ(a.walk_distinct_nodes, b.walk_distinct_nodes) << "query " << i;
+      EXPECT_EQ(a.reachable, b.reachable) << "query " << i;
+      EXPECT_EQ(a.distance, b.distance) << "query " << i;
+      ExpectSameTrace(labels.trace(), reference.trace(), i);
+    }
+    if (mode.use_cache) {
+      EXPECT_GT(cache_a.stats().evictions, 0u);
+      EXPECT_EQ(cache_a.stats().evictions, cache_b.stats().evictions);
+      EXPECT_EQ(cache_a.entry_count(), cache_b.entry_count());
+    }
+    for (size_t k = 0; k < std::size(held_nodes); ++k) {
+      const AdjacencyEntry want = GraphEntry(g, held_nodes[k]);
+      ASSERT_NE(held_first[k], nullptr);
+      ASSERT_NE(held_again[k], nullptr);
+      ExpectEntriesEqual(*held_first[k], want);
+      ExpectEntriesEqual(*held_again[k], want);
+    }
+  }
 }
 
 }  // namespace
