@@ -64,7 +64,7 @@ RunOptions MultitenantOpts(uint32_t tenants, double quota_qps) {
   RunOptions opts;
   opts.scheme = RoutingSchemeKind::kEmbed;
   opts.num_tenants = tenants;
-  opts.tenant_quota_qps = quota_qps;
+  opts.admission.quota_qps = quota_qps;
   return opts;
 }
 

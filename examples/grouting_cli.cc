@@ -177,7 +177,7 @@ bool WriteTenantMetricsJson(const std::string& path, const std::string& engine,
                "  \"answered\": %llu,\n  \"shed_total\": %llu,\n"
                "  \"mutations_applied\": %llu,\n  \"index_refreshes\": %llu,\n"
                "  \"answer_checksum\": \"%016llx\",\n  \"per_tenant\": [",
-               engine.c_str(), opts.num_tenants, opts.tenant_quota_qps, arrivals,
+               engine.c_str(), opts.num_tenants, opts.admission.quota_qps, arrivals,
                static_cast<unsigned long long>(m.queries),
                static_cast<unsigned long long>(m.queries_shed),
                static_cast<unsigned long long>(m.mutations_applied),
@@ -313,8 +313,8 @@ int main(int argc, char** argv) {
     return 1;
   }
   opts.num_tenants = static_cast<uint32_t>(flags.GetInt("num-tenants", 1));
-  opts.tenant_quota_qps = flags.GetDouble("tenant-quota-qps", 0.0);
-  opts.tenant_quota_burst = flags.GetDouble("tenant-quota-burst", 32.0);
+  opts.admission.quota_qps = flags.GetDouble("tenant-quota-qps", 0.0);
+  opts.admission.burst = flags.GetDouble("tenant-quota-burst", 32.0);
   const bool open_loop = flags.values.count("open-loop") > 0;
   const std::string tenant_metrics_out = flags.Get("tenant-metrics-out", "");
   if (opts.num_tenants == 0) {

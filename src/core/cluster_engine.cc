@@ -29,28 +29,27 @@ ClusterEngine::ClusterEngine(const Graph& graph, const ClusterConfig& config,
   GROUTING_CHECK_MSG(config_.processor.max_inflight_batches > 0,
                      "max_inflight_batches must be >= 1");
   GROUTING_CHECK(config_.num_tenants > 0);
-  GROUTING_CHECK(config_.tenant_quota_burst >= 1.0);
-  repartition_config_ = config_.MakeRepartitionConfig();
+  GROUTING_CHECK(config_.admission.burst >= 1.0);
   storage_ = std::make_unique<StorageTier>(config_.num_storage_servers);
   if (config_.num_tenants > 1) {
     GROUTING_CHECK_MSG(placement == nullptr,
                        "multi-tenant federation is incompatible with an "
                        "explicit storage placement");
     // Federated keyspaces: the tier stores one copy of the graph per tenant
-    // and the processors offset their keys by tenant * num_nodes. Must be
-    // set before LoadGraph below.
+    // and the processors offset their keys by the tier's keyspace stride
+    // (num_nodes). Must be set before LoadGraph below.
     storage_->set_num_tenants(config_.num_tenants);
-    config_.processor.tenant_stride = static_cast<NodeId>(graph.num_nodes());
   }
   storage_->set_encoding(config_.adjacency_encoding);
-  if (repartition_config_.active()) {
+  const RepartitionConfig& repartition = config_.repartition;
+  if (repartition.active()) {
     GROUTING_CHECK_MSG(placement == nullptr,
                        "storage repartitioning/replication is incompatible with "
                        "an explicit storage placement");
-    storage_->EnableRepartitioning(repartition_config_.partitions_per_server);
-    if (repartition_config_.replication_enabled()) {
+    storage_->EnableRepartitioning(repartition.partitions_per_server);
+    if (repartition.replication_enabled()) {
       GROUTING_CHECK_MSG(
-          repartition_config_.max_replicas_per_partition <= PartitionMap::kMaxReplicas,
+          repartition.max_replicas_per_partition <= PartitionMap::kMaxReplicas,
           "max_replicas_per_partition exceeds the map's packing limit");
       storage_->EnableReplication();
     }
@@ -114,10 +113,11 @@ std::vector<StorageTier::MigrationResult> ClusterEngine::RepartitionRound() {
   if (monitor == nullptr) {
     return executed;
   }
-  monitor->RollWindow(repartition_config_.load_decay);
-  if (repartition_config_.replication_enabled()) {
-    const ReplicationPlan plan = PlanReplication(
-        *storage_->partition_map(), monitor->rates(), repartition_config_);
+  const RepartitionConfig& repartition = config_.repartition;
+  monitor->RollWindow(RepartitionConfig::kLoadDecay);
+  if (repartition.replication_enabled()) {
+    const ReplicationPlan plan =
+        PlanReplication(*storage_->partition_map(), monitor->rates(), repartition);
     for (const ReplicaChange& d : plan.demote) {
       executed.push_back(storage_->RemoveReplica(d.partition, d.server));
       ++replica_demotions_;
@@ -127,11 +127,11 @@ std::vector<StorageTier::MigrationResult> ClusterEngine::RepartitionRound() {
       ++replica_promotions_;
     }
   }
-  if (repartition_config_.enabled()) {
+  if (repartition.enabled()) {
     // Planned after the replica changes landed, so replicated partitions
     // are excluded as migration victims against the freshest replica sets.
-    const std::vector<PartitionMigration> plan = PlanRepartition(
-        *storage_->partition_map(), monitor->rates(), repartition_config_);
+    const std::vector<PartitionMigration> plan =
+        PlanRepartition(*storage_->partition_map(), monitor->rates(), repartition);
     for (const PartitionMigration& mig : plan) {
       executed.push_back(storage_->MigratePartition(mig.partition, mig.to));
       ++partitions_migrated_;
@@ -224,15 +224,11 @@ ClusterEngine::AdmissionPlan ClusterEngine::PlanAdmission(
     GROUTING_CHECK_MSG(q.tenant < config_.num_tenants,
                        "query tenant id out of range");
   }
-  if (config_.tenant_quota_qps <= 0.0) {
+  if (!config_.admission.enabled()) {
     plan.admitted = queries.size();
     return plan;
   }
-  AdmissionConfig admission;
-  admission.num_tenants = config_.num_tenants;
-  admission.quota_qps = config_.tenant_quota_qps;
-  admission.burst = config_.tenant_quota_burst;
-  TenantAdmission buckets(admission);
+  TenantAdmission buckets(config_.admission, config_.num_tenants);
   plan.admit.resize(queries.size());
   for (size_t i = 0; i < queries.size(); ++i) {
     const bool ok = buckets.Admit(queries[i].tenant, ArrivalTimeUs(queries[i], i));

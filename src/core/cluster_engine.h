@@ -31,6 +31,7 @@
 #include <string>
 #include <vector>
 
+#include "src/frontend/admission.h"
 #include "src/frontend/splitter.h"
 #include "src/net/cost_model.h"
 #include "src/obs/trace.h"
@@ -96,46 +97,25 @@ struct ClusterConfig {
   // simulated engine, wall-clock µs on the threaded one). 0 disables gossip.
   double gossip_period_us = 200.0;
   // Adaptive arrival re-splitting (router_splitter == kAdaptive): at each
-  // gossip round, migrate hot sessions from the most- to the least-loaded
-  // shard once the max/min routed-load ratio exceeds this threshold. <= 1
-  // (or infinity) disables migration — kAdaptive then behaves exactly like
-  // kSticky. Requires gossip_period_us > 0 (rebalance rides the gossip
-  // round).
-  double router_rebalance_threshold = 0.0;
-  // At most this many sessions migrate per rebalance round (anti-thrash cap,
-  // paired with a 0.9-of-threshold hysteresis water mark).
-  uint32_t router_migration_cap = 8;
+  // gossip round, migrate up to router_rebalance.migration_cap hot sessions
+  // from the most- to the least-loaded shard once the max/min routed-load
+  // ratio exceeds router_rebalance.threshold. The default threshold
+  // disables migration — kAdaptive then behaves exactly like kSticky.
+  // Requires gossip_period_us > 0 (rebalance rides the gossip round).
+  RebalanceConfig router_rebalance;
 
   // --- Storage-tier adaptive repartitioning (src/partition/repartition.h) ---
-  // At each gossip-aligned round, migrate hot partitions from the most- to
-  // the least-loaded storage server once the max/min decayed access-rate
-  // ratio exceeds this threshold. <= 1 (or infinity) disables repartitioning
-  // — the storage tier is then byte-identical to the static hash-placement
-  // design. Requires gossip_period_us > 0 (rounds ride the gossip tick) and
-  // is incompatible with an explicit storage placement.
-  double repartition_threshold = 0.0;
-  // At most this many partitions migrate per repartition round (anti-thrash
-  // cap, paired with the controller's hysteresis water mark + noise floor).
-  uint32_t repartition_cap = 4;
-  // Virtual partitions per storage server: the migration granularity. The
-  // initial partition->server layout reproduces hash placement exactly.
-  uint32_t partitions_per_server = 8;
-
-  // --- Hot-partition replication (rides the repartition planner rounds) ---
-  // Promote up to this many of the hottest partitions to one extra replica
-  // per round; reads then fan across {primary + replicas} via
-  // power-of-two-choices on server load. 0 disables replication — the read
-  // path is then bit-identical to the migration-only tier. Shares the
-  // repartition machinery, so it also needs gossip_period_us > 0 and no
-  // explicit storage placement (partitions_per_server applies too).
-  uint32_t replication_top_k = 0;
-  // Demote one replica per round from any replicated partition whose
-  // decayed access rate fell to or below this fraction of the average
-  // per-server load (cold replicas are reclaimed).
-  double replica_demote_threshold = 0.1;
-  // Extra copies beyond the primary a partition may hold (capped at
-  // PartitionMap::kMaxReplicas = 3).
-  uint32_t max_replicas_per_partition = 2;
+  // At each gossip-aligned round, migrate up to repartition.migration_cap
+  // hot partitions from the most- to the least-loaded storage server once
+  // the max/min decayed access-rate ratio exceeds repartition.threshold,
+  // and promote up to repartition.replication_top_k of the hottest
+  // partitions to an extra replica. Both are off by default, which keeps
+  // the storage tier byte-identical to the static hash-placement design.
+  // repartition.enabled() / replication_enabled() / active() are the single
+  // source of truth for whether migration and/or replication run. Either
+  // needs gossip_period_us > 0 (rounds ride the gossip tick) and is
+  // incompatible with an explicit storage placement.
+  RepartitionConfig repartition;
 
   // --- Observability (src/obs/) ---
   // Per-query lifecycle tracing: record every Nth query's spans (arrival,
@@ -157,16 +137,10 @@ struct ClusterConfig {
   // single-tenant cluster, metric-identical to the pre-federation engine.
   // Incompatible with an explicit storage placement.
   uint32_t num_tenants = 1;
-  // Per-tenant admission quota at the arrival splitter, in queries per
-  // second of schedule time (virtual µs on the simulated engine; the same
-  // schedule paced in wall time on the threaded one). Over-quota arrivals
-  // are shed before reaching a router shard and counted
-  // (ClusterMetrics::queries_shed); in-quota arrivals are never dropped.
-  // <= 0 disables admission control.
-  double tenant_quota_qps = 0.0;
-  // Token-bucket depth per tenant, in queries: bursts this deep above the
-  // quota are absorbed before shedding starts.
-  double tenant_quota_burst = 32.0;
+  // Per-tenant admission quota and token burst at the arrival splitter,
+  // applied to the arrival schedule before any router shard sees it. The
+  // default quota disables admission control.
+  AdmissionConfig admission;
 
   // --- Online graph mutations (StorageTier::ApplyMutation) ---
   // Versioned write path: the tier allocates one monotonic version counter
@@ -189,22 +163,6 @@ struct ClusterConfig {
   // pass, nodes dirtied by mutations since then are drained to the
   // registered index maintainer. 0 = refresh at every gossip tick.
   double index_refresh_period_us = 0.0;
-
-  // The storage-rebalancer policy the knobs above lower to. enabled() /
-  // replication_enabled() / active() on the result are the single source of
-  // truth for whether migration and/or replication run — the engine and
-  // every display/consumer derive it from here, never by re-testing the
-  // raw knobs.
-  RepartitionConfig MakeRepartitionConfig() const {
-    RepartitionConfig repartition;
-    repartition.threshold = repartition_threshold;
-    repartition.migration_cap = repartition_cap;
-    repartition.partitions_per_server = partitions_per_server;
-    repartition.replication_top_k = replication_top_k;
-    repartition.replica_demote_threshold = replica_demote_threshold;
-    repartition.max_replicas_per_partition = max_replicas_per_partition;
-    return repartition;
-  }
 };
 
 // One tenant's slice of a run (multi-tenant federation). Response
@@ -540,7 +498,7 @@ class ClusterEngine {
 
   // Whether the config enables storage-tier repartition rounds at all —
   // hot-partition migration, replication, or both.
-  bool repartition_enabled() const { return repartition_config_.active(); }
+  bool repartition_enabled() const { return config_.repartition.active(); }
 
   // Whether the storage side needs the periodic gossip tick: repartition
   // rounds or index maintenance ride it, and a zero period disables both.
@@ -622,8 +580,6 @@ class ClusterEngine {
   // its admission plan, and the counters the base class keeps.
   ClusterMetrics FillMetrics(const RunOutcome& run, const AdmissionPlan& plan) const;
 
-  // Lowered from config_: the storage rebalancer's controller policy.
-  RepartitionConfig repartition_config_;
   // Partitions moved / replica copies created / replica copies torn down so
   // far (written only by RepartitionRound's caller).
   uint64_t partitions_migrated_ = 0;

@@ -125,20 +125,19 @@ ClusterConfig ExperimentEnv::MakeClusterConfig(const RunOptions& options) {
   config.num_router_shards = options.router_shards;
   config.router_splitter = options.splitter;
   config.gossip_period_us = options.gossip_period_us;
-  config.router_rebalance_threshold = options.rebalance_threshold;
-  config.router_migration_cap = options.migration_cap;
-  config.repartition_threshold = options.repartition_threshold;
-  config.repartition_cap = options.repartition_cap;
-  config.partitions_per_server = options.partitions_per_server;
-  config.replication_top_k = options.replication_top_k;
-  config.replica_demote_threshold = options.replica_demote_threshold;
-  config.max_replicas_per_partition = options.max_replicas_per_partition;
+  config.router_rebalance.threshold = options.rebalance_threshold;
+  config.router_rebalance.migration_cap = options.migration_cap;
+  config.repartition.threshold = options.repartition_threshold;
+  config.repartition.migration_cap = options.repartition_cap;
+  config.repartition.partitions_per_server = options.partitions_per_server;
+  config.repartition.replication_top_k = options.replication_top_k;
+  config.repartition.replica_demote_threshold = options.replica_demote_threshold;
+  config.repartition.max_replicas_per_partition = options.max_replicas_per_partition;
   config.trace_sample_every_n = options.trace_sample_every_n;
   config.trace_buffer_capacity = options.trace_buffer_capacity;
   config.arrival_gap_us = options.arrival_gap_us;
   config.num_tenants = options.num_tenants;
-  config.tenant_quota_qps = options.tenant_quota_qps;
-  config.tenant_quota_burst = options.tenant_quota_burst;
+  config.admission = options.admission;
   config.enable_mutations = options.enable_mutations;
   config.index_refresh_period_us = options.index_refresh_period_us;
   return config;

@@ -62,26 +62,20 @@ struct RunOptions {
   // the load/EMA gossip between them (see src/frontend/).
   uint32_t router_shards = 1;
   SplitterKind splitter = SplitterKind::kRoundRobin;
-  double gossip_period_us = 200.0;
-  // Adaptive arrival re-splitting (splitter == kAdaptive): migration trigger
-  // ratio (<= 1 disables — adaptive then equals sticky) and per-round
-  // session cap.
-  double rebalance_threshold = 0.0;
-  uint32_t migration_cap = 8;
-  // Storage-tier adaptive repartitioning (src/partition/repartition.h):
-  // migration trigger ratio over per-server decayed access rates (<= 1
-  // disables — the tier then keeps the paper's static hash placement),
-  // per-round partition cap, and the virtual-partition granularity.
-  double repartition_threshold = 0.0;
-  uint32_t repartition_cap = 4;
-  uint32_t partitions_per_server = 8;
-  // Hot-partition replication riding the same planner rounds: promote the
-  // top-k hottest partitions to an extra replica (0 disables), demote
-  // replicas whose rate falls to or below this fraction of the average
-  // per-server load, and cap the extra copies a partition may hold.
-  uint32_t replication_top_k = 0;
-  double replica_demote_threshold = 0.1;
-  uint32_t max_replicas_per_partition = 2;
+  double gossip_period_us = ClusterConfig{}.gossip_period_us;
+  // The controller knobs below are flat mirrors of ClusterConfig's nested
+  // policies and default from them; see those structs for their meaning.
+  // Adaptive arrival re-splitting: ClusterConfig::router_rebalance.
+  double rebalance_threshold = RebalanceConfig{}.threshold;
+  uint32_t migration_cap = RebalanceConfig{}.migration_cap;
+  // Storage-tier repartitioning and hot-partition replication:
+  // ClusterConfig::repartition.
+  double repartition_threshold = RepartitionConfig{}.threshold;
+  uint32_t repartition_cap = RepartitionConfig{}.migration_cap;
+  uint32_t partitions_per_server = RepartitionConfig{}.partitions_per_server;
+  uint32_t replication_top_k = RepartitionConfig{}.replication_top_k;
+  double replica_demote_threshold = RepartitionConfig{}.replica_demote_threshold;
+  uint32_t max_replicas_per_partition = RepartitionConfig{}.max_replicas_per_partition;
   // Query-lifecycle tracing (src/obs/): record every Nth query's spans into
   // the engine's trace rings; 0 disables tracing, 1 traces every query.
   uint32_t trace_sample_every_n = 0;
@@ -103,13 +97,12 @@ struct RunOptions {
   int32_t hops = 2;
   size_t num_hotspots = PaperDefaults::kHotspots;
   size_t queries_per_hotspot = PaperDefaults::kQueriesPerHotspot;
-  // Multi-tenant graph federation: tenant keyspace count and per-tenant
-  // admission quota (qps of schedule time; <= 0 = no quota) with its token
-  // burst. Open-loop arrival timestamps need no switch: a query carrying
-  // Query::arrive_us >= 0 arrives at that instant on both engines.
+  // Multi-tenant graph federation: tenant keyspace count and the per-tenant
+  // admission quota (ClusterConfig::admission, copied as is). Open-loop
+  // arrival timestamps need no switch: a query carrying Query::arrive_us
+  // >= 0 arrives at that instant on both engines.
   uint32_t num_tenants = 1;
-  double tenant_quota_qps = 0.0;
-  double tenant_quota_burst = 32.0;
+  AdmissionConfig admission;
   // Online graph mutations (src/workload/mutations.h): enable the storage
   // tier's versioned write path, and — when num_mutations > 0 — generate a
   // deterministic edge-mutation schedule (seed = env seed ^ 0x66) spaced

@@ -6,18 +6,18 @@
 
 namespace grouting {
 
-TenantAdmission::TenantAdmission(const AdmissionConfig& config)
+TenantAdmission::TenantAdmission(const AdmissionConfig& config, uint32_t num_tenants)
     : config_(config),
-      tokens_(config.num_tenants, config.burst),
-      last_us_(config.num_tenants, 0.0),
-      admitted_(config.num_tenants, 0),
-      shed_(config.num_tenants, 0) {
-  GROUTING_CHECK(config_.num_tenants > 0);
+      tokens_(num_tenants, config.burst),
+      last_us_(num_tenants, 0.0),
+      admitted_(num_tenants, 0),
+      shed_(num_tenants, 0) {
+  GROUTING_CHECK(num_tenants > 0);
   GROUTING_CHECK(config_.burst >= 1.0);
 }
 
 bool TenantAdmission::Admit(uint32_t tenant, double arrive_us) {
-  GROUTING_CHECK(tenant < config_.num_tenants);
+  GROUTING_CHECK(tenant < tokens_.size());
   if (!config_.enabled()) {
     ++admitted_[tenant];
     return true;

@@ -13,13 +13,17 @@
 
 namespace grouting {
 
+// Per-tenant quota, held by ClusterConfig::admission.
 struct AdmissionConfig {
-  uint32_t num_tenants = 1;
-  // Sustained admitted rate per tenant, queries per second of schedule
-  // time. <= 0 disables admission control (everything is admitted).
+  // Sustained admitted rate per tenant, in queries per second of schedule
+  // time (virtual µs on the simulated engine; the same schedule paced in
+  // wall time on the threaded one). Over-quota arrivals are shed before
+  // reaching a router shard and counted (ClusterMetrics::queries_shed);
+  // in-quota arrivals are never dropped. <= 0 disables admission control
+  // (everything is admitted).
   double quota_qps = 0.0;
-  // Token-bucket depth, in queries: bursts this deep above the quota are
-  // absorbed before shedding starts.
+  // Token-bucket depth per tenant, in queries: bursts this deep above the
+  // quota are absorbed before shedding starts. Must be >= 1.
   double burst = 32.0;
 
   bool enabled() const { return quota_qps > 0.0; }
@@ -27,7 +31,8 @@ struct AdmissionConfig {
 
 class TenantAdmission {
  public:
-  explicit TenantAdmission(const AdmissionConfig& config);
+  // One token bucket per tenant id in [0, num_tenants).
+  TenantAdmission(const AdmissionConfig& config, uint32_t num_tenants);
 
   // Decides the arrival of `tenant` at schedule time `arrive_us`.
   // Timestamps must be non-decreasing per tenant (arrival schedules are

@@ -10,6 +10,12 @@
 
 namespace grouting {
 
+static_assert(kGossipMergeWeight > 0.0 && kGossipMergeWeight <= 1.0,
+              "the gossip blend weight must lie in (0, 1]");
+static_assert(RebalanceConfig::kStateCarryWeight > 0.0 &&
+                  RebalanceConfig::kStateCarryWeight <= 1.0,
+              "the migration carry weight must lie in (0, 1]");
+
 double CrossShardStateDivergence(std::span<const RoutingStrategy* const> shards) {
   if (shards.size() < 2) {
     return 0.0;
@@ -36,12 +42,10 @@ double CrossShardStateDivergence(std::span<const RoutingStrategy* const> shards)
   return total / static_cast<double>(pairs);
 }
 
-void GossipBlendStrategies(std::span<RoutingStrategy* const> shards,
-                           double merge_weight) {
-  if (shards.size() < 2 || merge_weight <= 0.0) {
+void GossipBlendStrategies(std::span<RoutingStrategy* const> shards) {
+  if (shards.size() < 2) {
     return;
   }
-  GROUTING_CHECK(merge_weight <= 1.0);
   bool stateful = false;
   for (const RoutingStrategy* s : shards) {
     stateful |= !s->GossipState().empty();
@@ -57,12 +61,12 @@ void GossipBlendStrategies(std::span<RoutingStrategy* const> shards,
     snapshots.push_back(std::move(snap));
   }
   // Target blend for shard i: (1 - (N-1)w) * own + w * sum(sibling snapshots)
-  // with uniform w = merge_weight / N. MergeRemoteState is pairwise and
+  // with uniform w = kGossipMergeWeight / N. MergeRemoteState is pairwise and
   // sequential, which left alone would weight later siblings geometrically
   // more; merging sibling k of m with corrected weight w / (1 - (m-k)w)
   // yields exactly the uniform target (and is what keeps the round
   // symmetric and order-independent, as gossip.h promises).
-  const double w = merge_weight / static_cast<double>(shards.size());
+  const double w = kGossipMergeWeight / static_cast<double>(shards.size());
   for (size_t i = 0; i < shards.size(); ++i) {
     const size_t m = shards.size() - 1;
     size_t k = 1;
@@ -77,12 +81,10 @@ void GossipBlendStrategies(std::span<RoutingStrategy* const> shards,
 }
 
 void ApplyMigrationCarry(std::span<RoutingStrategy* const> shards,
-                         std::span<const SessionMigration> migrations,
-                         double weight) {
-  if (migrations.empty() || weight <= 0.0) {
+                         std::span<const SessionMigration> migrations) {
+  if (migrations.empty()) {
     return;
   }
-  GROUTING_CHECK(weight <= 1.0);
   std::vector<std::pair<uint32_t, uint32_t>> pairs;  // tiny: linear dedupe
   for (const SessionMigration& m : migrations) {
     const auto pair = std::make_pair(m.from, m.to);
@@ -91,7 +93,7 @@ void ApplyMigrationCarry(std::span<RoutingStrategy* const> shards,
     }
   }
   for (const auto& [from, to] : pairs) {
-    shards[to]->MergeRemoteState(*shards[from], weight);
+    shards[to]->MergeRemoteState(*shards[from], RebalanceConfig::kStateCarryWeight);
   }
 }
 

@@ -12,9 +12,9 @@
 //   2. every shard receives the sum of its siblings' queue snapshots as a
 //      remote-load view (Router::SetRemoteLoad),
 //   3. every shard blends each sibling's state snapshot in with weight
-//      merge_weight / num_shards (RoutingStrategy::MergeRemoteState) — the
-//      1/num_shards scaling keeps the blend a contraction for any
-//      merge_weight in (0, 1], so divergence shrinks instead of
+//      kGossipMergeWeight / num_shards (RoutingStrategy::MergeRemoteState)
+//      — the 1/num_shards scaling keeps the blend a contraction for any
+//      merge weight in (0, 1], so divergence shrinks instead of
 //      oscillating.
 //
 // The engines drive the period: the simulated engine schedules gossip as
@@ -32,13 +32,8 @@
 
 namespace grouting {
 
-struct GossipConfig {
-  // Time between gossip rounds (virtual µs on the simulated engine,
-  // wall-clock µs on the threaded one). 0 disables gossip.
-  double period_us = 200.0;
-  // Blend weight for sibling state at a gossip round, in [0, 1].
-  double merge_weight = 0.5;
-};
+// Blend weight for sibling state at a gossip round, in (0, 1].
+inline constexpr double kGossipMergeWeight = 0.5;
 
 struct GossipStats {
   uint64_t rounds = 0;
@@ -53,20 +48,19 @@ double CrossShardStateDivergence(std::span<const RoutingStrategy* const> shards)
 
 // One state-blend round over the shard strategies: snapshot all shards via
 // Clone(), then merge every sibling snapshot into every shard with an
-// effective uniform weight of merge_weight / shards.size() each. No-op when
-// every shard's GossipState is empty (stateless strategies).
-void GossipBlendStrategies(std::span<RoutingStrategy* const> shards,
-                           double merge_weight);
+// effective uniform weight of kGossipMergeWeight / shards.size() each. No-op
+// when every shard's GossipState is empty (stateless strategies).
+void GossipBlendStrategies(std::span<RoutingStrategy* const> shards);
 
 // Strategy-state carry for a rebalance round's session migrations: the
 // destination shard merges the source shard's state ONCE per unique
-// (from, to) pair — merging per migrated session would compound the blend
-// and a storm of same-pair migrations would wipe the destination's own
-// adaptive state. Shared by RouterFleet::RebalanceRound and the threaded
-// engine's gossip tick so the two engines' carry semantics cannot drift.
+// (from, to) pair, with weight RebalanceConfig::kStateCarryWeight — merging
+// per migrated session would compound the blend and a storm of same-pair
+// migrations would wipe the destination's own adaptive state. Shared by
+// RouterFleet::RebalanceRound and the threaded engine's gossip tick so the
+// two engines' carry semantics cannot drift.
 void ApplyMigrationCarry(std::span<RoutingStrategy* const> shards,
-                         std::span<const SessionMigration> migrations,
-                         double weight);
+                         std::span<const SessionMigration> migrations);
 
 }  // namespace grouting
 

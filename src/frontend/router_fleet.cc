@@ -9,7 +9,7 @@ RouterFleet::RouterFleet(std::unique_ptr<RoutingStrategy> strategy,
                          uint32_t num_processors, FleetConfig config)
     : config_(config),
       num_processors_(num_processors),
-      splitter_(config.splitter, config.num_shards, config.session_capacity) {
+      splitter_(config.splitter, config.num_shards) {
   GROUTING_CHECK(strategy != nullptr);
   GROUTING_CHECK(config_.num_shards > 0);
   std::vector<std::unique_ptr<RoutingStrategy>> strategies;
@@ -102,7 +102,7 @@ void RouterFleet::GossipRound() {
   for (auto& shard : shards_) {
     strategies.push_back(&shard->strategy());
   }
-  GossipBlendStrategies(strategies, config_.gossip.merge_weight);
+  GossipBlendStrategies(strategies);
 
   gossip_stats_.last_divergence_after = CurrentEmaDivergence();
   gossip_stats_.rounds += 1;
@@ -127,7 +127,7 @@ size_t RouterFleet::RebalanceRound() {
   for (auto& shard : shards_) {
     strategies.push_back(&shard->strategy());
   }
-  ApplyMigrationCarry(strategies, migrations, config_.rebalance.state_carry_weight);
+  ApplyMigrationCarry(strategies, migrations);
   return migrations.size();
 }
 

@@ -37,11 +37,15 @@
 namespace grouting {
 
 struct FleetConfig {
+  // Shared-nothing router shards the arrival stream is split across.
   uint32_t num_shards = 1;
+  // How arrivals are split across shards (sessions are bounded at
+  // ArrivalSplitter::kDefaultSessionCapacity).
   SplitterKind splitter = SplitterKind::kRoundRobin;
-  uint32_t session_capacity = ArrivalSplitter::kDefaultSessionCapacity;
   RouterConfig router;  // per-shard router config (stealing)
-  GossipConfig gossip;
+  // Time between load/EMA gossip rounds (virtual µs on the simulated
+  // engine, which drives GossipRound). 0 disables gossip.
+  double gossip_period_us = 200.0;
   // Adaptive re-splitting of the arrival stream (splitter == kAdaptive):
   // each gossip round may migrate hot sessions off the most-loaded shard.
   RebalanceConfig rebalance;
@@ -58,7 +62,7 @@ class RouterFleet {
   uint32_t num_shards() const { return static_cast<uint32_t>(shards_.size()); }
   uint32_t num_processors() const { return num_processors_; }
   bool gossip_enabled() const {
-    return num_shards() > 1 && config_.gossip.period_us > 0.0;
+    return num_shards() > 1 && config_.gossip_period_us > 0.0;
   }
   const FleetConfig& config() const { return config_; }
 

@@ -8,6 +8,9 @@
 
 namespace grouting {
 
+static_assert(RebalanceConfig::kHysteresis > 0.0 && RebalanceConfig::kHysteresis <= 1.0,
+              "the hysteresis water mark must lie in (0, 1]");
+
 std::string SplitterKindName(SplitterKind kind) {
   switch (kind) {
     case SplitterKind::kRoundRobin:
@@ -94,7 +97,6 @@ std::vector<SessionMigration> ArrivalSplitter::Rebalance(
     return migrations;
   }
   GROUTING_CHECK(shard_loads.size() == num_shards_);
-  GROUTING_CHECK(config.hysteresis > 0.0 && config.hysteresis <= 1.0);
   GROUTING_CHECK(config.load_decay >= 0.0 && config.load_decay < 1.0);
   stats_.rebalance_rounds += 1;
 
@@ -117,7 +119,8 @@ std::vector<SessionMigration> ArrivalSplitter::Rebalance(
   const auto ratio = [&](uint32_t hi, uint32_t lo) {
     return (recent_load_[hi] + 1.0) / (recent_load_[lo] + 1.0);
   };
-  const double stop_ratio = std::max(1.0, config.hysteresis * config.threshold);
+  const double stop_ratio =
+      std::max(1.0, RebalanceConfig::kHysteresis * config.threshold);
 
   bool triggered = false;
   while (migrations.size() < config.migration_cap) {

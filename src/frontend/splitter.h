@@ -47,17 +47,16 @@ enum class SplitterKind {
 
 std::string SplitterKindName(SplitterKind kind);
 
-// Adaptive re-splitting policy (kAdaptive only; ignored otherwise).
+// Adaptive re-splitting policy (kAdaptive only; ignored otherwise), held by
+// ClusterConfig::router_rebalance.
 struct RebalanceConfig {
   // Trigger: migrate when (max+1)/(min+1) over the shards' effective routed
   // loads exceeds this ratio. <= 1 (or infinity) disables migration, which
-  // makes kAdaptive decision-identical to kSticky.
+  // makes kAdaptive decision-identical to kSticky. Rebalance rides the
+  // gossip round, so it also needs a gossip period > 0.
   double threshold = 0.0;
-  // At most this many sessions move per Rebalance() round.
+  // At most this many sessions move per Rebalance() round (anti-thrash cap).
   uint32_t migration_cap = 8;
-  // Once triggered, migrate down to hysteresis * threshold (a lower water
-  // mark in (0, 1]) so the next round does not immediately re-trigger.
-  double hysteresis = 0.9;
   // Per-round decay of the load signal, in [0, 1). Each Rebalance() rolls
   // the snapshot's per-shard delta into an EWMA — the controller reacts to
   // recent ARRIVAL RATE, not to the whole run's cumulative counts (which
@@ -68,10 +67,13 @@ struct RebalanceConfig {
   // windows carry mostly sampling noise; without the floor the controller
   // thrashes sessions chasing it.
   double noise_sigmas = 3.0;
+  // Once triggered, migrate down to kHysteresis * threshold (a lower water
+  // mark in (0, 1]) so the next round does not immediately re-trigger.
+  static constexpr double kHysteresis = 0.9;
   // Strategy-state carry on migration: the destination shard merges the
   // source shard's gossip state with this weight (MergeRemoteState), so an
   // EmbedStrategy receiving a migrated session does not restart cold.
-  double state_carry_weight = 0.5;
+  static constexpr double kStateCarryWeight = 0.5;
 
   bool enabled() const {
     return threshold > 1.0 && threshold < 1e30 && migration_cap > 0;

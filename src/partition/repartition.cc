@@ -8,6 +8,12 @@
 
 namespace grouting {
 
+static_assert(RepartitionConfig::kHysteresis > 0.0 &&
+                  RepartitionConfig::kHysteresis <= 1.0,
+              "the hysteresis water mark must lie in (0, 1]");
+static_assert(RepartitionConfig::kLoadDecay >= 0.0 && RepartitionConfig::kLoadDecay < 1.0,
+              "the rate decay must lie in [0, 1)");
+
 PartitionMap::PartitionMap(uint32_t num_partitions, uint32_t num_servers,
                            uint32_t hash_seed)
     : num_partitions_(num_partitions), num_servers_(num_servers), hash_seed_(hash_seed) {
@@ -124,7 +130,6 @@ std::vector<PartitionMigration> PlanRepartition(const PartitionMap& map,
     return migrations;
   }
   GROUTING_CHECK(rates.size() == map.num_partitions());
-  GROUTING_CHECK(config.hysteresis > 0.0 && config.hysteresis <= 1.0);
 
   // Working copy: planned moves shift load between servers immediately, so
   // one round never double-moves against a stale picture. A replicated
@@ -145,7 +150,8 @@ std::vector<PartitionMigration> PlanRepartition(const PartitionMap& map,
   const auto ratio = [&](uint32_t hi, uint32_t lo) {
     return (server_load[hi] + 1.0) / (server_load[lo] + 1.0);
   };
-  const double stop_ratio = std::max(1.0, config.hysteresis * config.threshold);
+  const double stop_ratio =
+      std::max(1.0, RepartitionConfig::kHysteresis * config.threshold);
 
   bool triggered = false;
   while (migrations.size() < config.migration_cap) {
@@ -161,8 +167,8 @@ std::vector<PartitionMigration> PlanRepartition(const PartitionMap& map,
     }
     const double r = ratio(hottest, coolest);
     const double gap = server_load[hottest] - server_load[coolest];
-    const double gap_floor =
-        config.noise_sigmas * std::sqrt(std::max(server_load[hottest], 1.0));
+    const double gap_floor = RepartitionConfig::kNoiseSigmas *
+                             std::sqrt(std::max(server_load[hottest], 1.0));
     if (gap <= gap_floor) {
       break;  // the spread is within sampling noise: not actionable skew
     }
@@ -278,7 +284,8 @@ ReplicationPlan PlanReplication(const PartitionMap& map,
   const double imbalance_gate = std::max(config.threshold, 1.0);
   const double avg_partition = total / static_cast<double>(num_partitions);
   const double hot_floor =
-      std::max(config.noise_sigmas, config.replica_hot_fraction * avg_partition);
+      std::max(RepartitionConfig::kNoiseSigmas,
+               RepartitionConfig::kReplicaHotFraction * avg_partition);
   std::vector<uint32_t> order(num_partitions);
   for (uint32_t q = 0; q < num_partitions; ++q) {
     order[q] = q;

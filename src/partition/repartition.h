@@ -57,34 +57,40 @@
 
 namespace grouting {
 
-// Controller policy for the storage-tier rebalancer. Threshold and cap are
-// surfaced as ClusterConfig / CLI knobs; the rest are tuned defaults shared
-// with the router rebalancer's controller.
+// Controller policy for the storage-tier rebalancer, held by
+// ClusterConfig::repartition. The settable fields are the ones benches and
+// tests sweep; the k-constants are tuned values shared with the router
+// rebalancer's controller.
 struct RepartitionConfig {
   // Trigger: migrate when (max+1)/(min+1) over the servers' decayed access
   // rates exceeds this ratio. <= 1 (or infinity) disables repartitioning
-  // entirely — the tier then behaves exactly as before this subsystem.
+  // entirely — the tier then keeps the paper's static hash placement,
+  // byte-identical to the design without this subsystem.
   double threshold = 0.0;
   // At most this many partitions move per repartition round.
   uint32_t migration_cap = 4;
-  // Virtual partitions per storage server (P = this x num_servers). More
-  // partitions = finer-grained moves at a larger map.
+  // Virtual partitions per storage server (P = this x num_servers): the
+  // migration granularity. More partitions = finer-grained moves at a
+  // larger map. The initial partition->server layout reproduces hash
+  // placement exactly.
   uint32_t partitions_per_server = 8;
-  // Once triggered, migrate down to hysteresis * threshold (a lower water
+  // Once triggered, migrate down to kHysteresis * threshold (a lower water
   // mark in (0, 1]) so the next round does not immediately re-trigger.
-  double hysteresis = 0.9;
+  static constexpr double kHysteresis = 0.9;
   // Per-round decay of the monitor's rate estimates, in [0, 1): the
   // controller reacts to the RECENT access rate, not cumulative counts.
-  double load_decay = 0.8;
+  static constexpr double kLoadDecay = 0.8;
   // Noise floor: migrate only while the hot-cold server gap exceeds this
   // many Poisson sigmas (sqrt of the hottest server's recent load), so
   // short windows of sampling jitter never thrash partitions.
-  double noise_sigmas = 3.0;
+  static constexpr double kNoiseSigmas = 3.0;
 
   // --- Hot-partition replication (PlanReplication) ----------------------
   // Promote up to this many of the hottest partitions to one extra replica
-  // per round. 0 disables replication entirely — the read path then reduces
-  // to plain owner routing, bit-identical to the pre-replication tier.
+  // per round; reads then fan across {primary + replicas} via
+  // power-of-two-choices on server load. 0 disables replication entirely —
+  // the read path then reduces to plain owner routing, bit-identical to
+  // the migration-only tier.
   uint32_t replication_top_k = 0;
   // Demote one replica per round from any replicated partition whose
   // decayed rate has fallen to or below this fraction of the average
@@ -99,7 +105,7 @@ struct RepartitionConfig {
   // at any partitions_per_server: a uniform workload sits at 1.0x by
   // construction. The gap between this and replica_demote_threshold is the
   // promotion/demotion hysteresis band.
-  double replica_hot_fraction = 2.0;
+  static constexpr double kReplicaHotFraction = 2.0;
 
   bool enabled() const {
     return threshold > 1.0 && threshold < 1e30 && migration_cap > 0 &&
@@ -272,7 +278,7 @@ std::vector<PartitionMigration> PlanRepartition(const PartitionMap& map,
 // The replication controller: demote one replica from every replicated
 // partition that has gone cold (rate <= replica_demote_threshold x average
 // per-server load), then promote the top replication_top_k hottest
-// partitions (rate >= replica_hot_fraction x the average per-partition
+// partitions (rate >= kReplicaHotFraction x the average per-partition
 // rate, above the noise floor) to one extra replica each on the
 // least-loaded server not already
 // holding them. Pure, like PlanRepartition: the map is not mutated; server

@@ -380,8 +380,7 @@ QueryProcessor::QueryProcessor(uint32_t id, StorageTier* storage,
                                                           config.cache_policy);
   }
   source_ = std::make_unique<CachedStorageSource>(
-      storage, cache_.get(), config.max_inflight_batches,
-      config.cache_compressed, config.tenant_stride);
+      storage, cache_.get(), config.max_inflight_batches, config.cache_compressed);
 }
 
 QueryResult QueryProcessor::Execute(const Query& q) {

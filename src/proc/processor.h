@@ -82,25 +82,17 @@ struct ProcessorConfig {
   // edges the query reads. The decode reuses a pooled entry's vectors, so a
   // hit allocates only when those must grow or shrink.
   bool cache_compressed = false;
-  // Multi-tenant federation: keyspace stride (the graph's node count; set
-  // by the engine when ClusterConfig::num_tenants > 1). A query from tenant
-  // t reads storage and cache under keys node + t * stride while traversal,
-  // results, and batch positions stay in the tenant-local id space.
-  // 0 = single tenant, identity mapping.
-  NodeId tenant_stride = 0;
 };
 
 // NodeDataSource that fronts the storage tier with a processor-local cache.
 class CachedStorageSource : public NodeDataSource {
  public:
   CachedStorageSource(StorageTier* storage, NodeCache<CachedAdjacency>* cache,
-                      uint32_t max_inflight_batches = 1, bool cache_compressed = false,
-                      NodeId tenant_stride = 0)
+                      uint32_t max_inflight_batches = 1, bool cache_compressed = false)
       : storage_(storage),
         cache_(cache),
         window_(max_inflight_batches == 0 ? 1 : max_inflight_batches),
-        cache_compressed_(cache_compressed),
-        tenant_stride_(tenant_stride) {
+        cache_compressed_(cache_compressed) {
     GROUTING_CHECK(storage_ != nullptr);
   }
 
@@ -125,10 +117,12 @@ class CachedStorageSource : public NodeDataSource {
   void set_tracer(WallTracer* tracer) { tracer_ = tracer; }
 
   // Selects the tenant keyspace for subsequent fetches: storage and cache
-  // keys become node + tenant * tenant_stride. Tenant 0 (or stride 0) is
-  // the identity mapping — the classic single-tenant path.
+  // keys become node + tenant * StorageTier::keyspace_stride() while
+  // traversal, results, and batch positions stay in the tenant-local id
+  // space. Tenant 0 (or a single-tenant tier, stride 0) is the identity
+  // mapping — the classic single-tenant path.
   void set_tenant(uint32_t tenant) {
-    tenant_offset_ = static_cast<NodeId>(tenant) * tenant_stride_;
+    tenant_offset_ = static_cast<NodeId>(tenant) * storage_->keyspace_stride();
   }
 
  private:
@@ -172,7 +166,6 @@ class CachedStorageSource : public NodeDataSource {
   NodeCache<CachedAdjacency>* cache_;  // nullptr = no-cache mode
   uint32_t window_;
   bool cache_compressed_;
-  NodeId tenant_stride_ = 0;
   NodeId tenant_offset_ = 0;
   BatchFetchExecutor* executor_ = nullptr;
   WallTracer* tracer_ = nullptr;

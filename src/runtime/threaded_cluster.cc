@@ -44,6 +44,26 @@ void BusyWaitUs(double us) {
   }
 }
 
+// Paces the calling thread to `offset_us` after `epoch`: sleeps coarse
+// while the target is more than 200 µs away, then spins the last stretch
+// (sleeping alone would overshoot by scheduler quanta). The spin gives up
+// early once `keep_waiting()` turns false.
+template <typename KeepWaiting>
+void PaceTo(std::chrono::steady_clock::time_point epoch, double offset_us,
+            KeepWaiting keep_waiting) {
+  using Clock = std::chrono::steady_clock;
+  const auto target =
+      epoch + std::chrono::nanoseconds(static_cast<int64_t>(offset_us * 1000.0));
+  auto now = Clock::now();
+  if (target - now > std::chrono::microseconds(200)) {
+    std::this_thread::sleep_until(target - std::chrono::microseconds(100));
+    now = Clock::now();
+  }
+  while (now < target && keep_waiting()) {
+    now = Clock::now();
+  }
+}
+
 double ElapsedUs(std::chrono::steady_clock::time_point from,
                  std::chrono::steady_clock::time_point to) {
   return std::chrono::duration<double, std::micro>(to - from).count();
@@ -57,8 +77,6 @@ ThreadedCluster::ThreadedCluster(const Graph& graph, const ClusterConfig& config
     : ClusterEngine(graph, config, placement),
       splitter_(config.router_splitter, config.num_router_shards) {
   GROUTING_CHECK(strategy != nullptr);
-  rebalance_.threshold = config_.router_rebalance_threshold;
-  rebalance_.migration_cap = config_.router_migration_cap;
   adaptive_ = config_.num_router_shards > 1 &&
               config_.router_splitter == SplitterKind::kAdaptive;
   shards_.reserve(config_.num_router_shards);
@@ -164,17 +182,7 @@ void ThreadedCluster::FeederLoop(std::span<const Query> queries,
       break;
     }
     if (q.arrive_us >= 0.0) {
-      const auto target =
-          epoch + std::chrono::nanoseconds(
-                      static_cast<int64_t>(q.arrive_us * 1000.0));
-      auto now = Clock::now();
-      if (target - now > std::chrono::microseconds(200)) {
-        std::this_thread::sleep_until(target - std::chrono::microseconds(100));
-        now = Clock::now();
-      }
-      while (now < target) {
-        now = Clock::now();
-      }
+      PaceTo(epoch, q.arrive_us, [] { return true; });
     } else {
       BusyWaitUs(config_.arrival_gap_us);
     }
@@ -236,30 +244,31 @@ void ThreadedCluster::WriterLoop(Clock::time_point epoch) {
       break;  // destructor teardown mid-run: abandon the schedule
     }
     if (remaining_.load(std::memory_order_acquire) > 0) {
-      // Same pacing discipline as the feeder: sleep coarse, spin the last
-      // stretch to the entry's offset from the run epoch. A drained run
-      // (remaining_ == 0) stops pacing — the tail of the schedule applies
-      // back to back so both engines still apply every entry.
-      const auto target =
-          epoch +
-          std::chrono::nanoseconds(static_cast<int64_t>(m.apply_us * 1000.0));
-      auto now = Clock::now();
-      if (target - now > std::chrono::microseconds(200)) {
-        std::this_thread::sleep_until(target - std::chrono::microseconds(100));
-        now = Clock::now();
-      }
-      while (now < target && remaining_.load(std::memory_order_acquire) > 0) {
-        now = Clock::now();
-      }
+      // Same pacing as the feeder, to the entry's offset from the run
+      // epoch. A drained run (remaining_ == 0) stops pacing — the tail of
+      // the schedule applies back to back so both engines still apply
+      // every entry.
+      PaceTo(epoch, m.apply_us,
+             [this] { return remaining_.load(std::memory_order_acquire) > 0; });
     }
     ApplyOneMutation(m);
   }
 }
 
+std::vector<std::unique_lock<std::mutex>> ThreadedCluster::LockAllShards() {
+  std::vector<std::unique_lock<std::mutex>> locks;
+  locks.reserve(shards_.size());
+  for (auto& shard : shards_) {
+    locks.emplace_back(shard->mu);
+  }
+  return locks;
+}
+
 void ThreadedCluster::GossipLoop() {
   const auto period =
       std::chrono::duration<double, std::micro>(config_.gossip_period_us);
-  const bool rebalance = adaptive_ && rebalance_.enabled();
+  const RebalanceConfig& rebalance_config = config_.router_rebalance;
+  const bool rebalance = adaptive_ && rebalance_config.enabled();
   // Time base for the index-refresh period gate (wall µs since the loop
   // started — only differences are compared, so the epoch choice is free).
   const auto gossip_epoch = Clock::now();
@@ -278,17 +287,11 @@ void ThreadedCluster::GossipLoop() {
       break;
     }
     if (router_gossip_) {
-      // One tick: take every shard's mutex (fixed order — other threads
-      // only ever hold one at a time, so no deadlock) and run the SAME
-      // blend the sim fleet runs, so the two engines' gossip semantics
-      // cannot drift.
-      std::vector<std::unique_lock<std::mutex>> locks;
-      locks.reserve(shards_.size());
-      for (auto& shard : shards_) {
-        locks.emplace_back(shard->mu);
-      }
+      // One tick: hold every shard's mutex and run the SAME blend the sim
+      // fleet runs, so the two engines' gossip semantics cannot drift.
+      const auto locks = LockAllShards();
       gossip_stats_.last_divergence_before = CrossShardStateDivergence(const_views);
-      GossipBlendStrategies(views, GossipConfig{}.merge_weight);
+      GossipBlendStrategies(views);
       gossip_stats_.last_divergence_after = CrossShardStateDivergence(const_views);
       gossip_stats_.rounds += 1;
     }
@@ -311,12 +314,8 @@ void ThreadedCluster::GossipLoop() {
       // other controller. The maintainer may touch routing-strategy index
       // state (landmark distances, embedding coordinates), so the pass
       // runs with EVERY shard mutex held — race-free against Route() on
-      // the shard threads, same fixed-order locking as the blend above.
-      std::vector<std::unique_lock<std::mutex>> locks;
-      locks.reserve(shards_.size());
-      for (auto& shard : shards_) {
-        locks.emplace_back(shard->mu);
-      }
+      // the shard threads.
+      const auto locks = LockAllShards();
       RunIndexMaintenance(ElapsedUs(gossip_epoch, Clock::now()));
     }
     if (rebalance && !arrivals_done_.load(std::memory_order_acquire)) {
@@ -333,15 +332,11 @@ void ThreadedCluster::GossipLoop() {
       std::vector<SessionMigration> migrations;
       {
         std::lock_guard<std::mutex> splitter_lock(splitter_mu_);
-        migrations = splitter_.Rebalance(loads, rebalance_);
+        migrations = splitter_.Rebalance(loads, rebalance_config);
       }
       if (!migrations.empty()) {
-        std::vector<std::unique_lock<std::mutex>> locks;
-        locks.reserve(shards_.size());
-        for (auto& shard : shards_) {
-          locks.emplace_back(shard->mu);
-        }
-        ApplyMigrationCarry(views, migrations, rebalance_.state_carry_weight);
+        const auto locks = LockAllShards();
+        ApplyMigrationCarry(views, migrations);
         sessions_migrated_.fetch_add(migrations.size(), std::memory_order_relaxed);
       }
     }
@@ -405,7 +400,7 @@ ThreadedCluster::RunOutcome ThreadedCluster::Execute(std::span<const Query> quer
   // touch the strategies.
   router_gossip_ = num_shards > 1 && config_.gossip_period_us > 0.0 &&
                    (!shards_[0]->strategy->GossipState().empty() ||
-                    (adaptive_ && rebalance_.enabled()));
+                    (adaptive_ && config_.router_rebalance.enabled()));
   const bool gossip = router_gossip_ || storage_tick_enabled();
 
   const auto start = Clock::now();

@@ -102,6 +102,11 @@ class ThreadedCluster : public ClusterEngine {
   // schedule entry is applied exactly once on both engines.
   void WriterLoop(Clock::time_point epoch);
   bool StealInto(uint32_t thief, Routed* out);
+  // Takes every router shard's mutex in shard order. Other threads only
+  // ever hold one shard mutex at a time, so the fixed order cannot
+  // deadlock; the gossip tick holds all of them while it touches strategy
+  // state.
+  std::vector<std::unique_lock<std::mutex>> LockAllShards();
 
   // One router shard: its own strategy instance behind its own mutex. The
   // mutex is uncontended outside gossip ticks and steal feedback.
@@ -134,7 +139,6 @@ class ThreadedCluster : public ClusterEngine {
   // tick (the adaptive splitter's Rebalance) behind splitter_mu_.
   ArrivalSplitter splitter_;
   std::mutex splitter_mu_;
-  RebalanceConfig rebalance_;
   bool adaptive_;  // adaptive splitter: rebalance at gossip ticks
   std::vector<std::unique_ptr<MpmcQueue<Query>>> arrival_channels_;
   std::thread writer_thread_;

@@ -13,9 +13,8 @@ DecoupledClusterSim::DecoupledClusterSim(const Graph& graph, const ClusterConfig
   fc.num_shards = config_.num_router_shards;
   fc.splitter = config_.router_splitter;
   fc.router.enable_stealing = config_.enable_stealing;
-  fc.gossip.period_us = config_.gossip_period_us;
-  fc.rebalance.threshold = config_.router_rebalance_threshold;
-  fc.rebalance.migration_cap = config_.router_migration_cap;
+  fc.gossip_period_us = config_.gossip_period_us;
+  fc.rebalance = config_.router_rebalance;
   fleet_ = std::make_unique<RouterFleet>(std::move(strategy), config_.num_processors, fc);
   in_flight_.resize(config_.num_processors);
   processor_idle_.assign(config_.num_processors, 1);

@@ -52,39 +52,17 @@ StorageTier::StorageTier(size_t num_servers, uint32_t hash_seed) : hasher_(hash_
   }
 }
 
-void StorageTier::LoadGraph(const Graph& g) {
-  explicit_placement_.clear();
-  if (partition_map_ != nullptr) {
-    partition_keys_.assign(partition_map_->num_partitions(), {});
-  }
-  const uint64_t stride = g.num_nodes();
-  GROUTING_CHECK_MSG(
-      static_cast<uint64_t>(num_tenants_) * stride <=
-          static_cast<uint64_t>(kInvalidNode),
-      "tenant keyspaces overflow the node-id space");
-  for (NodeId u = 0; u < g.num_nodes(); ++u) {
-    const BlobPtr blob = MakeBlob(EncodeAdjacency(g, u, encoding_));
-    // Encoded once, then written into every tenant's keyspace at the offset
-    // key u + t * num_nodes — so placement, repartitioning, and replication
-    // all operate on global keys with no tenant-specific code below here.
-    for (uint32_t t = 0; t < num_tenants_; ++t) {
-      const NodeId key =
-          static_cast<NodeId>(static_cast<uint64_t>(u) + t * stride);
-      logical_bytes_loaded_ += g.AdjacencyBytes(u);
-      encoded_bytes_loaded_ += blob->size();
-      servers_[ServerOf(key)]->Load(key, blob);
-      if (partition_map_ != nullptr) {
-        partition_keys_[partition_map_->PartitionOf(key)].push_back(key);
-      }
-    }
-  }
-}
+void StorageTier::LoadGraph(const Graph& g) { LoadKeyspaces(g, {}); }
 
 void StorageTier::LoadGraphSubset(const Graph& g, std::span<const uint8_t> keep) {
   GROUTING_CHECK(keep.size() == g.num_nodes());
   GROUTING_CHECK_MSG(mutations_enabled(),
                      "LoadGraphSubset requires EnableMutations (the withheld "
                      "nodes can only materialise through ApplyMutation)");
+  LoadKeyspaces(g, keep);
+}
+
+void StorageTier::LoadKeyspaces(const Graph& g, std::span<const uint8_t> keep) {
   explicit_placement_.clear();
   if (partition_map_ != nullptr) {
     partition_keys_.assign(partition_map_->num_partitions(), {});
@@ -94,9 +72,13 @@ void StorageTier::LoadGraphSubset(const Graph& g, std::span<const uint8_t> keep)
       static_cast<uint64_t>(num_tenants_) * stride <=
           static_cast<uint64_t>(kInvalidNode),
       "tenant keyspaces overflow the node-id space");
+  keyspace_stride_ = num_tenants_ > 1 ? static_cast<NodeId>(stride) : 0;
   for (NodeId u = 0; u < g.num_nodes(); ++u) {
-    const BlobPtr blob =
-        keep[u] != 0 ? MakeBlob(EncodeAdjacency(g, u, encoding_)) : nullptr;
+    // Encoded once, then written into every tenant's keyspace at the offset
+    // key u + t * num_nodes — so placement, repartitioning, and replication
+    // all operate on global keys with no tenant-specific code below here.
+    const bool present = keep.empty() || keep[u] != 0;
+    const BlobPtr blob = present ? MakeBlob(EncodeAdjacency(g, u, encoding_)) : nullptr;
     for (uint32_t t = 0; t < num_tenants_; ++t) {
       const NodeId key =
           static_cast<NodeId>(static_cast<uint64_t>(u) + t * stride);
@@ -106,7 +88,7 @@ void StorageTier::LoadGraphSubset(const Graph& g, std::span<const uint8_t> keep)
       if (partition_map_ != nullptr) {
         partition_keys_[partition_map_->PartitionOf(key)].push_back(key);
       }
-      if (keep[u] == 0) {
+      if (!present) {
         continue;
       }
       logical_bytes_loaded_ += g.AdjacencyBytes(u);

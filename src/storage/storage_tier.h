@@ -250,6 +250,10 @@ class StorageTier {
     num_tenants_ = num_tenants;
   }
   uint32_t num_tenants() const { return num_tenants_; }
+  // Key distance between consecutive tenant keyspaces: the loaded graph's
+  // node count when more than one tenant is loaded, else 0 (every tenant
+  // id maps to the single keyspace).
+  NodeId keyspace_stride() const { return keyspace_stride_; }
 
   // No-op. Servers ship blobs and never decode, so there is no mode to set;
   // kept only because bench/e2e/layer_timing.cc still calls it. Delete it
@@ -395,6 +399,11 @@ class StorageTier {
   uint64_t ApplyMutation(const GraphMutation& m);
 
  private:
+  // The load loop behind LoadGraph(g) and LoadGraphSubset: writes every
+  // node's blob into each tenant keyspace (only nodes with keep[u] != 0
+  // when `keep` is non-empty) and registers every key, withheld ones too,
+  // with its partition.
+  void LoadKeyspaces(const Graph& g, std::span<const uint8_t> keep);
   // Unlocked bodies; the public entry points (and ApplyMutation) hold
   // write_mu_. MigratePartitionLocked tears down replicas via
   // RemoveReplicaLocked, which is why the lock cannot simply be recursive
@@ -414,6 +423,7 @@ class StorageTier {
   HashPartitioner hasher_;
   AdjacencyEncoding encoding_ = AdjacencyEncoding::kRaw;
   uint32_t num_tenants_ = 1;
+  NodeId keyspace_stride_ = 0;
   uint64_t logical_bytes_loaded_ = 0;
   uint64_t encoded_bytes_loaded_ = 0;
   // Empty when hash placement is in effect.

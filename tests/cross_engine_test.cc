@@ -82,8 +82,8 @@ TEST_F(CrossEngineTest, IdenticalAnswersForEveryScheme) {
     RunOptions opts = SmallRun(scheme);
     opts.num_tenants = 2;
     opts.arrival_gap_us = 1.0;
-    opts.tenant_quota_qps = 250000.0;
-    opts.tenant_quota_burst = 8.0;
+    opts.admission.quota_qps = 250000.0;
+    opts.admission.burst = 8.0;
     opts.enable_mutations = true;
     opts.adjacency_encoding = AdjacencyEncoding::kDeltaVarint;
     const ClusterConfig config = env_->MakeClusterConfig(opts);

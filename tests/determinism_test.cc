@@ -60,7 +60,7 @@ TEST(DeterminismTest, SimMetricsAreBitIdenticalAcrossRuns) {
       opts.trace_sample_every_n = 3;
       // Half the 500k/s the 2 µs gap offers: past the 32-query burst,
       // admission control sheds about a third of the stream.
-      opts.tenant_quota_qps = 250000.0;
+      opts.admission.quota_qps = 250000.0;
 
       const ClusterMetrics first = env.Run(EngineKind::kSimulated, opts, queries);
       const ClusterMetrics second = env.Run(EngineKind::kSimulated, opts, queries);

@@ -477,7 +477,6 @@ TEST_F(FrontendFixture, MigrationCarriesEmaStateToDestinationShard) {
   fc.splitter = SplitterKind::kAdaptive;
   fc.rebalance.threshold = 1.5;
   fc.rebalance.migration_cap = 1;
-  fc.rebalance.state_carry_weight = 0.5;
   RouterFleet fleet(env_->MakeStrategy(opts), opts.processors, fc);
 
   // Four sessions alternate shards; shard 0's two run hot.
@@ -506,11 +505,12 @@ TEST_F(FrontendFixture, MigrationCarriesEmaStateToDestinationShard) {
 
   ASSERT_GE(fleet.RebalanceRound(), 1u);
 
-  // dst = (1 - w) * dst + w * src, w = 0.5; src untouched.
+  // dst = (1 - w) * dst + w * src, w = the carry weight; src untouched.
+  const double w = RebalanceConfig::kStateCarryWeight;
   const auto src_after = state_of(0);
   const auto dst_after = state_of(1);
   for (size_t k = 0; k < dst_after.size(); ++k) {
-    EXPECT_NEAR(dst_after[k], 0.5 * dst_before[k] + 0.5 * src_before[k], 1e-9)
+    EXPECT_NEAR(dst_after[k], (1.0 - w) * dst_before[k] + w * src_before[k], 1e-9)
         << "dim " << k;
     EXPECT_DOUBLE_EQ(src_after[k], src_before[k]) << "dim " << k;
   }

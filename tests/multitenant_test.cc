@@ -29,10 +29,9 @@ namespace {
 
 TEST(AdmissionTest, SpacedWithinQuotaNeverShed) {
   AdmissionConfig config;
-  config.num_tenants = 1;
   config.quota_qps = 1000.0;  // one token per 1000 µs
   config.burst = 1.0;
-  TenantAdmission admission(config);
+  TenantAdmission admission(config, /*num_tenants=*/1);
   for (int i = 0; i < 200; ++i) {
     EXPECT_TRUE(admission.Admit(0, 1000.0 * i + 0.5));
   }
@@ -42,10 +41,9 @@ TEST(AdmissionTest, SpacedWithinQuotaNeverShed) {
 
 TEST(AdmissionTest, BurstAbsorbedThenShed) {
   AdmissionConfig config;
-  config.num_tenants = 1;
   config.quota_qps = 1000.0;
   config.burst = 4.0;
-  TenantAdmission admission(config);
+  TenantAdmission admission(config, /*num_tenants=*/1);
   uint64_t admitted = 0;
   for (int i = 0; i < 10; ++i) {
     if (admission.Admit(0, 0.0)) {
@@ -63,10 +61,9 @@ TEST(AdmissionTest, BurstAbsorbedThenShed) {
 
 TEST(AdmissionTest, TenantsAreIndependent) {
   AdmissionConfig config;
-  config.num_tenants = 2;
   config.quota_qps = 1000.0;
   config.burst = 2.0;
-  TenantAdmission admission(config);
+  TenantAdmission admission(config, /*num_tenants=*/2);
   // Tenant 0 storms at t=0 and exhausts its own bucket...
   for (int i = 0; i < 50; ++i) {
     admission.Admit(0, 0.0);
@@ -82,9 +79,8 @@ TEST(AdmissionTest, TenantsAreIndependent) {
 
 TEST(AdmissionTest, DisabledQuotaAdmitsEverything) {
   AdmissionConfig config;
-  config.num_tenants = 1;
   config.quota_qps = 0.0;  // <= 0 disables
-  TenantAdmission admission(config);
+  TenantAdmission admission(config, /*num_tenants=*/1);
   for (int i = 0; i < 1000; ++i) {
     EXPECT_TRUE(admission.Admit(0, 0.0));
   }
@@ -229,8 +225,8 @@ TEST_F(MultiTenantTest, CrossEngineParityWithQuotas) {
   const auto queries = OpenLoop(/*tenants=*/4, /*arrivals=*/3000,
                                 /*rate_qps=*/50000.0, /*skew=*/1.0, /*seed=*/5);
   RunOptions opts = SmallRun(4);
-  opts.tenant_quota_qps = 18000.0;
-  opts.tenant_quota_burst = 64.0;
+  opts.admission.quota_qps = 18000.0;
+  opts.admission.burst = 64.0;
   const ClusterConfig config = env_->MakeClusterConfig(opts);
 
   auto sim = MakeClusterEngine(EngineKind::kSimulated, env_->graph(), config,
@@ -332,8 +328,8 @@ TEST_F(MultiTenantTest, QuotaShieldsVictimTenantFromStorm) {
   const ClusterMetrics solo_m = solo->Run(victim_as_tenant1);
 
   RunOptions storm_opts = SmallRun(2);
-  storm_opts.tenant_quota_qps = 8000.0;
-  storm_opts.tenant_quota_burst = 32.0;
+  storm_opts.admission.quota_qps = 8000.0;
+  storm_opts.admission.burst = 32.0;
   auto stormed = MakeClusterEngine(EngineKind::kSimulated, env_->graph(),
                                    env_->MakeClusterConfig(storm_opts),
                                    env_->MakeStrategy(storm_opts));

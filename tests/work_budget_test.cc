@@ -1,11 +1,13 @@
-// Deterministic work budgets for the processor fetch path. Wall-clock
-// numbers drift too much to gate tightly, but heap allocations are exact:
-// a fixed, seeded, single-threaded replay performs the same operator new
-// calls on every run. Each test replays 500 hotspot queries through one
-// CachedStorageSource over 4 storage servers and checks allocations per
-// query and peak live heap bytes (malloc_usable_size) against budgets
-// written here. A change in a budget is a gate change and is reported as
-// one.
+// Deterministic work budgets for the processor fetch path and the storage
+// tier. Wall-clock numbers drift too much to gate tightly, but heap
+// allocations are exact: a fixed, seeded, single-threaded replay performs
+// the same operator new calls on every run. The fetch-path tests replay
+// 500 hotspot queries through one CachedStorageSource over 4 storage
+// servers and check allocations per query and peak live heap bytes
+// (malloc_usable_size); the storage tests check allocations per
+// StorageTier::ApplyMutation and per StorageServer::MultiGet. Every budget
+// is written here. A change in a budget is a gate change and is reported
+// as one.
 //
 // The counters are thread-local and replace the global operator new /
 // operator delete. ASan and TSan replace the allocator themselves, so under
@@ -27,6 +29,7 @@
 #include "src/proc/processor.h"
 #include "src/query/query.h"
 #include "src/storage/storage_tier.h"
+#include "src/workload/mutations.h"
 #include "src/workload/workload.h"
 
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
@@ -212,6 +215,67 @@ TEST_F(WorkBudgetTest, NoCache) {
 // entry per decode took 1406.7, 6.34).
 TEST_F(WorkBudgetTest, ColdCompressed) {
   ExpectWithinBudget(Mode::kColdCompressed, "cold compressed", 95.0, 4.1);
+}
+
+// Allocations per StorageTier::ApplyMutation over 500 seeded edge
+// mutations (inserts and removals of real edges) against the fixture graph
+// on 4 storage servers, mutations on.
+double AllocsPerMutation() {
+  const Fixture& f = SharedFixture();
+  StorageTier tier(4);
+  tier.EnableMutations(f.graph);
+  tier.LoadGraph(f.graph);
+  MutationScheduleConfig mc;
+  mc.num_mutations = 500;
+  mc.weight_add_vertex = 0.0;
+  mc.seed = 17;
+  const std::vector<GraphMutation> schedule =
+      GenerateMutationSchedule(f.graph, {}, mc);
+  HeapProbe probe;
+  for (const GraphMutation& m : schedule) {
+    tier.ApplyMutation(m);
+  }
+  return static_cast<double>(probe.allocs()) / static_cast<double>(schedule.size());
+}
+
+// Allocations per 128-key StorageServer::MultiGet: 100 calls, each over 128
+// keys server 0 holds.
+double AllocsPerMultiGet() {
+  constexpr size_t kKeys = 128;
+  constexpr int kCalls = 100;
+  const Fixture& f = SharedFixture();
+  StorageTier tier(4);
+  tier.LoadGraph(f.graph);
+  std::vector<NodeId> keys;
+  for (NodeId u = 0; u < f.graph.num_nodes() && keys.size() < kKeys; ++u) {
+    if (tier.ServerOf(u) == 0) {
+      keys.push_back(u);
+    }
+  }
+  EXPECT_EQ(keys.size(), kKeys);
+  StorageServer& server = tier.server(0);
+  HeapProbe probe;
+  for (int i = 0; i < kCalls; ++i) {
+    const std::vector<BlobPtr> blobs = server.MultiGet(keys);
+    EXPECT_EQ(blobs.size(), kKeys);
+  }
+  return static_cast<double>(probe.allocs()) / kCalls;
+}
+
+// An edge mutation decodes each touched adjacency half, copies and edits
+// it, and re-encodes it into a fresh shared blob (11.7 allocs/mutation).
+TEST_F(WorkBudgetTest, ApplyMutation) {
+  const double allocs = AllocsPerMutation();
+  std::printf("[ work     ] %-16s %8.1f allocs/mutation\n", "apply mutation", allocs);
+  EXPECT_LE(allocs, 13.0);
+}
+
+// A multiget allocates its result vector once and hands out the stored
+// blobs by shared pointer (1.0 allocs/call).
+TEST_F(WorkBudgetTest, StorageServerMultiGet) {
+  const double allocs = AllocsPerMultiGet();
+  std::printf("[ work     ] %-16s %8.1f allocs/call\n", "multiget x128", allocs);
+  EXPECT_LE(allocs, 1.1);
 }
 
 }  // namespace

@@ -14,7 +14,10 @@ police prose:
    the field's line, or on the line directly above it. These two structs
    are the contract every bench, example and test programs against, and
    docs/METRICS.md mirrors them; an uncommented field is a field the next
-   reader cannot interpret.
+   reader cannot interpret. The controller policies ClusterConfig nests
+   (`RepartitionConfig`, `RebalanceConfig`, `AdmissionConfig`) and the
+   simulated router fleet's `FleetConfig` are held to the same rule, so a
+   knob does not drop out of the gate by moving into its controller.
 
 3. Every `ClusterMetrics` field is named exactly once in
    `ForEachMetricField` (same header), which drives the bench JSON, the CLI
@@ -31,8 +34,16 @@ import re
 import sys
 
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
-STRUCTS = ("ClusterConfig", "ClusterMetrics")
 HEADER = os.path.join("src", "core", "cluster_engine.h")
+# Struct -> header whose fields must each carry a doc comment.
+STRUCTS = {
+    "ClusterConfig": HEADER,
+    "ClusterMetrics": HEADER,
+    "RepartitionConfig": os.path.join("src", "partition", "repartition.h"),
+    "RebalanceConfig": os.path.join("src", "frontend", "splitter.h"),
+    "AdmissionConfig": os.path.join("src", "frontend", "admission.h"),
+    "FleetConfig": os.path.join("src", "frontend", "router_fleet.h"),
+}
 
 # A field declaration: ends in ';', is not a method/using/friend line.
 FIELD_RE = re.compile(r"^\s*[A-Za-z_][\w:<>,\s*&\]\[]*\s+(\w+)\s*(=[^;]*|\{[^;]*\})?;")
@@ -89,15 +100,14 @@ def struct_body(lines, name):
 
 
 def check_field_comments(root):
-    path = os.path.join(root, HEADER)
-    with open(path, encoding="utf-8") as f:
-        lines = f.read().splitlines()
     failures = []
     fields = {name: [] for name in STRUCTS}
-    for name in STRUCTS:
+    for name, header in STRUCTS.items():
+        with open(os.path.join(root, header), encoding="utf-8") as f:
+            lines = f.read().splitlines()
         body = struct_body(lines, name)
         if body is None:
-            failures.append(f"{HEADER}: struct {name} not found")
+            failures.append(f"{header}: struct {name} not found")
             continue
         prev_was_comment = False
         depth = 0
@@ -120,7 +130,7 @@ def check_field_comments(root):
             documented = prev_was_comment or "//" in line
             if not documented:
                 failures.append(
-                    f"{HEADER}: {name}::{m.group(1)} has no // doc comment")
+                    f"{header}: {name}::{m.group(1)} has no // doc comment")
             prev_was_comment = False
     total = sum(len(v) for v in fields.values())
     print(f"doc-comment check: {total} fields across {len(STRUCTS)} structs")
