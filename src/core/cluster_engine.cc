@@ -307,7 +307,7 @@ ClusterMetrics ClusterEngine::FillMetrics(const RunOutcome& run,
     }
   }
 
-  m.storage_load_imbalance = StorageLoadImbalance(storage_->GetRequestsPerServer());
+  m.storage_load_imbalance = MaxMinLoadRatio(storage_->GetRequestsPerServer());
   m.partitions_migrated = partitions_migrated_;
   m.repartition_stall_us = repartition_stall_us_;
   m.partitions_replicated = replica_promotions_;

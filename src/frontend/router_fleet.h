@@ -108,9 +108,6 @@ class RouterFleet {
   // counters (single source of truth).
   std::vector<uint64_t> RoutedPerShard() const;
 
-  // Max/min routed-load ratio across shards right now (1.0 for one shard).
-  double LoadImbalance() const { return RoutedLoadImbalance(RoutedPerShard()); }
-
   // Fleet-wide router stats: summed routed/dispatched/steals and the
   // per-processor dispatch split across all shards.
   RouterStats AggregateRouterStats() const;

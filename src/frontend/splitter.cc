@@ -1,15 +1,9 @@
 #include "src/frontend/splitter.h"
 
-#include <algorithm>
-#include <cmath>
-
 #include "src/util/check.h"
 #include "src/util/stats.h"
 
 namespace grouting {
-
-static_assert(RebalanceConfig::kHysteresis > 0.0 && RebalanceConfig::kHysteresis <= 1.0,
-              "the hysteresis water mark must lie in (0, 1]");
 
 std::string SplitterKindName(SplitterKind kind) {
   switch (kind) {
@@ -110,94 +104,34 @@ std::vector<SessionMigration> ArrivalSplitter::Rebalance(
     recent_load_[s] = config.load_decay * recent_load_[s] + static_cast<double>(delta);
     last_loads_[s] = shard_loads[s];
   }
+  std::vector<RebalanceItem> items;
+  items.reserve(sessions_.size());
   for (auto& [node, session] : sessions_) {
     session.rate =
         config.load_decay * session.rate + static_cast<double>(session.window);
     session.window = 0;
+    items.push_back({node, session.shard, session.rate});
   }
 
-  const auto ratio = [&](uint32_t hi, uint32_t lo) {
-    return (recent_load_[hi] + 1.0) / (recent_load_[lo] + 1.0);
-  };
-  const double stop_ratio =
-      std::max(1.0, RebalanceConfig::kHysteresis * config.threshold);
-
-  bool triggered = false;
-  while (migrations.size() < config.migration_cap) {
-    uint32_t hottest = 0;
-    uint32_t coolest = 0;
-    for (uint32_t s = 1; s < num_shards_; ++s) {
-      if (recent_load_[s] > recent_load_[hottest]) {
-        hottest = s;
-      }
-      if (recent_load_[s] < recent_load_[coolest]) {
-        coolest = s;
-      }
-    }
-    const double r = ratio(hottest, coolest);
-    const double gap_floor =
-        config.noise_sigmas * std::sqrt(std::max(recent_load_[hottest], 1.0));
-    if (recent_load_[hottest] - recent_load_[coolest] <= gap_floor) {
-      break;  // the spread is within sampling noise: not actionable skew
-    }
-    if (!triggered) {
-      if (r <= config.threshold) {
-        return migrations;  // hysteresis: below the trigger, leave it alone
-      }
-      triggered = true;
-    } else if (r <= stop_ratio) {
-      break;  // drained below the water mark
-    }
-
-    // Move the session that lands the pair closest to even: resulting
-    // spread |gap - 2a|, candidates restricted to a < gap so every move
-    // strictly narrows the spread — a session hotter than the whole gap
-    // would only relocate the hotspot and invite the next round to move it
-    // straight back (thrash).
-    const double gap = recent_load_[hottest] - recent_load_[coolest];
-    NodeId victim = kInvalidNode;
-    double victim_spread = gap;
-    double victim_rate = 0.0;
-    for (const auto& [node, session] : sessions_) {
-      if (session.shard != hottest || session.rate <= 0.0) {
-        continue;
-      }
-      if (session.rate >= gap) {
-        continue;
-      }
-      const double spread = std::abs(gap - 2.0 * session.rate);
-      if (victim == kInvalidNode || spread < victim_spread ||
-          (spread == victim_spread && node < victim)) {
-        victim = node;
-        victim_spread = spread;
-        victim_rate = session.rate;
-      }
-    }
-    if (victim == kInvalidNode) {
-      break;  // nothing movable without widening the spread
-    }
-
-    // The session's rate moves with it, so the corrected skew is already
-    // reflected when the next round's snapshot arrives.
-    Session& moved = sessions_.at(victim);
-    moved.shard = coolest;
-    sessions_per_shard_[hottest] -= 1;
-    sessions_per_shard_[coolest] += 1;
-    recent_load_[hottest] -= victim_rate;
-    recent_load_[coolest] += victim_rate;
-    migrations.push_back({victim, hottest, coolest});
-    stats_.migrations += 1;
+  // The shared greedy round moves sessions off the hottest shard; each
+  // moved session carries its rate, so already-corrected skew does not
+  // re-trigger when the next round's snapshot arrives.
+  const std::vector<RebalanceMove> moves = PlanRebalance(
+      recent_load_, items, config.threshold, config.migration_cap, config.noise_sigmas);
+  for (const RebalanceMove& move : moves) {
+    const auto session = static_cast<NodeId>(move.key);
+    sessions_.at(session).shard = move.to;
+    sessions_per_shard_[move.from] -= 1;
+    sessions_per_shard_[move.to] += 1;
+    migrations.push_back({session, move.from, move.to});
   }
+  stats_.migrations += migrations.size();
   return migrations;
 }
 
 uint32_t ArrivalSplitter::SessionShard(NodeId session) const {
   const auto it = sessions_.find(session);
   return it == sessions_.end() ? num_shards_ : it->second.shard;
-}
-
-double RoutedLoadImbalance(std::span<const uint64_t> routed) {
-  return MaxMinLoadRatio(routed);
 }
 
 }  // namespace grouting

@@ -13,7 +13,9 @@
 //                   migrates the hottest sessions from the most- to the
 //                   least-loaded shard once the max/min load ratio exceeds
 //                   RebalanceConfig::threshold (PHD-Store-style dynamic
-//                   repartitioning, applied to the arrival stream).
+//                   repartitioning, applied to the arrival stream). The
+//                   greedy round itself is PlanRebalance (src/util/stats.h),
+//                   shared with the storage tier's PlanRepartition.
 //
 // Sessions (sticky/adaptive) are keyed by query node and bounded: at
 // session_capacity the oldest session is evicted FIFO (cheap, O(1)), so a
@@ -67,9 +69,6 @@ struct RebalanceConfig {
   // windows carry mostly sampling noise; without the floor the controller
   // thrashes sessions chasing it.
   double noise_sigmas = 3.0;
-  // Once triggered, migrate down to kHysteresis * threshold (a lower water
-  // mark in (0, 1]) so the next round does not immediately re-trigger.
-  static constexpr double kHysteresis = 0.9;
   // Strategy-state carry on migration: the destination shard merges the
   // source shard's gossip state with this weight (MergeRemoteState), so an
   // EmbedStrategy receiving a migrated session does not restart cold.
@@ -110,13 +109,12 @@ class ArrivalSplitter {
 
   // Adaptive re-splitting round: given the cumulative per-shard routed-load
   // snapshot from the gossip channel, rolls the delta since the previous
-  // round into a decayed per-shard rate estimate, then moves the hottest
-  // sessions off the most-loaded shard until the max/min rate ratio drops
-  // below the hysteresis water mark, the migration cap is hit, or no
-  // session can move without widening the spread. A migrating session
-  // carries its own decayed rate from source to destination accumulator, so
-  // already-corrected skew does not re-trigger. Returns the migrations
-  // applied (empty unless kind == kAdaptive and config.enabled()).
+  // round into a decayed per-shard rate estimate, then runs PlanRebalance
+  // over the shards with every session as an item and applies the moves it
+  // returns. A migrating session carries its own decayed rate from source
+  // to destination accumulator, so already-corrected skew does not
+  // re-trigger. Returns the migrations applied (empty unless kind ==
+  // kAdaptive and config.enabled()).
   std::vector<SessionMigration> Rebalance(std::span<const uint64_t> shard_loads,
                                           const RebalanceConfig& config);
 
@@ -154,10 +152,6 @@ class ArrivalSplitter {
   std::vector<double> recent_load_;
   SplitterStats stats_;
 };
-
-// Max/min ratio over per-shard routed counts (min clamped to 1); 1.0 for a
-// single shard. The ClusterMetrics::router_load_imbalance definition.
-double RoutedLoadImbalance(std::span<const uint64_t> routed);
 
 }  // namespace grouting
 

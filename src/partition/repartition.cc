@@ -1,16 +1,12 @@
 #include "src/partition/repartition.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "src/util/check.h"
 #include "src/util/stats.h"
 
 namespace grouting {
 
-static_assert(RepartitionConfig::kHysteresis > 0.0 &&
-                  RepartitionConfig::kHysteresis <= 1.0,
-              "the hysteresis water mark must lie in (0, 1]");
 static_assert(RepartitionConfig::kLoadDecay >= 0.0 && RepartitionConfig::kLoadDecay < 1.0,
               "the rate decay must lie in [0, 1)");
 
@@ -121,6 +117,27 @@ void PartitionMonitor::RollWindow(double decay) {
   }
 }
 
+namespace {
+
+// Per-server load with each replicated partition's rate split evenly across
+// its holders (the p2c read path spreads replicated reads near-evenly).
+// x / 1.0 is exact, so with no replicas the sums are the plain owner sums.
+std::vector<double> HolderSplitLoads(uint32_t num_servers, std::span<const double> rates,
+                                     const std::vector<uint32_t>& owner,
+                                     const std::vector<std::vector<uint32_t>>& replicas) {
+  std::vector<double> server_load(num_servers, 0.0);
+  for (size_t q = 0; q < owner.size(); ++q) {
+    const double share = rates[q] / static_cast<double>(1 + replicas[q].size());
+    server_load[owner[q]] += share;
+    for (const uint32_t r : replicas[q]) {
+      server_load[r] += share;
+    }
+  }
+  return server_load;
+}
+
+}  // namespace
+
 std::vector<PartitionMigration> PlanRepartition(const PartitionMap& map,
                                                 std::span<const double> rates,
                                                 const RepartitionConfig& config) {
@@ -132,86 +149,22 @@ std::vector<PartitionMigration> PlanRepartition(const PartitionMap& map,
   GROUTING_CHECK(rates.size() == map.num_partitions());
 
   // Working copy: planned moves shift load between servers immediately, so
-  // one round never double-moves against a stale picture. A replicated
-  // partition's rate splits evenly across its holders (p2c read fan-out);
-  // x / 1.0 is exact, so with no replicas the sums are bit-identical to the
-  // pre-replication planner.
-  std::vector<uint32_t> owner = map.OwnerSnapshot();
+  // one round never double-moves against a stale picture. Replicated
+  // partitions are never migration victims: their heat is already being
+  // split across replicas, and excluding them keeps the single-primary
+  // invariant MigratePartition relies on simple.
+  const std::vector<uint32_t> owner = map.OwnerSnapshot();
   const std::vector<std::vector<uint32_t>> replicas = map.ReplicaSnapshot();
-  std::vector<double> server_load(num_servers, 0.0);
+  std::vector<double> server_load = HolderSplitLoads(num_servers, rates, owner, replicas);
+  std::vector<RebalanceItem> items(map.num_partitions());
   for (uint32_t q = 0; q < map.num_partitions(); ++q) {
-    const double share = rates[q] / static_cast<double>(1 + replicas[q].size());
-    server_load[owner[q]] += share;
-    for (const uint32_t r : replicas[q]) {
-      server_load[r] += share;
-    }
+    items[q] = {q, owner[q], rates[q], replicas[q].empty()};
   }
-
-  const auto ratio = [&](uint32_t hi, uint32_t lo) {
-    return (server_load[hi] + 1.0) / (server_load[lo] + 1.0);
-  };
-  const double stop_ratio =
-      std::max(1.0, RepartitionConfig::kHysteresis * config.threshold);
-
-  bool triggered = false;
-  while (migrations.size() < config.migration_cap) {
-    uint32_t hottest = 0;
-    uint32_t coolest = 0;
-    for (uint32_t s = 1; s < num_servers; ++s) {
-      if (server_load[s] > server_load[hottest]) {
-        hottest = s;
-      }
-      if (server_load[s] < server_load[coolest]) {
-        coolest = s;
-      }
-    }
-    const double r = ratio(hottest, coolest);
-    const double gap = server_load[hottest] - server_load[coolest];
-    const double gap_floor = RepartitionConfig::kNoiseSigmas *
-                             std::sqrt(std::max(server_load[hottest], 1.0));
-    if (gap <= gap_floor) {
-      break;  // the spread is within sampling noise: not actionable skew
-    }
-    if (!triggered) {
-      if (r <= config.threshold) {
-        return migrations;  // below the trigger, leave the map alone
-      }
-      triggered = true;
-    } else if (r <= stop_ratio) {
-      break;  // drained below the hysteresis water mark
-    }
-
-    // Victim rule (mirrors the router rebalancer): move the partition that
-    // lands the pair closest to even, restricted to rate < gap so every
-    // move strictly narrows the spread — a partition hotter than the whole
-    // gap would only relocate the hotspot and invite thrash. Ties fall to
-    // the lowest partition id (the ascending scan keeps the first).
-    // Replicated partitions are never migration victims: their heat is
-    // already being split across replicas, and excluding them keeps the
-    // single-primary invariant MigratePartition relies on simple.
-    uint32_t victim = map.num_partitions();
-    double victim_spread = gap;
-    double victim_rate = 0.0;
-    for (uint32_t q = 0; q < map.num_partitions(); ++q) {
-      if (owner[q] != hottest || rates[q] <= 0.0 || rates[q] >= gap ||
-          !replicas[q].empty()) {
-        continue;
-      }
-      const double spread = std::abs(gap - 2.0 * rates[q]);
-      if (victim == map.num_partitions() || spread < victim_spread) {
-        victim = q;
-        victim_spread = spread;
-        victim_rate = rates[q];
-      }
-    }
-    if (victim == map.num_partitions()) {
-      break;  // nothing movable without widening the spread
-    }
-
-    owner[victim] = coolest;
-    server_load[hottest] -= victim_rate;
-    server_load[coolest] += victim_rate;
-    migrations.push_back({victim, hottest, coolest});
+  const std::vector<RebalanceMove> moves = PlanRebalance(
+      server_load, items, config.threshold, config.migration_cap,
+      RepartitionConfig::kNoiseSigmas);
+  for (const RebalanceMove& move : moves) {
+    migrations.push_back({static_cast<uint32_t>(move.key), move.from, move.to});
   }
   return migrations;
 }
@@ -229,19 +182,13 @@ ReplicationPlan PlanReplication(const PartitionMap& map,
   const uint32_t max_replicas =
       std::min(config.max_replicas_per_partition, PartitionMap::kMaxReplicas);
 
-  // Working copies, with each partition's rate split evenly across its
-  // holders (the p2c read path spreads replicated reads near-evenly).
+  // Working copies; the planned changes below keep server_load current.
   const std::vector<uint32_t> owner = map.OwnerSnapshot();
   std::vector<std::vector<uint32_t>> replicas = map.ReplicaSnapshot();
-  std::vector<double> server_load(num_servers, 0.0);
+  std::vector<double> server_load = HolderSplitLoads(num_servers, rates, owner, replicas);
   double total = 0.0;
-  for (uint32_t q = 0; q < num_partitions; ++q) {
-    const double share = rates[q] / static_cast<double>(1 + replicas[q].size());
-    server_load[owner[q]] += share;
-    for (const uint32_t r : replicas[q]) {
-      server_load[r] += share;
-    }
-    total += rates[q];
+  for (const double rate : rates) {
+    total += rate;
   }
   const double avg_server = total / static_cast<double>(num_servers);
 
@@ -337,10 +284,6 @@ ReplicationPlan PlanReplication(const PartitionMap& map,
     server_load[target] += rates[q] / (oh + 1.0);
   }
   return plan;
-}
-
-double StorageLoadImbalance(std::span<const uint64_t> per_server) {
-  return MaxMinLoadRatio(per_server);
 }
 
 }  // namespace grouting

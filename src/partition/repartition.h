@@ -6,8 +6,7 @@
 // Zipf-skewed workload concentrates traversal traffic on keys that happen
 // to live on one storage server: router-side re-splitting (src/frontend/)
 // cannot help, because the hot vertices physically live there. This module
-// closes that gap with three pieces, mirroring the arrival-stream
-// rebalancer's controller design (ArrivalSplitter::Rebalance):
+// closes that gap with three pieces:
 //
 //   * PartitionMap     — the key space is cut into P = partitions_per_server
 //                        x num_servers virtual partitions by the SAME
@@ -25,8 +24,10 @@
 //   * PlanRepartition  — the controller: at gossip-aligned rounds, propose
 //                        hot-partition migrations from the most- to the
 //                        least-loaded storage server once the max/min load
-//                        ratio exceeds a threshold, with hysteresis, a
-//                        per-round migration cap, a Poisson noise floor and
+//                        ratio exceeds a threshold. The greedy round is
+//                        PlanRebalance (src/util/stats.h), the same one the
+//                        arrival splitter runs over router shards: hysteresis,
+//                        a per-round migration cap, a Poisson noise floor and
 //                        a strict-improvement victim rule.
 //
 // The physical move (copy keys -> flip owner -> drain in-flight multigets
@@ -59,8 +60,7 @@ namespace grouting {
 
 // Controller policy for the storage-tier rebalancer, held by
 // ClusterConfig::repartition. The settable fields are the ones benches and
-// tests sweep; the k-constants are tuned values shared with the router
-// rebalancer's controller.
+// tests sweep; the k-constants are tuned values.
 struct RepartitionConfig {
   // Trigger: migrate when (max+1)/(min+1) over the servers' decayed access
   // rates exceeds this ratio. <= 1 (or infinity) disables repartitioning
@@ -74,9 +74,6 @@ struct RepartitionConfig {
   // larger map. The initial partition->server layout reproduces hash
   // placement exactly.
   uint32_t partitions_per_server = 8;
-  // Once triggered, migrate down to kHysteresis * threshold (a lower water
-  // mark in (0, 1]) so the next round does not immediately re-trigger.
-  static constexpr double kHysteresis = 0.9;
   // Per-round decay of the monitor's rate estimates, in [0, 1): the
   // controller reacts to the RECENT access rate, not cumulative counts.
   static constexpr double kLoadDecay = 0.8;
@@ -267,10 +264,12 @@ class PartitionMonitor {
 };
 
 // The repartition controller: given the current map and the monitor's
-// decayed per-partition rates, plan up to migration_cap hot-partition moves
-// from the most- to the least-loaded server. Pure — the map is NOT mutated
-// (the executor flips owners as each physical move lands); planned moves
-// are reflected in a local working copy so one round stays consistent.
+// decayed per-partition rates, run PlanRebalance over the servers to plan
+// up to migration_cap hot-partition moves from the most- to the
+// least-loaded server. Replicated partitions are not movable. Pure — the
+// map is NOT mutated (the executor flips owners as each physical move
+// lands); planned moves are reflected in a local working copy so one round
+// stays consistent.
 std::vector<PartitionMigration> PlanRepartition(const PartitionMap& map,
                                                 std::span<const double> rates,
                                                 const RepartitionConfig& config);
@@ -287,10 +286,6 @@ std::vector<PartitionMigration> PlanRepartition(const PartitionMap& map,
 ReplicationPlan PlanReplication(const PartitionMap& map,
                                 std::span<const double> rates,
                                 const RepartitionConfig& config);
-
-// Max/min ratio over per-server load sums (min clamped to 1); the
-// ClusterMetrics::storage_load_imbalance definition.
-double StorageLoadImbalance(std::span<const uint64_t> per_server);
 
 }  // namespace grouting
 

@@ -493,7 +493,7 @@ void ThreadedCluster::AddEngineMetrics(ClusterMetrics* m) const {
   m->router_ema_divergence = CrossShardStateDivergence(views);
   m->sessions_migrated = sessions_migrated_.load(std::memory_order_relaxed);
   m->sticky_evictions = splitter_.stats().evictions;
-  m->router_load_imbalance = RoutedLoadImbalance(m->queries_per_router_shard);
+  m->router_load_imbalance = MaxMinLoadRatio(m->queries_per_router_shard);
 }
 
 }  // namespace grouting

@@ -112,7 +112,7 @@ void DecoupledClusterSim::AddEngineMetrics(ClusterMetrics* m) const {
   m->router_ema_divergence = fleet_->CurrentEmaDivergence();
   m->sessions_migrated = fleet_->splitter().stats().migrations;
   m->sticky_evictions = fleet_->splitter().stats().evictions;
-  m->router_load_imbalance = RoutedLoadImbalance(m->queries_per_router_shard);
+  m->router_load_imbalance = MaxMinLoadRatio(m->queries_per_router_shard);
   m->batches_inflight_peak = batches_inflight_peak_;
   m->fetch_overlap_us = total_fetch_overlap_us_;
   m->decompress_us = decompress_us_;
@@ -343,15 +343,7 @@ void DecoupledClusterSim::StartLevelSync(uint32_t p) {
     const SimTimeUs issued = probes_done;  // batch-span start: left the CPU
     const SimTimeUs arrive = probes_done + cost.net.one_way_us;
     events_.ScheduleAt(arrive, [this, p, batch, issued, finish_level] {
-      const CostModel& cm = config_.cost;
-      // FIFO service at the storage server.
-      const SimTimeUs start = std::max(events_.now(), server_busy_until_[batch.server]);
-      const SimTimeUs done = start + cm.storage_request_base_us +
-                             cm.storage_per_value_us * static_cast<double>(batch.values);
-      server_busy_until_[batch.server] = done;
-      const SimTimeUs reply = done + cm.net.one_way_us +
-                              cm.net.per_kb_us * static_cast<double>(batch.bytes) / 1024.0;
-      events_.ScheduleAt(reply, [this, p, batch, issued, finish_level] {
+      events_.ScheduleAt(ServeBatch(batch), [this, p, batch, issued, finish_level] {
         InFlight& fl = in_flight_[p];
         fl.level_fetch_done = std::max(fl.level_fetch_done, events_.now());
         EmitSpan(p, TraceEventType::kBatch, issued, events_.now(), batch.level,
@@ -424,19 +416,20 @@ void DecoupledClusterSim::DepartBatchAsync(uint32_t p, size_t batch_index) {
   const SimTimeUs depart = events_.now();  // batch-span start: left the CPU
   const SimTimeUs arrive = depart + config_.cost.net.one_way_us;
   events_.ScheduleAt(arrive, [this, p, batch_index, batch, depart] {
-    const CostModel& cm = config_.cost;
-    // FIFO service at the storage server — shared with the sync model, so
-    // async batches contend with every other processor's identically.
-    const SimTimeUs start = std::max(events_.now(), server_busy_until_[batch.server]);
-    const SimTimeUs done = start + cm.storage_request_base_us +
-                           cm.storage_per_value_us * static_cast<double>(batch.values);
-    server_busy_until_[batch.server] = done;
-    const SimTimeUs reply = done + cm.net.one_way_us +
-                            cm.net.per_kb_us * static_cast<double>(batch.bytes) / 1024.0;
-    events_.ScheduleAt(reply, [this, p, batch_index, depart] {
+    events_.ScheduleAt(ServeBatch(batch), [this, p, batch_index, depart] {
       ReplyBatchAsync(p, batch_index, depart);
     });
   });
+}
+
+SimTimeUs DecoupledClusterSim::ServeBatch(const FetchTrace::Batch& batch) {
+  const CostModel& cm = config_.cost;
+  const SimTimeUs start = std::max(events_.now(), server_busy_until_[batch.server]);
+  const SimTimeUs done = start + cm.storage_request_base_us +
+                         cm.storage_per_value_us * static_cast<double>(batch.values);
+  server_busy_until_[batch.server] = done;
+  return done + cm.net.one_way_us +
+         cm.net.per_kb_us * static_cast<double>(batch.bytes) / 1024.0;
 }
 
 void DecoupledClusterSim::ReplyBatchAsync(uint32_t p, size_t batch_index,

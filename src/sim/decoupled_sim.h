@@ -96,6 +96,11 @@ class DecoupledClusterSim : public ClusterEngine {
   // the reply landing back at the processor. `depart_ts` is when the CPU
   // finished issuing the batch (the trace's batch-span start).
   void DepartBatchAsync(uint32_t p, size_t batch_index);
+  // FIFO service of one batch at its storage server, from its arrival (now)
+  // to the reply landing back at the processor; returns the reply instant.
+  // Shared by the sync and async level models, so their batches contend
+  // with every other processor's identically.
+  SimTimeUs ServeBatch(const FetchTrace::Batch& batch);
   void ReplyBatchAsync(uint32_t p, size_t batch_index, SimTimeUs depart_ts);
   // Closes the current level once probe-side and batch post-processing are
   // done; records the audit entry and schedules the next AdvanceLevel.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <thread>
+#include <utility>
 
 namespace grouting {
 namespace {
@@ -52,18 +53,21 @@ StorageTier::StorageTier(size_t num_servers, uint32_t hash_seed) : hasher_(hash_
   }
 }
 
-void StorageTier::LoadGraph(const Graph& g) { LoadKeyspaces(g, {}); }
+void StorageTier::LoadGraph(const Graph& g) {
+  LoadKeyspaces(g, {}, {});
+}
 
 void StorageTier::LoadGraphSubset(const Graph& g, std::span<const uint8_t> keep) {
   GROUTING_CHECK(keep.size() == g.num_nodes());
   GROUTING_CHECK_MSG(mutations_enabled(),
                      "LoadGraphSubset requires EnableMutations (the withheld "
                      "nodes can only materialise through ApplyMutation)");
-  LoadKeyspaces(g, keep);
+  LoadKeyspaces(g, keep, {});
 }
 
-void StorageTier::LoadKeyspaces(const Graph& g, std::span<const uint8_t> keep) {
-  explicit_placement_.clear();
+void StorageTier::LoadKeyspaces(const Graph& g, std::span<const uint8_t> keep,
+                                PartitionAssignment placement) {
+  explicit_placement_ = std::move(placement);
   if (partition_map_ != nullptr) {
     partition_keys_.assign(partition_map_->num_partitions(), {});
   }
@@ -104,14 +108,10 @@ void StorageTier::LoadGraph(const Graph& g, const PartitionAssignment& placement
                      "explicit placement is incompatible with repartitioning");
   GROUTING_CHECK_MSG(num_tenants_ == 1,
                      "multi-tenant federation requires hash placement");
-  explicit_placement_ = placement;
-  for (NodeId u = 0; u < g.num_nodes(); ++u) {
-    GROUTING_CHECK(placement[u] < servers_.size());
-    const BlobPtr blob = MakeBlob(EncodeAdjacency(g, u, encoding_));
-    logical_bytes_loaded_ += g.AdjacencyBytes(u);
-    encoded_bytes_loaded_ += blob->size();
-    servers_[placement[u]]->Load(u, blob);
+  for (const PartitionId server : placement) {
+    GROUTING_CHECK(server < servers_.size());
   }
+  LoadKeyspaces(g, {}, placement);
 }
 
 uint32_t StorageTier::ServerOf(NodeId node) const {
@@ -252,17 +252,8 @@ StorageTier::MigrationResult StorageTier::AddReplicaLocked(uint32_t partition,
   StorageServer& dst = *servers_[server];
 
   // (1) Copy every key of the partition onto the replica while it is still
-  // invisible to readers — the replica shares the primary's blobs. PeekBlob,
-  // not MultiGet: replica fill is not workload traffic.
-  for (const NodeId key : partition_keys_[partition]) {
-    BlobPtr blob = src.PeekBlob(key);
-    if (blob == nullptr) {
-      continue;  // not on the primary (deleted); nothing to copy
-    }
-    result.bytes_moved += blob->size();
-    dst.Load(key, std::move(blob));
-    ++result.keys_moved;
-  }
+  // invisible to readers — the replica shares the primary's blobs.
+  CopyPartitionLocked(partition, src, dst, &result);
 
   // (2) Flip the replica into the map. No drain, no delete: adding a copy
   // cannot invalidate any in-flight read.
@@ -332,16 +323,7 @@ StorageTier::MigrationResult StorageTier::MigratePartitionLocked(uint32_t partit
   GROUTING_CHECK_MSG(partition < partition_keys_.size(),
                      "repartitioning requires the graph to be loaded after "
                      "EnableRepartitioning");
-  std::vector<NodeId> moved;
-  for (const NodeId key : partition_keys_[partition]) {
-    BlobPtr blob = src.PeekBlob(key);
-    if (blob == nullptr) {
-      continue;  // not on the source (deleted); nothing to move
-    }
-    result.bytes_moved += blob->size();
-    dst.Load(key, std::move(blob));
-    moved.push_back(key);
-  }
+  const std::vector<NodeId> moved = CopyPartitionLocked(partition, src, dst, &result);
 
   // (2) Flip: new ServerOf lookups resolve to the destination (which holds
   // the keys since step 1).
@@ -357,8 +339,25 @@ StorageTier::MigrationResult StorageTier::MigratePartitionLocked(uint32_t partit
   for (const NodeId key : moved) {
     src.Delete(key);
   }
-  result.keys_moved = moved.size();
   return result;
+}
+
+std::vector<NodeId> StorageTier::CopyPartitionLocked(uint32_t partition,
+                                                     const StorageServer& src,
+                                                     StorageServer& dst,
+                                                     MigrationResult* result) {
+  std::vector<NodeId> copied;
+  for (const NodeId key : partition_keys_[partition]) {
+    BlobPtr blob = src.PeekBlob(key);
+    if (blob == nullptr) {
+      continue;  // not on the source (deleted); nothing to copy
+    }
+    result->bytes_moved += blob->size();
+    dst.Load(key, std::move(blob));
+    copied.push_back(key);
+  }
+  result->keys_moved += copied.size();
+  return copied;
 }
 
 void StorageTier::EnableMutations(const Graph& g) {

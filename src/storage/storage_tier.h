@@ -399,11 +399,13 @@ class StorageTier {
   uint64_t ApplyMutation(const GraphMutation& m);
 
  private:
-  // The load loop behind LoadGraph(g) and LoadGraphSubset: writes every
-  // node's blob into each tenant keyspace (only nodes with keep[u] != 0
-  // when `keep` is non-empty) and registers every key, withheld ones too,
-  // with its partition.
-  void LoadKeyspaces(const Graph& g, std::span<const uint8_t> keep);
+  // The load loop behind every LoadGraph overload and LoadGraphSubset:
+  // installs `placement` (empty = hash placement), then writes every node's
+  // blob into each tenant keyspace on its ServerOf server (only nodes with
+  // keep[u] != 0 when `keep` is non-empty) and registers every key,
+  // withheld ones too, with its partition.
+  void LoadKeyspaces(const Graph& g, std::span<const uint8_t> keep,
+                     PartitionAssignment placement);
   // Unlocked bodies; the public entry points (and ApplyMutation) hold
   // write_mu_. MigratePartitionLocked tears down replicas via
   // RemoveReplicaLocked, which is why the lock cannot simply be recursive
@@ -411,6 +413,12 @@ class StorageTier {
   MigrationResult MigratePartitionLocked(uint32_t partition, uint32_t to);
   MigrationResult AddReplicaLocked(uint32_t partition, uint32_t server);
   MigrationResult RemoveReplicaLocked(uint32_t partition, uint32_t server);
+  // The copy step shared by migration and replica fill: loads every key of
+  // the partition still present on `src` onto `dst` (the two share blobs),
+  // adds the bytes and keys moved to `result`, and returns the keys copied.
+  // PeekBlob, not MultiGet: structural moves are not workload traffic.
+  std::vector<NodeId> CopyPartitionLocked(uint32_t partition, const StorageServer& src,
+                                          StorageServer& dst, MigrationResult* result);
   // Writes `blob` for `key` to the owner and every current replica, then
   // bumps the key's version. Caller holds write_mu_.
   void WriteVersionedLocked(NodeId key, const BlobPtr& blob);

@@ -130,6 +130,68 @@ double LatencyHistogram::Percentile(double p) const {
   return max();
 }
 
+std::vector<RebalanceMove> PlanRebalance(std::span<double> load,
+                                         std::span<RebalanceItem> items, double threshold,
+                                         uint32_t cap, double noise_sigmas) {
+  std::vector<RebalanceMove> moves;
+  const auto num_bins = static_cast<uint32_t>(load.size());
+  if (num_bins < 2) {
+    return moves;
+  }
+  const double stop_ratio = std::max(1.0, kRebalanceHysteresis * threshold);
+  bool triggered = false;
+  while (moves.size() < cap) {
+    uint32_t hottest = 0;
+    uint32_t coolest = 0;
+    for (uint32_t b = 1; b < num_bins; ++b) {
+      if (load[b] > load[hottest]) {
+        hottest = b;
+      }
+      if (load[b] < load[coolest]) {
+        coolest = b;
+      }
+    }
+    const double ratio = (load[hottest] + 1.0) / (load[coolest] + 1.0);
+    const double gap = load[hottest] - load[coolest];
+    if (gap <= noise_sigmas * std::sqrt(std::max(load[hottest], 1.0))) {
+      break;  // the spread is within sampling noise: not actionable skew
+    }
+    if (!triggered) {
+      if (ratio <= threshold) {
+        break;  // below the trigger, leave the bins alone
+      }
+      triggered = true;
+    } else if (ratio <= stop_ratio) {
+      break;  // drained below the hysteresis water mark
+    }
+
+    size_t victim = items.size();
+    double victim_spread = 0.0;
+    for (size_t i = 0; i < items.size(); ++i) {
+      const RebalanceItem& item = items[i];
+      if (item.bin != hottest || !item.movable || item.rate <= 0.0 || item.rate >= gap) {
+        continue;
+      }
+      const double spread = std::abs(gap - 2.0 * item.rate);
+      if (victim == items.size() || spread < victim_spread ||
+          (spread == victim_spread && item.key < items[victim].key)) {
+        victim = i;
+        victim_spread = spread;
+      }
+    }
+    if (victim == items.size()) {
+      break;  // nothing movable without widening the spread
+    }
+
+    RebalanceItem& moved = items[victim];
+    load[hottest] -= moved.rate;
+    load[coolest] += moved.rate;
+    moved.bin = coolest;
+    moves.push_back({moved.key, hottest, coolest});
+  }
+  return moves;
+}
+
 double Percentile(std::vector<double> samples, double p) {
   GROUTING_CHECK(p >= 0.0 && p <= 100.0);
   if (samples.empty()) {

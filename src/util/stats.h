@@ -1,7 +1,8 @@
 // Streaming statistics helpers used throughout metrics collection:
 // RunningStat (Welford mean/variance), LatencyHistogram (log-linear
 // buckets, for latency distributions), and exact percentile extraction over
-// collected samples.
+// collected samples. Also the load-balance helpers the adaptive controllers
+// share: the MaxMinLoadRatio imbalance metric and the PlanRebalance round.
 
 #ifndef GROUTING_SRC_UTIL_STATS_H_
 #define GROUTING_SRC_UTIL_STATS_H_
@@ -29,6 +30,48 @@ inline double MaxMinLoadRatio(std::span<const uint64_t> loads) {
   }
   return static_cast<double>(hi) / static_cast<double>(lo > 0 ? lo : 1);
 }
+
+// One thing a rebalance round may move between bins: a router session (key
+// = query node, bin = shard) or a storage partition (key = partition id,
+// bin = owner server), carrying its decayed access rate with it.
+struct RebalanceItem {
+  uint64_t key = 0;
+  uint32_t bin = 0;
+  double rate = 0.0;
+  bool movable = true;
+};
+
+// One move planned by PlanRebalance.
+struct RebalanceMove {
+  uint64_t key = 0;
+  uint32_t from = 0;
+  uint32_t to = 0;
+};
+
+// Once triggered, a rebalance round drains down to kRebalanceHysteresis x
+// threshold (a lower water mark in (0, 1]) so the next round does not
+// immediately re-trigger.
+inline constexpr double kRebalanceHysteresis = 0.9;
+static_assert(kRebalanceHysteresis > 0.0 && kRebalanceHysteresis <= 1.0,
+              "the hysteresis water mark must lie in (0, 1]");
+
+// The greedy round both adaptive controllers run (PHD-Store-style dynamic
+// repartitioning): ArrivalSplitter::Rebalance over router shards and
+// PlanRepartition over storage servers. While fewer than `cap` moves are
+// planned, it takes the most- and least-loaded bins (ties to the lowest
+// index) and stops once their gap is within `noise_sigmas` Poisson sigmas
+// of the hot bin's load (sampling noise, not actionable skew). The first
+// move needs (max+1)/(min+1) above `threshold`; later ones continue down to
+// the hysteresis water mark. The victim is the movable item on the hot bin
+// that lands the pair closest to even, resulting spread |gap - 2 rate|,
+// restricted to 0 < rate < gap so every move strictly narrows the spread
+// (an item hotter than the whole gap would only relocate the hotspot and
+// invite the next round to move it straight back). Equal spreads go to the
+// lowest key. Each move lands at once: the item's rate shifts between the
+// two `load` entries and its bin becomes the cold one.
+std::vector<RebalanceMove> PlanRebalance(std::span<double> load,
+                                         std::span<RebalanceItem> items, double threshold,
+                                         uint32_t cap, double noise_sigmas);
 
 // Numerically stable single-pass mean / variance / min / max.
 class RunningStat {

@@ -415,7 +415,7 @@ TEST_F(FrontendFixture, AdaptiveFleetOfOneIsAnswerIdenticalToRouter) {
     EXPECT_EQ(fleet.RebalanceRound(), 0u);
   }
   EXPECT_EQ(fleet.splitter().stats().migrations, 0u);
-  EXPECT_DOUBLE_EQ(fleet.LoadImbalance(), 1.0);
+  EXPECT_DOUBLE_EQ(MaxMinLoadRatio(fleet.RoutedPerShard()), 1.0);
 }
 
 TEST_F(FrontendFixture, AdaptiveConvergesUnderSkewWhereHashStaysImbalanced) {
@@ -458,7 +458,7 @@ TEST_F(FrontendFixture, AdaptiveConvergesUnderSkewWhereHashStaysImbalanced) {
     for (uint32_t s = 0; s < kShards; ++s) {
       trailing[s] -= warmup[s];
     }
-    return RoutedLoadImbalance(trailing);
+    return MaxMinLoadRatio(trailing);
   };
 
   const double hash_imb = trailing_imbalance(SplitterKind::kHash);

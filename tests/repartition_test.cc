@@ -137,10 +137,10 @@ TEST_F(PlannerTest, DoesNotMutateTheMap) {
 
 TEST(StorageLoadImbalanceTest, MaxOverMinClamped) {
   const std::vector<uint64_t> loads = {10, 40, 20, 20};
-  EXPECT_DOUBLE_EQ(StorageLoadImbalance(loads), 4.0);
+  EXPECT_DOUBLE_EQ(MaxMinLoadRatio(loads), 4.0);
   const std::vector<uint64_t> zero = {0, 5};
-  EXPECT_DOUBLE_EQ(StorageLoadImbalance(zero), 5.0);
-  EXPECT_DOUBLE_EQ(StorageLoadImbalance(std::vector<uint64_t>{7}), 1.0);
+  EXPECT_DOUBLE_EQ(MaxMinLoadRatio(zero), 5.0);
+  EXPECT_DOUBLE_EQ(MaxMinLoadRatio(std::vector<uint64_t>{7}), 1.0);
 }
 
 TEST(StorageTierRepartitionTest, EnableIsPlacementIdenticalUntilAMigration) {

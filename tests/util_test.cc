@@ -1,5 +1,6 @@
-// Unit tests for src/util: RNG, MurmurHash3, statistics, table formatting,
-// byte-size parsing, the MPMC queue, and the flat NodeId hash table.
+// Unit tests for src/util: RNG, MurmurHash3, statistics, the shared
+// rebalance round, table formatting, byte-size parsing, the MPMC queue, and
+// the flat NodeId hash table.
 
 #include <gtest/gtest.h>
 
@@ -315,6 +316,92 @@ TEST(LatencyHistogramTest, EdgeCases) {
   // Quantiles are clamped to the observed range.
   EXPECT_GE(h.Percentile(0.0), 0.0);
   EXPECT_LE(h.Percentile(100.0), 5.0 + 1e-12);
+}
+
+// ----------------------------------------------------- PlanRebalance ----
+
+// Items 0..n-1 on `bin`, each with `rate`.
+std::vector<RebalanceItem> UniformItems(uint32_t n, uint32_t bin, double rate) {
+  std::vector<RebalanceItem> items;
+  for (uint32_t i = 0; i < n; ++i) {
+    items.push_back({i, bin, rate});
+  }
+  return items;
+}
+
+TEST(PlanRebalanceTest, BelowTheTriggerNothingMoves) {
+  std::vector<double> load = {110.0, 100.0};  // (111 / 101) ~ 1.10
+  auto items = UniformItems(10, 0, 5.0);
+  EXPECT_TRUE(PlanRebalance(load, items, /*threshold=*/1.2, /*cap=*/8, 0.0).empty());
+  EXPECT_EQ(load, (std::vector<double>{110.0, 100.0}));
+  for (const RebalanceItem& item : items) {
+    EXPECT_EQ(item.bin, 0u);
+  }
+}
+
+TEST(PlanRebalanceTest, OnceTriggeredDrainsToTheHysteresisWaterMark) {
+  // 10 per move: after 6 moves the ratio (241 / 161 ~ 1.50) is already
+  // under the 1.5 trigger, but it stays above the 1.35 water mark until
+  // the 8th move lands (221 / 181 ~ 1.22).
+  constexpr double kThreshold = 1.5;
+  std::vector<double> load = {300.0, 100.0};
+  auto items = UniformItems(20, 0, 10.0);
+  const auto moves = PlanRebalance(load, items, kThreshold, /*cap=*/100, 0.0);
+  ASSERT_EQ(moves.size(), 8u);
+  for (size_t i = 0; i < moves.size(); ++i) {
+    EXPECT_EQ(moves[i].key, i);  // equal spreads: lowest key first
+    EXPECT_EQ(moves[i].from, 0u);
+    EXPECT_EQ(moves[i].to, 1u);
+    EXPECT_EQ(items[i].bin, 1u);
+  }
+  EXPECT_EQ(items[8].bin, 0u);
+  EXPECT_EQ(load, (std::vector<double>{220.0, 180.0}));
+  EXPECT_LE((load[0] + 1.0) / (load[1] + 1.0), kRebalanceHysteresis * kThreshold);
+}
+
+TEST(PlanRebalanceTest, NoiseFloorBlocksASmallSpread) {
+  // Gap 100 against a floor of sigmas x sqrt(200): 113 at 8 sigmas, 42 at 3.
+  std::vector<double> load = {200.0, 100.0};
+  auto items = UniformItems(10, 0, 10.0);
+  EXPECT_TRUE(PlanRebalance(load, items, 1.2, 8, /*noise_sigmas=*/8.0).empty());
+  EXPECT_FALSE(PlanRebalance(load, items, 1.2, 8, /*noise_sigmas=*/3.0).empty());
+}
+
+TEST(PlanRebalanceTest, RespectsTheMoveCap) {
+  std::vector<double> load = {300.0, 100.0};
+  auto items = UniformItems(20, 0, 10.0);
+  EXPECT_EQ(PlanRebalance(load, items, 1.5, /*cap=*/3, 0.0).size(), 3u);
+  EXPECT_EQ(load, (std::vector<double>{270.0, 130.0}));
+}
+
+TEST(PlanRebalanceTest, ItemAsHotAsTheGapNeverMoves) {
+  // Gap 200: moving either item would only relocate the hotspot.
+  std::vector<double> load = {300.0, 100.0};
+  std::vector<RebalanceItem> items = {{0, 0, 200.0}, {1, 0, 250.0}};
+  EXPECT_TRUE(PlanRebalance(load, items, 1.2, 8, 0.0).empty());
+  EXPECT_EQ(items[0].bin, 0u);
+  EXPECT_EQ(items[1].bin, 0u);
+}
+
+TEST(PlanRebalanceTest, ImmovableItemNeverMoves) {
+  // Item 0 would even the pair exactly, but it is pinned; item 1 moves
+  // instead and then nothing is left to move.
+  std::vector<double> load = {300.0, 100.0};
+  std::vector<RebalanceItem> items = {{0, 0, 100.0, /*movable=*/false}, {1, 0, 30.0}};
+  const auto moves = PlanRebalance(load, items, 1.2, 8, 0.0);
+  ASSERT_EQ(moves.size(), 1u);
+  EXPECT_EQ(moves[0].key, 1u);
+  EXPECT_EQ(items[0].bin, 0u);
+}
+
+TEST(PlanRebalanceTest, EqualSpreadsMoveTheLowestKey) {
+  // Gap 200: |200 - 2 x 120| == |200 - 2 x 80| == 40. The higher key comes
+  // first in scan order, so only the tie-break can pick key 3.
+  std::vector<double> load = {300.0, 100.0};
+  std::vector<RebalanceItem> items = {{7, 0, 120.0}, {3, 0, 80.0}};
+  const auto moves = PlanRebalance(load, items, 1.2, /*cap=*/1, 0.0);
+  ASSERT_EQ(moves.size(), 1u);
+  EXPECT_EQ(moves[0].key, 3u);
 }
 
 // -------------------------------------------------------------- Table ----
