@@ -35,23 +35,60 @@ double L2f(std::span<const float> a, std::span<const float> b) {
 }
 
 // Relative-error objective against a set of (coordinate row, graph distance)
-// anchors. Unreachable anchors are skipped; zero-distance anchors pin the
-// point with an absolute penalty instead (relative error is undefined at 0).
-struct RelativeErrorObjective {
-  std::span<const float> anchor_coords;  // A x D row-major
-  std::span<const uint16_t> anchor_dists;
-  size_t dims;
-
-  double operator()(std::span<const double> x) const {
-    double total = 0.0;
-    const size_t anchors = anchor_dists.size();
-    for (size_t a = 0; a < anchors; ++a) {
-      const uint16_t d = anchor_dists[a];
-      if (d == kUnreachableU16) {
+// anchors. Unreachable anchors are dropped at construction; zero-distance
+// anchors pin the point with an absolute penalty instead (relative error is
+// undefined at 0).
+//
+// The reachable anchors' rows are copied into a transposed D x A block, so
+// one evaluation sweeps each dimension k across all anchors and every
+// anchor accumulates its squared distance in its own lane of `sq_`. Each
+// lane still sums k = 0..D-1 in order, and sqrt, abs and division follow
+// per anchor in anchor order, so the value is bit-identical to summing
+// anchor by anchor over row-major coordinates.
+class RelativeErrorObjective {
+ public:
+  // anchor_coords: A x dims row-major, one row per entry of anchor_dists.
+  RelativeErrorObjective(std::span<const float> anchor_coords,
+                         std::span<const uint16_t> anchor_dists, size_t dims) {
+    dists_.reserve(anchor_dists.size());
+    for (const uint16_t d : anchor_dists) {
+      if (d != kUnreachableU16) {
+        dists_.push_back(d);
+      }
+    }
+    const size_t anchors = dists_.size();
+    coords_t_.resize(dims * anchors);
+    size_t i = 0;
+    for (size_t a = 0; a < anchor_dists.size(); ++a) {
+      if (anchor_dists[a] == kUnreachableU16) {
         continue;
       }
-      const double embed_dist =
-          L2(x, anchor_coords.subspan(a * dims, dims));
+      const float* row = anchor_coords.data() + a * dims;
+      for (size_t k = 0; k < dims; ++k) {
+        coords_t_[k * anchors + i] = row[k];
+      }
+      ++i;
+    }
+    sq_.resize(anchors);
+  }
+
+  double operator()(std::span<const double> x) {
+    const size_t anchors = dists_.size();
+    GROUTING_DCHECK(x.size() * anchors == coords_t_.size());
+    double* sq = sq_.data();
+    std::fill_n(sq, anchors, 0.0);
+    for (size_t k = 0; k < x.size(); ++k) {
+      const double xk = x[k];
+      const float* col = coords_t_.data() + k * anchors;
+      for (size_t a = 0; a < anchors; ++a) {
+        const double d = xk - static_cast<double>(col[a]);
+        sq[a] += d * d;
+      }
+    }
+    double total = 0.0;
+    for (size_t a = 0; a < anchors; ++a) {
+      const double embed_dist = std::sqrt(sq[a]);
+      const uint16_t d = dists_[a];
       if (d == 0) {
         total += embed_dist;  // co-located anchor
       } else {
@@ -60,6 +97,11 @@ struct RelativeErrorObjective {
     }
     return total;
   }
+
+ private:
+  std::vector<uint16_t> dists_;  // reachable anchors' graph distances
+  std::vector<float> coords_t_;  // dims x anchors: column a is anchor a's row
+  std::vector<double> sq_;       // per-anchor squared-distance lanes
 };
 
 }  // namespace
@@ -108,9 +150,9 @@ GraphEmbedding GraphEmbedding::Build(const LandmarkSet& landmarks,
       for (size_t j = 0; j < l; ++j) {
         placed_dists[j] = landmarks.LandmarkDistance(l, j);
       }
-      RelativeErrorObjective obj{
+      RelativeErrorObjective obj(
           std::span<const float>(emb.landmark_coords_.data(), l * emb.dims_),
-          placed_dists, emb.dims_};
+          placed_dists, emb.dims_);
       NelderMead(obj, std::span<double>(x), lm_opts);
     }
     for (size_t k = 0; k < emb.dims_; ++k) {
@@ -118,27 +160,19 @@ GraphEmbedding GraphEmbedding::Build(const LandmarkSet& landmarks,
     }
   }
 
-  // Cyclic refinement: re-optimise each landmark against all others.
-  std::vector<uint16_t> all_dists(L);
-  std::vector<float> others_coords((L - 1) * emb.dims_);
-  std::vector<uint16_t> others_dists(L - 1);
+  // Cyclic refinement: re-optimise each landmark against all others. The
+  // objective skips unreachable anchors, so marking l itself unreachable
+  // leaves exactly the others, in index order.
+  std::vector<uint16_t> others_dists(L);
   for (int round = 0; round < config.landmark_refine_rounds; ++round) {
     for (size_t l = 0; l < L; ++l) {
-      size_t w = 0;
       for (size_t j = 0; j < L; ++j) {
-        if (j == l) {
-          continue;
-        }
-        std::copy_n(emb.landmark_coords_.data() + j * emb.dims_, emb.dims_,
-                    others_coords.data() + w * emb.dims_);
-        others_dists[w] = landmarks.LandmarkDistance(l, j);
-        ++w;
+        others_dists[j] = j == l ? kUnreachableU16 : landmarks.LandmarkDistance(l, j);
       }
       for (size_t k = 0; k < emb.dims_; ++k) {
         x[k] = emb.landmark_coords_[l * emb.dims_ + k];
       }
-      RelativeErrorObjective obj{std::span<const float>(others_coords), others_dists,
-                                 emb.dims_};
+      RelativeErrorObjective obj(emb.landmark_coords_, others_dists, emb.dims_);
       NelderMead(obj, std::span<double>(x), lm_opts);
       for (size_t k = 0; k < emb.dims_; ++k) {
         emb.landmark_coords_[l * emb.dims_ + k] = static_cast<float>(x[k]);
@@ -263,7 +297,7 @@ void GraphEmbedding::EmbedNode(NodeId u, const LandmarkSet& landmarks,
     x[k] = x[k] / weight_sum + rng.NextGaussian() * 0.05;
   }
 
-  RelativeErrorObjective obj{std::span<const float>(anchor_coords), anchor_dists, dims_};
+  RelativeErrorObjective obj(anchor_coords, anchor_dists, dims_);
   NelderMeadOptions opts;
   opts.max_evals = config.max_evals_per_node;
   opts.initial_step = 0.25 * scale;

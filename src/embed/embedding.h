@@ -10,6 +10,15 @@
 //      distances without touching existing coordinates.
 //
 // Router storage is O(n*D) floats (Table 3).
+//
+// Each placement is one Nelder-Mead minimisation (nelder_mead.h) of a
+// relative-error objective built once per minimisation. The objective keeps
+// its reachable anchors transposed as a D x A float block, so an evaluation
+// sweeps each dimension across all anchors and every anchor sums its squared
+// distance in its own lane, over k = 0..D-1 in order; sqrt, abs and division
+// then follow per anchor, in anchor order. Coordinates are bit-identical to
+// summing anchor by anchor over row-major rows (tests/embed_test.cc pins a
+// hash of them).
 
 #ifndef GROUTING_SRC_EMBED_EMBEDDING_H_
 #define GROUTING_SRC_EMBED_EMBEDDING_H_

@@ -4,12 +4,15 @@
 // algorithm that we apply in this work").
 //
 // Header-only template so the per-node objective (millions of calls during
-// embedding) inlines.
+// embedding) inlines. The simplex lives in one flat (d+1) x d row-major
+// array, and each iteration ranks it with one linear scan (RankSimplex)
+// under the stable-sort rule below instead of sorting an index array.
 
 #ifndef GROUTING_SRC_EMBED_NELDER_MEAD_H_
 #define GROUTING_SRC_EMBED_NELDER_MEAD_H_
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -32,6 +35,36 @@ struct NelderMeadOptions {
   double sigma = 0.5;
 };
 
+struct SimplexRank {
+  size_t best = 0;
+  size_t worst = 0;
+  size_t second_worst = 0;
+};
+
+// Ranks simplex values fv (at least two) the way a stable ascending sort of
+// their indices would: best = first minimum, worst = last maximum,
+// second_worst = last maximum among the others. Ties therefore go to the
+// lower index for best and to the higher index for worst.
+inline SimplexRank RankSimplex(std::span<const double> fv) {
+  GROUTING_DCHECK(fv.size() >= 2);
+  SimplexRank r;
+  for (size_t i = 1; i < fv.size(); ++i) {
+    if (fv[i] < fv[r.best]) {
+      r.best = i;
+    }
+    if (fv[i] >= fv[r.worst]) {
+      r.worst = i;
+    }
+  }
+  r.second_worst = r.worst == 0 ? 1 : 0;
+  for (size_t i = r.second_worst + 1; i < fv.size(); ++i) {
+    if (i != r.worst && fv[i] >= fv[r.second_worst]) {
+      r.second_worst = i;
+    }
+  }
+  return r;
+}
+
 // Minimises f over x (in place); returns the best objective value found.
 // F: double(std::span<const double>).
 template <typename F>
@@ -39,33 +72,34 @@ double NelderMead(F&& f, std::span<double> x, const NelderMeadOptions& opts = {}
   const size_t d = x.size();
   GROUTING_CHECK(d > 0);
 
-  // Simplex of d+1 points.
-  std::vector<std::vector<double>> pts(d + 1, std::vector<double>(x.begin(), x.end()));
+  // Simplex of d+1 points, row i at pts[i * d].
+  std::vector<double> pts((d + 1) * d);
+  auto row = [&pts, d](size_t i) { return pts.data() + i * d; };
+  for (size_t i = 0; i <= d; ++i) {
+    std::copy(x.begin(), x.end(), row(i));
+  }
   for (size_t i = 0; i < d; ++i) {
-    pts[i + 1][i] += opts.initial_step;
+    row(i + 1)[i] += opts.initial_step;
   }
   std::vector<double> fv(d + 1);
   int evals = 0;
-  auto eval = [&](const std::vector<double>& p) {
+  auto eval = [&](const double* p) {
     ++evals;
-    return f(std::span<const double>(p));
+    return f(std::span<const double>(p, d));
   };
   for (size_t i = 0; i <= d; ++i) {
-    fv[i] = eval(pts[i]);
+    fv[i] = eval(row(i));
   }
 
-  std::vector<size_t> order(d + 1);
   std::vector<double> centroid(d);
   std::vector<double> candidate(d);
+  auto take_candidate = [&](size_t i, double value) {
+    std::copy(candidate.begin(), candidate.end(), row(i));
+    fv[i] = value;
+  };
 
   while (evals < opts.max_evals) {
-    for (size_t i = 0; i <= d; ++i) {
-      order[i] = i;
-    }
-    std::sort(order.begin(), order.end(), [&](size_t a, size_t b) { return fv[a] < fv[b]; });
-    const size_t best = order[0];
-    const size_t worst = order[d];
-    const size_t second_worst = order[d - 1];
+    const auto [best, worst, second_worst] = RankSimplex(fv);
 
     if (fv[worst] - fv[best] <= opts.tolerance * (std::abs(fv[best]) + 1e-12)) {
       break;
@@ -77,36 +111,35 @@ double NelderMead(F&& f, std::span<double> x, const NelderMeadOptions& opts = {}
       if (i == worst) {
         continue;
       }
+      const double* p = row(i);
       for (size_t k = 0; k < d; ++k) {
-        centroid[k] += pts[i][k];
+        centroid[k] += p[k];
       }
     }
     for (size_t k = 0; k < d; ++k) {
       centroid[k] /= static_cast<double>(d);
     }
 
+    const double* worst_pt = row(worst);
     auto blend = [&](double coef) {
       for (size_t k = 0; k < d; ++k) {
-        candidate[k] = centroid[k] + coef * (centroid[k] - pts[worst][k]);
+        candidate[k] = centroid[k] + coef * (centroid[k] - worst_pt[k]);
       }
     };
 
     blend(opts.alpha);  // reflection
-    const double f_reflect = eval(candidate);
+    const double f_reflect = eval(candidate.data());
     if (f_reflect < fv[best]) {
       blend(opts.alpha * opts.gamma);  // expansion
-      const double f_expand = eval(candidate);
+      const double f_expand = eval(candidate.data());
       if (f_expand < f_reflect) {
-        pts[worst] = candidate;
-        fv[worst] = f_expand;
+        take_candidate(worst, f_expand);
       } else {
         blend(opts.alpha);
-        pts[worst] = candidate;
-        fv[worst] = f_reflect;
+        take_candidate(worst, f_reflect);
       }
     } else if (f_reflect < fv[second_worst]) {
-      pts[worst] = candidate;
-      fv[worst] = f_reflect;
+      take_candidate(worst, f_reflect);
     } else {
       // Contraction (outside if the reflection improved on the worst).
       if (f_reflect < fv[worst]) {
@@ -114,20 +147,21 @@ double NelderMead(F&& f, std::span<double> x, const NelderMeadOptions& opts = {}
       } else {
         blend(-opts.rho);
       }
-      const double f_contract = eval(candidate);
+      const double f_contract = eval(candidate.data());
       if (f_contract < std::min(f_reflect, fv[worst])) {
-        pts[worst] = candidate;
-        fv[worst] = f_contract;
+        take_candidate(worst, f_contract);
       } else {
         // Shrink towards the best point.
+        const double* best_pt = row(best);
         for (size_t i = 0; i <= d; ++i) {
           if (i == best) {
             continue;
           }
+          double* p = row(i);
           for (size_t k = 0; k < d; ++k) {
-            pts[i][k] = pts[best][k] + opts.sigma * (pts[i][k] - pts[best][k]);
+            p[k] = best_pt[k] + opts.sigma * (p[k] - best_pt[k]);
           }
-          fv[i] = eval(pts[i]);
+          fv[i] = eval(p);
         }
       }
     }
@@ -139,7 +173,7 @@ double NelderMead(F&& f, std::span<double> x, const NelderMeadOptions& opts = {}
       best = i;
     }
   }
-  std::copy(pts[best].begin(), pts[best].end(), x.begin());
+  std::copy_n(row(best), d, x.begin());
   return fv[best];
 }
 

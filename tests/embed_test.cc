@@ -4,7 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "src/embed/embedding.h"
 #include "src/embed/nelder_mead.h"
@@ -70,6 +73,60 @@ TEST(NelderMeadTest, RespectsEvalBudget) {
       },
       std::span<double>(x), opts);
   EXPECT_LE(evals, 50 + 3);  // simplex init may finish the last iteration
+}
+
+// RankSimplex must pick what a stable ascending sort of the indices puts
+// first, last and second-to-last, ties included.
+void ExpectRankMatchesStableSort(const std::vector<double>& fv) {
+  std::vector<size_t> order(fv.size());
+  for (size_t i = 0; i < order.size(); ++i) {
+    order[i] = i;
+  }
+  std::stable_sort(order.begin(), order.end(),
+                   [&](size_t a, size_t b) { return fv[a] < fv[b]; });
+  const SimplexRank rank = RankSimplex(fv);
+  EXPECT_EQ(rank.best, order.front());
+  EXPECT_EQ(rank.worst, order.back());
+  EXPECT_EQ(rank.second_worst, order[order.size() - 2]);
+}
+
+TEST(NelderMeadTest, RankAllEqual) {
+  ExpectRankMatchesStableSort(std::vector<double>(21, 1.5));
+  ExpectRankMatchesStableSort(std::vector<double>(4, 0.0));
+}
+
+TEST(NelderMeadTest, RankDuplicatedMaximum) {
+  ExpectRankMatchesStableSort({1.0, 5.0, 2.0, 5.0, 0.5});
+  ExpectRankMatchesStableSort({5.0, 1.0, 5.0, 5.0});
+}
+
+TEST(NelderMeadTest, RankDuplicatedMinimum) {
+  ExpectRankMatchesStableSort({3.0, 0.5, 2.0, 0.5, 4.0});
+  ExpectRankMatchesStableSort({0.5, 0.5, 0.5, 4.0});
+}
+
+TEST(NelderMeadTest, RankWorstAtIndexZero) {
+  ExpectRankMatchesStableSort({9.0, 1.0, 3.0, 2.0});
+  ExpectRankMatchesStableSort({9.0, 1.0, 3.0, 3.0});
+}
+
+TEST(NelderMeadTest, RankOneDimension) {
+  ExpectRankMatchesStableSort({1.0, 2.0});
+  ExpectRankMatchesStableSort({2.0, 1.0});
+  ExpectRankMatchesStableSort({1.0, 1.0});
+}
+
+// Seeded random simplices with heavy ties, across the sizes embedding
+// uses (d = 1..30).
+TEST(NelderMeadTest, RankMatchesStableSortOnRandomTies) {
+  Rng rng(5);
+  for (int trial = 0; trial < 2000; ++trial) {
+    std::vector<double> fv(2 + rng.NextBounded(30));
+    for (double& v : fv) {
+      v = static_cast<double>(rng.NextBounded(4));
+    }
+    ExpectRankMatchesStableSort(fv);
+  }
 }
 
 // ----------------------------------------------------------- Embedding --
@@ -264,6 +321,77 @@ TEST_P(EmbedDimsTest, CoordinatesFinite) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Dims, EmbedDimsTest, ::testing::Values(1, 2, 5, 10, 20));
+
+// ----------------------------------------------------- Coordinate pin --
+
+void HashBytes(uint64_t& h, const void* data, size_t len) {
+  const auto* bytes = static_cast<const unsigned char*>(data);
+  for (size_t i = 0; i < len; ++i) {
+    h ^= bytes[i];
+    h *= 0x100000001b3ULL;  // FNV-1a 64
+  }
+}
+
+void HashCoords(uint64_t& h, std::span<const float> coords) {
+  HashBytes(h, coords.data(), coords.size_bytes());
+}
+
+void HashEmbedding(uint64_t& h, const Graph& g, const LandmarkSet& lms,
+                   const GraphEmbedding& emb) {
+  for (NodeId u = 0; u < g.num_nodes(); ++u) {
+    const uint8_t embedded = emb.IsEmbedded(u) ? 1 : 0;
+    HashBytes(h, &embedded, 1);
+    if (embedded != 0) {
+      HashCoords(h, emb.Coords(u));
+    }
+  }
+  for (size_t l = 0; l < lms.count(); ++l) {
+    HashCoords(h, emb.Coords(lms.landmark_node(l)));
+  }
+}
+
+// FNV-1a over the bit patterns of every coordinate two small seeded builds
+// produce: each node's row (or an "unembedded" marker) and each landmark's
+// row. The first build is a preferential-attachment graph plus one node
+// placed afterwards by AddNodeIncremental; the second is a grid, whose
+// integer geometry gives simplices with exactly tied objective values, so
+// the simplex ranking's tie rule is pinned too. The pinned values were
+// taken from the embedding kernel before its objective and simplex ranking
+// were restructured for speed; any change that moves a coordinate by one
+// ulp fails here.
+uint64_t CoordinateHash(size_t dims) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  {
+    Graph g = GenerateBarabasiAlbert(500, 3, 21);
+    std::vector<uint8_t> allowed(g.num_nodes(), 1);
+    const NodeId hidden = 321;
+    allowed[hidden] = 0;
+    auto lms = LandmarkSet::Select(g, TestLandmarkConfig(30), &allowed);
+    auto emb = GraphEmbedding::Build(lms, TestEmbedConfig(dims));
+    HashEmbedding(h, g, lms, emb);
+    EXPECT_FALSE(emb.IsEmbedded(hidden));
+    EXPECT_TRUE(emb.AddNodeIncremental(g, hidden, lms));
+    HashCoords(h, emb.Coords(hidden));
+  }
+  {
+    Graph g = GenerateGrid(15, 15);
+    auto lms = LandmarkSet::Select(g, TestLandmarkConfig(10));
+    auto emb = GraphEmbedding::Build(lms, TestEmbedConfig(dims));
+    HashEmbedding(h, g, lms, emb);
+  }
+  return h;
+}
+
+TEST(EmbeddingPinTest, CoordinateHashDims10) {
+  EXPECT_EQ(CoordinateHash(10), 0x930b9f0ea7134cffULL);
+}
+
+// 21 simplex points: more than the 16 up to which libstdc++'s std::sort of
+// the indices is a stable insertion sort. These builds meet no tie that an
+// unstable sort would rank differently from the stable-rank scan.
+TEST(EmbeddingPinTest, CoordinateHashDims20) {
+  EXPECT_EQ(CoordinateHash(20), 0x39a7ad7cb39ef9c1ULL);
+}
 
 }  // namespace
 }  // namespace grouting

@@ -5,9 +5,11 @@
 // 500 hotspot queries through one CachedStorageSource over 4 storage
 // servers and check allocations per query and peak live heap bytes
 // (malloc_usable_size); the storage tests check allocations per
-// StorageTier::ApplyMutation and per StorageServer::MultiGet. Every budget
-// is written here. A change in a budget is a gate change and is reported
-// as one.
+// StorageTier::ApplyMutation and per StorageServer::MultiGet; the routing
+// test checks allocations per RoutingStrategy::Route for each scheme. Every
+// budget
+// is written here. A change in a budget is a gate change and is reported as
+// one.
 //
 // The counters are thread-local and replace the global operator new /
 // operator delete. ASan and TSan replace the allocator themselves, so under
@@ -23,11 +25,14 @@
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <string>
 #include <vector>
 
+#include "src/core/experiment.h"
 #include "src/graph/generators.h"
 #include "src/proc/processor.h"
 #include "src/query/query.h"
+#include "src/routing/strategy.h"
 #include "src/storage/storage_tier.h"
 #include "src/workload/mutations.h"
 #include "src/workload/workload.h"
@@ -276,6 +281,45 @@ TEST_F(WorkBudgetTest, StorageServerMultiGet) {
   const double allocs = AllocsPerMultiGet();
   std::printf("[ work     ] %-16s %8.1f allocs/call\n", "multiget x128", allocs);
   EXPECT_LE(allocs, 1.1);
+}
+
+// Allocations per RoutingStrategy::Route: 20000 hotspot query nodes routed
+// over the default 7 processors of a small web-graph environment, with
+// queue lengths that change every decision so the load term is live. The
+// strategy (and the landmark index or embedding it reads) is built before
+// counting starts: only the per-query decision is measured.
+double AllocsPerRoute(RoutingSchemeKind scheme) {
+  constexpr size_t kRoutes = 20000;
+  static ExperimentEnv env(DatasetId::kWebGraphLike, /*scale=*/0.02, /*seed=*/29);
+  RunOptions options;
+  options.scheme = scheme;
+  const std::vector<Query> queries = env.HotspotWorkload(
+      options.hotspot_radius, options.hops, options.num_hotspots,
+      options.queries_per_hotspot);
+  std::unique_ptr<RoutingStrategy> strategy = env.MakeStrategy(options);
+  std::vector<uint32_t> lengths(options.processors, 0);
+  const RouterContext ctx{options.processors, lengths};
+  HeapProbe probe;
+  for (size_t i = 0; i < kRoutes; ++i) {
+    const uint32_t p = strategy->Route(queries[i % queries.size()].node, ctx);
+    EXPECT_LT(p, options.processors);
+    lengths[p] = (lengths[p] + 1) % 5;
+  }
+  return static_cast<double>(probe.allocs()) / kRoutes;
+}
+
+// A route decision reads the query node's landmark distances or
+// coordinates and the queue lengths it is handed, and updates at most the
+// Embed EMA in place: no scheme allocates (0.0 allocs/route each).
+TEST_F(WorkBudgetTest, RouteDecision) {
+  for (const RoutingSchemeKind scheme :
+       {RoutingSchemeKind::kNextReady, RoutingSchemeKind::kHash,
+        RoutingSchemeKind::kLandmark, RoutingSchemeKind::kEmbed}) {
+    const std::string name = "route " + RoutingSchemeKindName(scheme);
+    const double allocs = AllocsPerRoute(scheme);
+    std::printf("[ work     ] %-16s %8.1f allocs/route\n", name.c_str(), allocs);
+    EXPECT_EQ(allocs, 0.0) << name;
+  }
 }
 
 }  // namespace
