@@ -12,12 +12,20 @@
 // costs no refcount traffic. The pointer stays valid until the next Put,
 // Erase or Clear on the same cache (any of which may evict or replace the
 // entry); a hit (Get) never invalidates it.
+//
+// Entries live in a slab: fixed-size chunks that are never reallocated, so
+// an entry's address holds for its whole life. The eviction order is a
+// doubly linked list of 32-bit slot indices threaded through the entries,
+// freed slots go on a free list, and the NodeTable maps each key to its
+// slot. An install therefore allocates no list node and an eviction frees
+// none; only a new chunk (every kChunkEntries installs past the previous
+// peak) or the index tables allocate.
 
 #ifndef GROUTING_SRC_CACHE_CACHE_H_
 #define GROUTING_SRC_CACHE_CACHE_H_
 
 #include <cstdint>
-#include <list>
+#include <memory>
 #include <set>
 #include <string>
 #include <tuple>
@@ -56,6 +64,10 @@ struct CacheStats {
 template <typename V>
 class NodeCache {
  public:
+  // Entries per slab chunk. A chunk is allocated when every slot of the
+  // previous ones is in use, and is never moved or freed before Clear.
+  static constexpr uint32_t kChunkEntries = 1024;
+
   explicit NodeCache(uint64_t capacity_bytes, CachePolicy policy = CachePolicy::kLru)
       : capacity_bytes_(capacity_bytes), policy_(policy) {}
 
@@ -82,19 +94,40 @@ class NodeCache {
   void ResetStats() { stats_ = CacheStats{}; }
 
  private:
+  // Slab slot index; kNil ends a list (the list's "end()").
+  using Index = uint32_t;
+  static constexpr Index kNil = ~Index{0};
+
   struct Entry {
-    NodeId key;
-    V value;
-    uint64_t bytes;
-    uint64_t freq = 1;       // LFU
-    uint64_t seq = 0;        // LFU tie-break: monotonic insertion order
+    V value{};
+    uint64_t bytes = 0;
+    uint64_t freq = 1;  // LFU
+    uint64_t seq = 0;   // LFU tie-break: monotonic insertion order
+    NodeId key = 0;
+    Index prev = kNil;  // entry order; `next` also links the free list
+    Index next = kNil;
     bool referenced = true;  // CLOCK
   };
-  using EntryList = std::list<Entry>;
   // LFU victim index, ordered by (frequency, insertion seq, key): begin() is
   // the least-frequently-used entry, oldest-inserted first — the same victim
   // the historical O(n) full-list scan picked, found in O(log n).
   using LfuIndex = std::set<std::tuple<uint64_t, uint64_t, NodeId>>;
+
+  Entry& At(Index i) { return chunks_[i / kChunkEntries][i % kChunkEntries]; }
+
+  // Takes a slot off the free list, or the next never-used one (adding a
+  // chunk when all are in use), and links it at the back of the order.
+  Index Allocate();
+  // Unlinks the slot, drops its value and pushes it on the free list.
+  void Release(Index i);
+  void Unlink(Index i);
+  void LinkBack(Index i);
+  void MoveToBack(Index i) {
+    if (i != tail_) {
+      Unlink(i);
+      LinkBack(i);
+    }
+  }
 
   void EvictOne();
 
@@ -111,14 +144,18 @@ class NodeCache {
   CachePolicy policy_;
   uint64_t size_bytes_ = 0;
   CacheStats stats_;
-  // entries_ order semantics: front = next eviction candidate region.
+  // Entry order, head_ to tail_ (front = next eviction candidate region):
   //   LRU  : most-recent at back; evict front.
   //   FIFO : insertion order; evict front.
   //   LFU  : insertion order; eviction via lfu_index_.
   //   CLOCK: circular scan with hand_ and reference bits.
-  EntryList entries_;
-  NodeTable<typename EntryList::iterator> map_;
-  typename EntryList::iterator hand_ = entries_.end();  // CLOCK hand
+  std::vector<std::unique_ptr<Entry[]>> chunks_;
+  Index used_slots_ = 0;  // slots ever handed out since the last Clear
+  Index free_head_ = kNil;
+  Index head_ = kNil;
+  Index tail_ = kNil;
+  NodeTable<Index> map_;
+  Index hand_ = kNil;  // CLOCK hand; kNil = restart from the front
   LfuIndex lfu_index_;
   uint64_t next_seq_ = 0;
 };
@@ -126,21 +163,62 @@ class NodeCache {
 // ---- implementation ----
 
 template <typename V>
+typename NodeCache<V>::Index NodeCache<V>::Allocate() {
+  Index i = free_head_;
+  if (i != kNil) {
+    free_head_ = At(i).next;
+  } else {
+    GROUTING_CHECK(used_slots_ < kNil);
+    if (used_slots_ == chunks_.size() * kChunkEntries) {
+      chunks_.push_back(std::make_unique<Entry[]>(kChunkEntries));
+    }
+    i = used_slots_++;
+  }
+  LinkBack(i);
+  return i;
+}
+
+template <typename V>
+void NodeCache<V>::Release(Index i) {
+  Unlink(i);
+  Entry& entry = At(i);
+  entry.value = V{};  // a free slot holds no resources
+  entry.next = free_head_;
+  free_head_ = i;
+}
+
+template <typename V>
+void NodeCache<V>::Unlink(Index i) {
+  Entry& entry = At(i);
+  (entry.prev == kNil ? head_ : At(entry.prev).next) = entry.next;
+  (entry.next == kNil ? tail_ : At(entry.next).prev) = entry.prev;
+}
+
+template <typename V>
+void NodeCache<V>::LinkBack(Index i) {
+  Entry& entry = At(i);
+  entry.prev = tail_;
+  entry.next = kNil;
+  (tail_ == kNil ? head_ : At(tail_).next) = i;
+  tail_ = i;
+}
+
+template <typename V>
 const V* NodeCache<V>::Get(NodeId key) {
-  const auto* slot = map_.Find(key);
+  const Index* slot = map_.Find(key);
   if (slot == nullptr) {
     ++stats_.misses;
     return nullptr;
   }
   ++stats_.hits;
-  const auto entry_it = *slot;
-  BumpFreq(*entry_it);
-  entry_it->referenced = true;
+  const Index i = *slot;
+  Entry& entry = At(i);
+  BumpFreq(entry);
+  entry.referenced = true;
   if (policy_ == CachePolicy::kLru) {
-    // Splicing relinks the list node in place: the value's address holds.
-    entries_.splice(entries_.end(), entries_, entry_it);  // move to back (MRU)
+    MoveToBack(i);  // relinks the slot in place: the value's address holds
   }
-  return &entry_it->value;
+  return &entry.value;
 }
 
 template <typename V>
@@ -150,25 +228,32 @@ void NodeCache<V>::Put(NodeId key, V value, uint64_t bytes) {
     Erase(key);
     return;
   }
-  if (const auto* slot = map_.Find(key); slot != nullptr) {
+  if (const Index* slot = map_.Find(key); slot != nullptr) {
     // Overwrite in place, adjusting the byte charge. An overwrite is a use:
     // refresh recency/frequency state like a hit would.
-    const auto entry_it = *slot;
-    size_bytes_ -= entry_it->bytes;
-    entry_it->value = std::move(value);
-    entry_it->bytes = bytes;
-    entry_it->referenced = true;
-    BumpFreq(*entry_it);
+    const Index i = *slot;
+    Entry& entry = At(i);
+    size_bytes_ -= entry.bytes;
+    entry.value = std::move(value);
+    entry.bytes = bytes;
+    entry.referenced = true;
+    BumpFreq(entry);
     size_bytes_ += bytes;
     if (policy_ == CachePolicy::kLru) {
-      entries_.splice(entries_.end(), entries_, entry_it);
+      MoveToBack(i);
     }
   } else {
-    entries_.push_back(Entry{key, std::move(value), bytes});
-    entries_.back().seq = next_seq_++;
-    map_.Insert(key, std::prev(entries_.end()));
+    const Index i = Allocate();
+    Entry& entry = At(i);
+    entry.key = key;
+    entry.value = std::move(value);
+    entry.bytes = bytes;
+    entry.freq = 1;
+    entry.seq = next_seq_++;
+    entry.referenced = true;
+    map_.Insert(key, i);
     if (policy_ == CachePolicy::kLfu) {
-      lfu_index_.insert({entries_.back().freq, entries_.back().seq, key});
+      lfu_index_.insert({entry.freq, entry.seq, key});
     }
     size_bytes_ += bytes;
     ++stats_.inserts;
@@ -180,78 +265,75 @@ void NodeCache<V>::Put(NodeId key, V value, uint64_t bytes) {
 
 template <typename V>
 void NodeCache<V>::EvictOne() {
-  GROUTING_CHECK(!entries_.empty());
-  typename EntryList::iterator victim;
+  GROUTING_CHECK(head_ != kNil);
+  Index victim = kNil;
   switch (policy_) {
     case CachePolicy::kLru:
     case CachePolicy::kFifo:
-      victim = entries_.begin();
+      victim = head_;
       break;
     case CachePolicy::kLfu: {
       GROUTING_CHECK(!lfu_index_.empty());
-      const auto* slot = map_.Find(std::get<2>(*lfu_index_.begin()));
+      const Index* slot = map_.Find(std::get<2>(*lfu_index_.begin()));
       GROUTING_CHECK(slot != nullptr);
       victim = *slot;
       break;
     }
     case CachePolicy::kClock: {
-      if (hand_ == entries_.end()) {
-        hand_ = entries_.begin();
+      if (hand_ == kNil) {
+        hand_ = head_;
       }
       // Sweep, clearing reference bits, until an unreferenced entry appears.
-      while (hand_->referenced) {
-        hand_->referenced = false;
-        ++hand_;
-        if (hand_ == entries_.end()) {
-          hand_ = entries_.begin();
-        }
+      while (At(hand_).referenced) {
+        At(hand_).referenced = false;
+        hand_ = At(hand_).next == kNil ? head_ : At(hand_).next;
       }
       victim = hand_;
-      ++hand_;
-      if (hand_ == entries_.end() && entries_.size() > 1) {
-        hand_ = entries_.begin();
-      }
+      hand_ = At(victim).next;  // past the back (kNil): restart at the front
       break;
     }
   }
-  size_bytes_ -= victim->bytes;
-  stats_.bytes_evicted += victim->bytes;
+  Entry& entry = At(victim);
+  size_bytes_ -= entry.bytes;
+  stats_.bytes_evicted += entry.bytes;
   ++stats_.evictions;
   if (policy_ == CachePolicy::kLfu) {
-    lfu_index_.erase({victim->freq, victim->seq, victim->key});
+    lfu_index_.erase({entry.freq, entry.seq, entry.key});
   }
-  map_.Erase(victim->key);
-  if (hand_ == victim) {
-    hand_ = entries_.end();
-  }
-  entries_.erase(victim);
+  map_.Erase(entry.key);
+  Release(victim);
 }
 
 template <typename V>
 void NodeCache<V>::Erase(NodeId key) {
-  const auto* slot = map_.Find(key);
+  const Index* slot = map_.Find(key);
   if (slot == nullptr) {
     return;
   }
-  const auto entry_it = *slot;
-  if (hand_ == entry_it) {
-    hand_ = entries_.end();
+  const Index i = *slot;
+  Entry& entry = At(i);
+  if (hand_ == i) {
+    hand_ = kNil;
   }
   if (policy_ == CachePolicy::kLfu) {
-    lfu_index_.erase({entry_it->freq, entry_it->seq, key});
+    lfu_index_.erase({entry.freq, entry.seq, key});
   }
-  size_bytes_ -= entry_it->bytes;
-  entries_.erase(entry_it);
+  size_bytes_ -= entry.bytes;
   map_.Erase(key);
+  Release(i);
 }
 
 template <typename V>
 void NodeCache<V>::Clear() {
-  entries_.clear();
+  chunks_.clear();
+  used_slots_ = 0;
+  free_head_ = kNil;
+  head_ = kNil;
+  tail_ = kNil;
   map_.Clear();
   lfu_index_.clear();
   size_bytes_ = 0;
-  hand_ = entries_.end();
+  hand_ = kNil;
 }
 
 }  // namespace grouting

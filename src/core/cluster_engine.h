@@ -412,7 +412,8 @@ class ClusterEngine {
   // engine-independent metric, then lets the engine add its own fields.
   ClusterMetrics Run(std::span<const Query> queries);
 
-  // Completion-order answers from Run.
+  // Answers from Run, in completion order within each processor; how the
+  // processors' answers interleave is up to the engine.
   const std::vector<AnsweredQuery>& answers() const { return answers_; }
 
   const ClusterConfig& config() const { return config_; }

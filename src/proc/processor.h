@@ -7,7 +7,9 @@
 // The storage servers ship encoded blobs; the processor is the only place
 // that decodes them. Each fetched blob is decoded once, on completion,
 // outside any storage lock. The cache keeps the decoded entry, or (in
-// compressed mode) the very blob that was fetched.
+// compressed mode) the very blob that was fetched, together with the node's
+// label and edge count: a hit that needs only the label reads the slot
+// alone.
 //
 // Per traversal level the source runs an issue / probe / complete pipeline:
 // miss batches are opened as async multiget handles (StorageTier::
@@ -40,17 +42,22 @@ namespace grouting {
 // mode (ProcessorConfig::cache_compressed) holds the fetched blob instead —
 // shared with the storage server, charged at its encoded size against the
 // byte budget, and decoded again on every hit whose edges the query reads
-// (into a reused slot of the source's decode pool, not a fresh entry); a
-// hit that needs only the label reads the blob's header. Exactly one of the
-// two pointers is set. `version` is the adjacency version snapshot taken BEFORE
-// the blob was fetched (always 0 with mutations off): a probe re-validates
-// it against the tier's current NodeVersion, so a hit can never serve a
-// list from before a mutation — the snapshot may under-claim (forcing a
-// spurious refetch) but never over-claim.
+// (into a reused slot of the source's decode pool, not a fresh entry).
+// Exactly one of the two pointers is set. Either way the slot also carries
+// the node's label and edge count (out + in), filled from the full decode
+// that validated the blob before install, so a hit that needs only the
+// label reads the slot alone, in both modes. `version` is the adjacency
+// version snapshot taken BEFORE the blob was fetched (always 0 with
+// mutations off): a probe re-validates it against the tier's current
+// NodeVersion, so a hit can never serve a list from before a mutation — the
+// snapshot may under-claim (forcing a spurious refetch) but never
+// over-claim.
 struct CachedAdjacency {
   AdjacencyPtr decoded;
   BlobPtr encoded;
   uint64_t version = 0;
+  Label label = kNoLabel;
+  uint32_t edges = 0;
 };
 
 // Re-resolves multiget misses that raced a partition migration: a batch
@@ -97,9 +104,9 @@ class CachedStorageSource : public NodeDataSource {
   }
 
   std::vector<AdjacencyPtr> FetchBatch(std::span<const NodeId> nodes) override;
-  // Same probes, batches, cache installs and trace as FetchBatch. A
-  // compressed hit reads only its blob's header and a decoded hit only its
-  // entry's label; misses still decode in full.
+  // Same probes, batches, cache installs and trace as FetchBatch. A hit
+  // reads only its cache slot's label and edge count; misses still decode
+  // in full.
   std::vector<std::optional<Label>> FetchLabels(std::span<const NodeId> nodes) override;
   const FetchTrace& trace() const override { return trace_; }
   void ResetTrace() override { trace_.Clear(); }
@@ -181,6 +188,10 @@ class CachedStorageSource : public NodeDataSource {
   // Where a label-only fetch decodes a miss the cache does not keep: the
   // entry is read for its label and dropped, so it never needs a slot.
   AdjacencyEntry scratch_;
+  // The cache slots one completed batch installs, parallel to its blobs:
+  // filled by CompleteOldest's decode pass, moved into the cache by its
+  // install pass, and emptied before it returns.
+  std::vector<CachedAdjacency> installs_;
 };
 
 struct ProcessorStats {
@@ -194,8 +205,9 @@ struct ProcessorStats {
   // accumulated overlap between in-flight fetches and processor-side work.
   uint32_t batches_inflight_peak = 0;
   double fetch_overlap_us = 0.0;
-  // Wall time decoding compressed blobs on cache hits (threaded runtime;
-  // the sim replaces it with the cost model's virtual charge).
+  // Wall time decoding compressed blobs: cache hits in compressed mode, and
+  // fetched blobs under delta_varint encoding (threaded runtime; the sim
+  // replaces it with the cost model's virtual charge).
   double decompress_us = 0.0;
 };
 

@@ -105,6 +105,7 @@ ThreadedCluster::ThreadedCluster(const Graph& graph, const ClusterConfig& config
     }
   }
   samples_.assign(config_.num_processors, RunSamples(config_.num_tenants));
+  proc_answers_.resize(config_.num_processors);
 }
 
 ThreadedCluster::~ThreadedCluster() {
@@ -345,6 +346,7 @@ void ThreadedCluster::GossipLoop() {
 
 void ThreadedCluster::ProcessorLoop(uint32_t p) {
   RunSamples& samples = samples_[p];
+  std::vector<AnsweredQuery>& answers = proc_answers_[p];
   WallTracer* tracer = proc_tracers_.empty() ? nullptr : &proc_tracers_[p];
   while (!shutdown_.load(std::memory_order_acquire) &&
          remaining_.load(std::memory_order_acquire) > 0) {
@@ -381,8 +383,10 @@ void ThreadedCluster::ProcessorLoop(uint32_t p) {
                    processors_[p]->last_trace().level_stats.size());
       tracer->EndQuery();
     }
-    completions_.Push(AnsweredQuery{routed.query.id, p, result});
-    remaining_.fetch_sub(1, std::memory_order_acq_rel);
+    answers.push_back(AnsweredQuery{routed.query.id, p, result});
+    if (remaining_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      remaining_.notify_all();  // the last answer: wake the feeder
+    }
   }
 }
 
@@ -436,16 +440,13 @@ ThreadedCluster::RunOutcome ThreadedCluster::Execute(std::span<const Query> quer
     gossip_thread_ = std::thread([this] { GossipLoop(); });
   }
 
-  // This thread feeds the arrival stream itself, then waits for completion,
-  // collecting answers as they arrive. Shed arrivals never produce an
-  // answer, so completion is the admitted count.
+  // This thread feeds the arrival stream itself, then waits for completion.
+  // Shed arrivals never produce an answer, so completion is the admitted
+  // count.
   FeederLoop(queries, plan);
-  while (answers_.size() < plan.admitted) {
-    auto a = completions_.Pop();
-    if (!a.has_value()) {
-      break;
-    }
-    answers_.push_back(*a);
+  for (uint64_t left = remaining_.load(std::memory_order_acquire); left > 0;
+       left = remaining_.load(std::memory_order_acquire)) {
+    remaining_.wait(left, std::memory_order_acquire);
   }
   const auto end = Clock::now();
 
@@ -468,6 +469,9 @@ ThreadedCluster::RunOutcome ThreadedCluster::Execute(std::span<const Query> quer
     t.join();
   }
   threads_.clear();
+  for (std::vector<AnsweredQuery>& answers : proc_answers_) {
+    answers_.insert(answers_.end(), answers.begin(), answers.end());
+  }
 
   RunOutcome run{ElapsedUs(start, end), RunSamples(config_.num_tenants)};
   for (const RunSamples& samples : samples_) {

@@ -8,7 +8,7 @@
 //                    wall time — and hands each admitted query to its
 //                    CURRENT shard via a per-shard arrival channel, so the
 //                    assignment can change mid-run as sessions migrate;
-//                    then it collects the answers,
+//                    then it waits for the last answer,
 //   N router-shard threads : each drains its arrival channel onto
 //                    per-processor channels with its OWN strategy
 //                    instance, using live channel lengths as load,
@@ -72,8 +72,9 @@ class ThreadedCluster : public ClusterEngine {
   using Clock = std::chrono::steady_clock;
 
   // Spawns the processor, router-shard, writer and gossip threads, feeds
-  // the arrival stream from the calling thread, collects the answers and
-  // joins every thread; the makespan is the feeder's start -> last answer.
+  // the arrival stream from the calling thread, waits for the last answer,
+  // joins every thread and collects the answers processor by processor; the
+  // makespan is the feeder's start -> last answer.
   RunOutcome Execute(std::span<const Query> queries, const AdmissionPlan& plan) override;
   // Steals, the per-processor and per-router-shard splits, and the gossip
   // and splitter stats.
@@ -123,8 +124,12 @@ class ThreadedCluster : public ClusterEngine {
   // merged after all threads joined.
   std::vector<RunSamples> samples_;
   std::atomic<uint64_t> steals_{0};
+  // Admitted queries not yet answered. The processor whose decrement takes
+  // it to 0 wakes the feeder thread, which waits on it in Execute.
   std::atomic<uint64_t> remaining_{0};
-  MpmcQueue<AnsweredQuery> completions_;
+  // Per-processor answers in that processor's completion order, written only
+  // by the owning thread and appended to answers_ after all threads joined.
+  std::vector<std::vector<AnsweredQuery>> proc_answers_;
   std::vector<std::thread> threads_;
   std::vector<std::thread> router_threads_;
   std::thread gossip_thread_;

@@ -17,6 +17,7 @@
 #include "src/query/query.h"
 #include "src/util/rng.h"
 #include "src/workload/datasets.h"
+#include "src/workload/mutations.h"
 #include "src/workload/workload.h"
 
 namespace grouting {
@@ -593,6 +594,133 @@ TEST(LabelFetchTest, LabelOnlyFetchesMatchFullFetchesInEveryCacheMode) {
       ExpectEntriesEqual(*held_first[k], want);
       ExpectEntriesEqual(*held_again[k], want);
     }
+  }
+}
+
+// Every probe of a slot installed before a mutation of its node misses and
+// refetches, and the refetched slot's label and edge count follow the new
+// blob. Seeded edge mutations go through StorageTier::ApplyMutation between
+// queries on both tiers; FetchLabels must still match the FetchBatch-only
+// reference in answers and the whole FetchTrace, in every cache mode. Then
+// one cached node is mutated directly: its next label-only probe is a miss,
+// the slot it leaves carries the new edge count, and the probe after that
+// is a hit that reports it.
+TEST(LabelFetchTest, MutatedSlotsRefetchAndTheirLabelAndEdgeCountFollow) {
+  const Graph g = GenerateBarabasiAlbert(2000, 5, 18, LabelConfig{3, 0});
+  WorkloadConfig wc;
+  wc.num_hotspots = 15;
+  wc.queries_per_hotspot = 10;
+  wc.hops = 3;
+  wc.seed = 22;
+  std::vector<Query> queries = GenerateHotspotWorkload(g, wc);
+  Rng rng(23);
+  for (int i = 0; i < 150; ++i) {
+    Query q;
+    q.type = i % 2 == 0 ? QueryType::kNeighborAggregation : QueryType::kReachability;
+    q.node = static_cast<NodeId>(rng.NextBounded(g.num_nodes()));
+    q.target = static_cast<NodeId>(rng.NextBounded(g.num_nodes()));
+    q.hops = 1 + static_cast<int32_t>(rng.NextBounded(4));
+    q.label_filter = static_cast<Label>(1 + rng.NextBounded(3));
+    queries.push_back(q);
+  }
+  ASSERT_EQ(queries.size(), 300u);
+  MutationScheduleConfig mc;
+  mc.num_mutations = 2 * queries.size();
+  mc.weight_add_vertex = 0.0;
+  mc.seed = 24;
+  const std::vector<GraphMutation> schedule = GenerateMutationSchedule(g, {}, mc);
+  ASSERT_EQ(schedule.size(), 2 * queries.size());
+
+  struct Mode {
+    const char* name;
+    AdjacencyEncoding encoding;
+    bool use_cache;
+    bool compressed;
+  };
+  const Mode modes[] = {
+      {"raw/decoded", AdjacencyEncoding::kRaw, true, false},
+      {"delta_varint/compressed", AdjacencyEncoding::kDeltaVarint, true, true},
+      {"delta_varint/no-cache", AdjacencyEncoding::kDeltaVarint, false, false},
+  };
+  for (const Mode& mode : modes) {
+    SCOPED_TRACE(mode.name);
+    const uint64_t budget = g.TotalAdjacencyBytes() / 8;
+    StorageTier tier_a(4);
+    StorageTier tier_b(4);
+    NodeCache<CachedAdjacency> cache_a(budget);
+    NodeCache<CachedAdjacency> cache_b(budget);
+    for (StorageTier* tier : {&tier_a, &tier_b}) {
+      tier->set_encoding(mode.encoding);
+      tier->EnableMutations(g);
+      tier->LoadGraph(g);
+    }
+    CachedStorageSource labels(&tier_a, mode.use_cache ? &cache_a : nullptr, 1,
+                               mode.compressed);
+    CachedStorageSource full(&tier_b, mode.use_cache ? &cache_b : nullptr, 1,
+                             mode.compressed);
+    FetchBatchOnly reference(&full);
+
+    uint64_t misses = 0;
+    for (size_t i = 0; i < queries.size(); ++i) {
+      for (const GraphMutation& m : {schedule[2 * i], schedule[2 * i + 1]}) {
+        tier_a.ApplyMutation(m);
+        tier_b.ApplyMutation(m);
+      }
+      labels.ResetTrace();
+      reference.ResetTrace();
+      const QueryResult a = ExecuteQuery(queries[i], labels);
+      const QueryResult b = ExecuteQuery(queries[i], reference);
+      EXPECT_EQ(a.aggregate, b.aggregate) << "query " << i;
+      EXPECT_EQ(a.reachable, b.reachable) << "query " << i;
+      EXPECT_EQ(a.distance, b.distance) << "query " << i;
+      ExpectSameTrace(labels.trace(), reference.trace(), i);
+      misses += labels.trace().cache_misses;
+    }
+    EXPECT_GT(misses, 0u);
+    if (!mode.use_cache) {
+      continue;
+    }
+    EXPECT_EQ(cache_a.stats().evictions, cache_b.stats().evictions);
+
+    // A node with an out-edge, cached with a current slot.
+    NodeId u = schedule.back().u;
+    auto current = [&] { return DecodeAdjacency(*tier_a.PeekCurrent(u)); };
+    while (current()->out.empty()) {
+      u = (u + 1) % g.num_nodes();
+    }
+    const AdjacencyPtr before = current();
+    const NodeId node[] = {u};
+    labels.FetchLabels(node);
+    ASSERT_TRUE(cache_a.Contains(u));
+
+    // Remove one of its out-edges: the slot goes stale.
+    const Edge removed = before->out[0];
+    tier_a.ApplyMutation(
+        GraphMutation{GraphMutation::Kind::kRemoveEdge, u, removed.dst, removed.label});
+    const AdjacencyPtr after = current();
+    ASSERT_NE(after, nullptr);
+    const uint64_t edges_after = after->out.size() + after->in.size();
+    ASSERT_NE(edges_after, before->out.size() + before->in.size());
+
+    labels.ResetTrace();
+    const auto refetched = labels.FetchLabels(node);
+    EXPECT_EQ(labels.trace().cache_hits, 0u);
+    EXPECT_EQ(labels.trace().cache_misses, 1u);
+    ASSERT_TRUE(refetched[0].has_value());
+    EXPECT_EQ(*refetched[0], g.node_label(u));
+    const CachedAdjacency* slot = cache_a.Get(u);
+    ASSERT_NE(slot, nullptr);
+    EXPECT_EQ(slot->label, after->node_label);
+    EXPECT_EQ(slot->edges, edges_after);
+    EXPECT_EQ(slot->version, tier_a.NodeVersion(u));
+
+    labels.ResetTrace();
+    const auto hit = labels.FetchLabels(node);
+    EXPECT_EQ(labels.trace().cache_hits, 1u);
+    ASSERT_TRUE(hit[0].has_value());
+    EXPECT_EQ(*hit[0], g.node_label(u));
+    ASSERT_EQ(labels.trace().level_stats.size(), 1u);
+    EXPECT_EQ(labels.trace().level_stats[0].hit_edges, edges_after);
   }
 }
 

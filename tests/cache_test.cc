@@ -4,8 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <list>
 #include <memory>
+#include <optional>
 #include <string>
+#include <tuple>
 
 #include "src/cache/cache.h"
 #include "src/util/rng.h"
@@ -240,6 +244,189 @@ TEST(CacheTest, PolicyNames) {
   EXPECT_EQ(CachePolicyName(CachePolicy::kLfu), "lfu");
   EXPECT_EQ(CachePolicyName(CachePolicy::kClock), "clock");
 }
+
+// The cache as a plain std::list in eviction order, with every policy's
+// victim found the straightforward way (LFU by a full scan for the least
+// (frequency, insertion seq)). The slab cache must pick the same victims.
+class ReferenceCache {
+ public:
+  ReferenceCache(uint64_t capacity_bytes, CachePolicy policy)
+      : capacity_bytes_(capacity_bytes), policy_(policy) {}
+
+  std::optional<int> Get(NodeId key) {
+    const auto it = Find(key);
+    if (it == entries_.end()) {
+      ++stats_.misses;
+      return std::nullopt;
+    }
+    ++stats_.hits;
+    Touch(it);
+    return it->value;
+  }
+
+  void Put(NodeId key, int value, uint64_t bytes) {
+    if (bytes > capacity_bytes_) {
+      ++stats_.rejected;
+      Erase(key);
+      return;
+    }
+    if (const auto it = Find(key); it != entries_.end()) {
+      size_bytes_ -= it->bytes;
+      size_bytes_ += bytes;
+      it->value = value;
+      it->bytes = bytes;
+      Touch(it);
+    } else {
+      entries_.push_back(Entry{key, value, bytes, 1, next_seq_++, true});
+      size_bytes_ += bytes;
+      ++stats_.inserts;
+    }
+    while (size_bytes_ > capacity_bytes_) {
+      EvictOne();
+    }
+  }
+
+  void Erase(NodeId key) {
+    const auto it = Find(key);
+    if (it == entries_.end()) {
+      return;
+    }
+    if (hand_ == it) {
+      hand_ = entries_.end();
+    }
+    size_bytes_ -= it->bytes;
+    entries_.erase(it);
+  }
+
+  bool Contains(NodeId key) { return Find(key) != entries_.end(); }
+  uint64_t size_bytes() const { return size_bytes_; }
+  size_t entry_count() const { return entries_.size(); }
+  const CacheStats& stats() const { return stats_; }
+
+ private:
+  struct Entry {
+    NodeId key;
+    int value;
+    uint64_t bytes;
+    uint64_t freq;
+    uint64_t seq;
+    bool referenced;
+  };
+  using Iter = std::list<Entry>::iterator;
+
+  Iter Find(NodeId key) {
+    return std::find_if(entries_.begin(), entries_.end(),
+                        [key](const Entry& e) { return e.key == key; });
+  }
+
+  void Touch(Iter it) {
+    it->freq += 1;
+    it->referenced = true;
+    if (policy_ == CachePolicy::kLru) {
+      entries_.splice(entries_.end(), entries_, it);
+    }
+  }
+
+  void EvictOne() {
+    Iter victim = entries_.begin();
+    if (policy_ == CachePolicy::kLfu) {
+      for (Iter it = entries_.begin(); it != entries_.end(); ++it) {
+        if (std::tie(it->freq, it->seq) < std::tie(victim->freq, victim->seq)) {
+          victim = it;
+        }
+      }
+    } else if (policy_ == CachePolicy::kClock) {
+      if (hand_ == entries_.end()) {
+        hand_ = entries_.begin();
+      }
+      while (hand_->referenced) {
+        hand_->referenced = false;
+        if (++hand_ == entries_.end()) {
+          hand_ = entries_.begin();
+        }
+      }
+      victim = hand_++;
+      if (hand_ == entries_.end() && entries_.size() > 1) {
+        hand_ = entries_.begin();
+      }
+    }
+    size_bytes_ -= victim->bytes;
+    stats_.bytes_evicted += victim->bytes;
+    ++stats_.evictions;
+    entries_.erase(victim);
+  }
+
+  uint64_t capacity_bytes_;
+  CachePolicy policy_;
+  uint64_t size_bytes_ = 0;
+  CacheStats stats_;
+  std::list<Entry> entries_;
+  Iter hand_ = entries_.end();
+  uint64_t next_seq_ = 0;
+};
+
+// Fills the cache past one slab chunk, then churns it so slots on both
+// sides of the chunk boundary are evicted, freed and re-installed (with
+// overwrites, erases and oversized puts mixed in), under every policy. Each
+// step must match the reference list model: hits and values, byte and
+// entry counts, stats, and — every few steps — membership of every key.
+class CacheSlabTest : public ::testing::TestWithParam<CachePolicy> {};
+
+TEST_P(CacheSlabTest, ChurnAcrossChunkBoundaryMatchesReferenceList) {
+  constexpr uint32_t kChunk = IntCache::kChunkEntries;
+  constexpr uint64_t kCapacity = (kChunk + kChunk / 2) * 10;  // ~1.5 chunks
+  constexpr NodeId kKeys = 3 * kChunk;
+  IntCache cache(kCapacity, GetParam());
+  ReferenceCache reference(kCapacity, GetParam());
+  Rng rng(41);
+  // Warm-up: a run of distinct installs that spills into the second chunk.
+  for (NodeId key = 0; key < kChunk + 100; ++key) {
+    cache.Put(key, static_cast<int>(key), 10);
+    reference.Put(key, static_cast<int>(key), 10);
+  }
+  ASSERT_EQ(cache.entry_count(), kChunk + 100);
+  for (int step = 0; step < 20000; ++step) {
+    const auto key = static_cast<NodeId>(rng.NextBounded(kKeys));
+    const uint64_t op = rng.NextBounded(100);
+    if (op < 45) {
+      const int* got = cache.Get(key);
+      const std::optional<int> want = reference.Get(key);
+      ASSERT_EQ(got != nullptr, want.has_value()) << "step " << step << " key " << key;
+      if (got != nullptr) {
+        ASSERT_EQ(*got, *want) << "step " << step;
+      }
+    } else if (op < 95) {
+      const uint64_t bytes = 1 + rng.NextBounded(24);
+      cache.Put(key, step, bytes);
+      reference.Put(key, step, bytes);
+    } else if (op < 99) {
+      cache.Erase(key);
+      reference.Erase(key);
+    } else {
+      cache.Put(key, step, kCapacity + 1);
+      reference.Put(key, step, kCapacity + 1);
+    }
+    ASSERT_EQ(cache.size_bytes(), reference.size_bytes()) << "step " << step;
+    ASSERT_EQ(cache.entry_count(), reference.entry_count()) << "step " << step;
+    const CacheStats& a = cache.stats();
+    const CacheStats& b = reference.stats();
+    ASSERT_EQ(
+        std::tie(a.hits, a.misses, a.inserts, a.evictions, a.rejected, a.bytes_evicted),
+        std::tie(b.hits, b.misses, b.inserts, b.evictions, b.rejected, b.bytes_evicted))
+        << "step " << step;
+    if (step % 1000 == 0) {
+      for (NodeId k = 0; k < kKeys; ++k) {
+        ASSERT_EQ(cache.Contains(k), reference.Contains(k))
+            << "step " << step << " key " << k;
+      }
+    }
+  }
+  EXPECT_GT(cache.stats().evictions, static_cast<uint64_t>(kChunk));
+}
+
+INSTANTIATE_TEST_SUITE_P(Policies, CacheSlabTest,
+                         ::testing::Values(CachePolicy::kLru, CachePolicy::kFifo,
+                                           CachePolicy::kLfu, CachePolicy::kClock));
 
 // Property sweep: under random workloads, NO policy ever exceeds capacity,
 // entry counts match the map, and byte accounting stays exact.

@@ -5,12 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <vector>
 
 #include "src/embed/embedding.h"
 #include "src/embed/nelder_mead.h"
+#include "src/embed/relative_error.h"
 #include "src/graph/generators.h"
 #include "src/graph/traversal.h"
 #include "src/util/rng.h"
@@ -145,6 +147,72 @@ LandmarkConfig TestLandmarkConfig(size_t count) {
   cfg.min_separation = 2;
   cfg.seed = 4;
   return cfg;
+}
+
+// The relative-error objective written the plain way: anchor by anchor
+// over row-major coordinate rows, each squared distance summed over
+// k = 0..D-1, unreachable anchors skipped, zero-distance anchors charged
+// their absolute distance.
+double RowMajorRelativeError(std::span<const double> x, std::span<const float> coords,
+                             std::span<const uint16_t> dists) {
+  const size_t dims = x.size();
+  double total = 0.0;
+  for (size_t a = 0; a < dists.size(); ++a) {
+    if (dists[a] == kUnreachableU16) {
+      continue;
+    }
+    double sq = 0.0;
+    for (size_t k = 0; k < dims; ++k) {
+      const double d = x[k] - static_cast<double>(coords[a * dims + k]);
+      sq += d * d;
+    }
+    const double embed_dist = std::sqrt(sq);
+    const double graph_dist = static_cast<double>(dists[a]);
+    total += dists[a] == 0 ? embed_dist : std::abs(graph_dist - embed_dist) / graph_dist;
+  }
+  return total;
+}
+
+// The transposed, lane-per-anchor objective equals the row-major reference
+// bit for bit, over seeded anchor blocks at D = 2, 10, 20 and 30 that mix
+// reachable, unreachable and zero-distance anchors. Any change in the order
+// the dimensions are summed in changes the last bits and fails here.
+TEST(RelativeErrorObjectiveTest, MatchesRowMajorReferenceBitForBit) {
+  Rng rng(31);
+  for (const size_t dims : {2u, 10u, 20u, 30u}) {
+    SCOPED_TRACE(dims);
+    size_t unreachable = 0;
+    size_t colocated = 0;
+    for (int block = 0; block < 25; ++block) {
+      const size_t anchors = 1 + rng.NextBounded(40);
+      std::vector<float> coords(anchors * dims);
+      for (float& c : coords) {
+        c = static_cast<float>(10.0 * rng.NextDouble() - 5.0);
+      }
+      std::vector<uint16_t> dists(anchors);
+      for (uint16_t& d : dists) {
+        const double kind = rng.NextDouble();
+        d = kind < 0.15   ? kUnreachableU16
+            : kind < 0.25 ? uint16_t{0}
+                          : static_cast<uint16_t>(1 + rng.NextBounded(12));
+        unreachable += d == kUnreachableU16 ? 1 : 0;
+        colocated += d == 0 ? 1 : 0;
+      }
+      internal::RelativeErrorObjective objective(coords, dists, dims);
+      std::vector<double> x(dims);
+      for (int eval = 0; eval < 20; ++eval) {
+        for (double& xk : x) {
+          xk = 12.0 * rng.NextDouble() - 6.0;
+        }
+        const double want = RowMajorRelativeError(x, coords, dists);
+        const double got = objective(x);
+        ASSERT_EQ(std::bit_cast<uint64_t>(got), std::bit_cast<uint64_t>(want))
+            << "block " << block << " eval " << eval << ": " << got << " vs " << want;
+      }
+    }
+    EXPECT_GT(unreachable, 0u);
+    EXPECT_GT(colocated, 0u);
+  }
 }
 
 TEST(EmbeddingTest, AllConnectedNodesEmbedded) {
