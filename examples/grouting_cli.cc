@@ -35,6 +35,16 @@ struct Flags {
     auto it = values.find(key);
     return it == values.end() ? def : std::atoll(it->second.c_str());
   }
+  // Overwrites *field with the flag's value when it is given; otherwise the
+  // field keeps the default its struct set.
+  template <typename T>
+  void Override(const std::string& key, T* field) const {
+    if constexpr (std::is_floating_point_v<T>) {
+      *field = static_cast<T>(GetDouble(key, *field));
+    } else {
+      *field = static_cast<T>(GetInt(key, static_cast<int64_t>(*field)));
+    }
+  }
 };
 
 Flags ParseFlags(int argc, char** argv) {
@@ -239,30 +249,42 @@ int main(int argc, char** argv) {
   }
   const EngineKind engine =
       engine_name == "threaded" ? EngineKind::kThreaded : EngineKind::kSimulated;
+  const std::string policy_name = flags.Get("policy", "lru");
+  if (kPolicies.count(policy_name) == 0) {
+    std::fprintf(stderr, "unknown --policy '%s'; see --help\n", policy_name.c_str());
+    return 1;
+  }
+  const std::string network_name = flags.Get("network", "infiniband");
+  if (network_name != "infiniband" && network_name != "ethernet") {
+    std::fprintf(stderr, "unknown --network '%s'; see --help\n", network_name.c_str());
+    return 1;
+  }
 
-  ExperimentEnv env(kDatasets.at(dataset_name), flags.GetDouble("scale", 0.25),
+  const double scale = flags.GetDouble("scale", 0.25);
+  ExperimentEnv env(kDatasets.at(dataset_name), scale,
                     static_cast<uint64_t>(flags.GetInt("seed", 4242)));
 
+  // Numeric flags left unset keep RunOptions' own defaults.
   RunOptions opts;
   opts.scheme = kSchemes.at(scheme_name);
-  opts.processors = static_cast<uint32_t>(flags.GetInt("processors", 7));
-  opts.storage_servers = static_cast<uint32_t>(flags.GetInt("storage", 4));
-  opts.cache_bytes = ParseByteSize(flags.Get("cache", "0"));
-  opts.cache_policy = kPolicies.count(flags.Get("policy", "lru"))
-                          ? kPolicies.at(flags.Get("policy", "lru"))
-                          : CachePolicy::kLru;
-  opts.cost = flags.Get("network", "infiniband") == "ethernet"
-                  ? CostModel::EthernetDefaults()
-                  : CostModel::InfinibandDefaults();
-  opts.hotspot_radius = static_cast<int32_t>(flags.GetInt("radius", 2));
-  opts.hops = static_cast<int32_t>(flags.GetInt("hops", 2));
-  opts.num_hotspots = static_cast<size_t>(flags.GetInt("hotspots", 100));
-  opts.queries_per_hotspot = static_cast<size_t>(flags.GetInt("per-hotspot", 10));
-  opts.num_landmarks = static_cast<size_t>(flags.GetInt("landmarks", 96));
-  opts.min_separation = static_cast<int32_t>(flags.GetInt("separation", 3));
-  opts.dimensions = static_cast<size_t>(flags.GetInt("dims", 10));
-  opts.load_factor = flags.GetDouble("load-factor", 20.0);
-  opts.alpha = flags.GetDouble("alpha", 0.5);
+  flags.Override("processors", &opts.processors);
+  flags.Override("storage", &opts.storage_servers);
+  if (flags.values.count("cache")) {
+    opts.cache_bytes = ParseByteSize(flags.Get("cache", ""));
+  }
+  opts.cache_policy = kPolicies.at(policy_name);
+  if (network_name == "ethernet") {
+    opts.cost = CostModel::EthernetDefaults();
+  }
+  flags.Override("radius", &opts.hotspot_radius);
+  flags.Override("hops", &opts.hops);
+  flags.Override("hotspots", &opts.num_hotspots);
+  flags.Override("per-hotspot", &opts.queries_per_hotspot);
+  flags.Override("landmarks", &opts.num_landmarks);
+  flags.Override("separation", &opts.min_separation);
+  flags.Override("dims", &opts.dimensions);
+  flags.Override("load-factor", &opts.load_factor);
+  flags.Override("alpha", &opts.alpha);
   opts.stealing = flags.values.count("no-stealing") == 0;
   static const std::map<std::string, SplitterKind> kSplitters = {
       {"round_robin", SplitterKind::kRoundRobin},
@@ -270,29 +292,24 @@ int main(int argc, char** argv) {
       {"sticky", SplitterKind::kSticky},
       {"adaptive", SplitterKind::kAdaptive},
   };
-  opts.router_shards = static_cast<uint32_t>(flags.GetInt("router-shards", 1));
+  flags.Override("router-shards", &opts.router_shards);
   const std::string splitter_name = flags.Get("splitter", "round_robin");
   if (kSplitters.count(splitter_name) == 0) {
     std::fprintf(stderr, "unknown --splitter '%s'; see --help\n", splitter_name.c_str());
     return 1;
   }
   opts.splitter = kSplitters.at(splitter_name);
-  opts.gossip_period_us = flags.GetDouble("gossip-period", 200.0);
-  opts.rebalance_threshold = flags.GetDouble("rebalance-threshold", 0.0);
-  opts.migration_cap = static_cast<uint32_t>(flags.GetInt("migration-cap", 8));
-  opts.arrival_gap_us = flags.GetDouble("arrival-gap", 0.0);
-  opts.max_inflight_batches =
-      static_cast<uint32_t>(flags.GetInt("inflight-batches", 1));
-  opts.repartition_threshold = flags.GetDouble("repartition-threshold", 0.0);
-  opts.repartition_cap = static_cast<uint32_t>(flags.GetInt("repartition-cap", 4));
-  opts.partitions_per_server =
-      static_cast<uint32_t>(flags.GetInt("partitions-per-server", 8));
-  opts.replication_top_k =
-      static_cast<uint32_t>(flags.GetInt("replication-top-k", 0));
-  opts.replica_demote_threshold =
-      flags.GetDouble("replica-demote-threshold", 0.1);
-  opts.max_replicas_per_partition =
-      static_cast<uint32_t>(flags.GetInt("max-replicas-per-partition", 2));
+  flags.Override("gossip-period", &opts.gossip_period_us);
+  flags.Override("rebalance-threshold", &opts.rebalance_threshold);
+  flags.Override("migration-cap", &opts.migration_cap);
+  flags.Override("arrival-gap", &opts.arrival_gap_us);
+  flags.Override("inflight-batches", &opts.max_inflight_batches);
+  flags.Override("repartition-threshold", &opts.repartition_threshold);
+  flags.Override("repartition-cap", &opts.repartition_cap);
+  flags.Override("partitions-per-server", &opts.partitions_per_server);
+  flags.Override("replication-top-k", &opts.replication_top_k);
+  flags.Override("replica-demote-threshold", &opts.replica_demote_threshold);
+  flags.Override("max-replicas-per-partition", &opts.max_replicas_per_partition);
   const std::string encoding_name = flags.Get("adjacency-encoding", "raw");
   if (encoding_name != "raw" && encoding_name != "delta_varint") {
     std::fprintf(stderr, "unknown --adjacency-encoding '%s'; see --help\n",
@@ -306,15 +323,14 @@ int main(int argc, char** argv) {
   const std::string trace_out = flags.Get("trace-out", "");
   opts.trace_sample_every_n = static_cast<uint32_t>(
       flags.GetInt("trace-sample-every-n", trace_out.empty() ? 0 : 1));
-  opts.trace_buffer_capacity =
-      static_cast<uint32_t>(flags.GetInt("trace-buffer-capacity", 1 << 16));
+  flags.Override("trace-buffer-capacity", &opts.trace_buffer_capacity);
   if (!trace_out.empty() && opts.trace_sample_every_n == 0) {
     std::fprintf(stderr, "--trace-out requires --trace-sample-every-n >= 1\n");
     return 1;
   }
-  opts.num_tenants = static_cast<uint32_t>(flags.GetInt("num-tenants", 1));
-  opts.admission.quota_qps = flags.GetDouble("tenant-quota-qps", 0.0);
-  opts.admission.burst = flags.GetDouble("tenant-quota-burst", 32.0);
+  flags.Override("num-tenants", &opts.num_tenants);
+  flags.Override("tenant-quota-qps", &opts.admission.quota_qps);
+  flags.Override("tenant-quota-burst", &opts.admission.burst);
   const bool open_loop = flags.values.count("open-loop") > 0;
   const std::string tenant_metrics_out = flags.Get("tenant-metrics-out", "");
   if (opts.num_tenants == 0) {
@@ -331,11 +347,11 @@ int main(int argc, char** argv) {
     return 1;
   }
   opts.enable_mutations = mutation_fraction > 0.0;
-  opts.index_refresh_period_us = flags.GetDouble("index-refresh-period", 0.0);
+  flags.Override("index-refresh-period", &opts.index_refresh_period_us);
 
   const Graph& g = env.graph();
   std::printf("dataset %s (scale %.2f): %zu nodes, %zu edges\n", dataset_name.c_str(),
-              flags.GetDouble("scale", 0.25), g.num_nodes(), g.num_edges());
+              scale, g.num_nodes(), g.num_edges());
   std::printf("running %s on %u processors / %u storage servers (%s, %s engine)...\n",
               scheme_name.c_str(), opts.processors, opts.storage_servers,
               opts.cost.net.name.c_str(), EngineKindName(engine).c_str());
@@ -347,12 +363,11 @@ int main(int argc, char** argv) {
   if (open_loop) {
     OpenLoopConfig ol;
     ol.num_tenants = opts.num_tenants;
-    ol.num_arrivals = static_cast<size_t>(flags.GetInt("arrivals", 8192));
-    ol.arrival_rate_qps = flags.GetDouble("arrival-rate", 50000.0);
-    ol.tenant_skew = flags.GetDouble("tenant-skew", 1.0);
-    ol.sessions_per_tenant =
-        static_cast<size_t>(flags.GetInt("sessions-per-tenant", 1000000));
-    ol.session_skew = flags.GetDouble("session-skew", 1.1);
+    flags.Override("arrivals", &ol.num_arrivals);
+    flags.Override("arrival-rate", &ol.arrival_rate_qps);
+    flags.Override("tenant-skew", &ol.tenant_skew);
+    flags.Override("sessions-per-tenant", &ol.sessions_per_tenant);
+    flags.Override("session-skew", &ol.session_skew);
     ol.hops = opts.hops;
     ol.seed = env.seed() ^ 0x99;
     if (mutation_fraction > 0.0) {

@@ -21,6 +21,7 @@ std::string EngineKindName(EngineKind kind) {
 }
 
 ClusterEngine::ClusterEngine(const Graph& graph, const ClusterConfig& config,
+                             std::unique_ptr<RoutingStrategy> strategy,
                              const PartitionAssignment* placement)
     : config_(config) {
   GROUTING_CHECK(config_.num_processors > 0);
@@ -82,6 +83,14 @@ ClusterEngine::ClusterEngine(const Graph& graph, const ClusterConfig& config,
     processors_.push_back(
         std::make_unique<QueryProcessor>(p, storage_.get(), config_.processor));
   }
+  FleetConfig fleet;
+  fleet.num_shards = config_.num_router_shards;
+  fleet.splitter = config_.router_splitter;
+  fleet.router.enable_stealing = config_.enable_stealing;
+  fleet.gossip_period_us = config_.gossip_period_us;
+  fleet.rebalance = config_.router_rebalance;
+  fleet_ = std::make_unique<RouterFleet>(std::move(strategy), config_.num_processors,
+                                         fleet);
   if (config_.trace_sample_every_n > 0) {
     tracer_ = std::make_unique<TraceRecorder>(
         config_.trace_sample_every_n, config_.trace_buffer_capacity,
@@ -306,6 +315,13 @@ ClusterMetrics ClusterEngine::FillMetrics(const RunOutcome& run,
       m.cache_entries += proc->cache()->entry_count();
     }
   }
+
+  m.queries_per_router_shard = fleet_->RoutedPerShard();
+  m.gossip_rounds = fleet_->gossip_stats().rounds;
+  m.router_ema_divergence = fleet_->CurrentEmaDivergence();
+  m.sessions_migrated = fleet_->splitter().stats().migrations;
+  m.sticky_evictions = fleet_->splitter().stats().evictions;
+  m.router_load_imbalance = MaxMinLoadRatio(m.queries_per_router_shard);
 
   m.storage_load_imbalance = MaxMinLoadRatio(storage_->GetRequestsPerServer());
   m.partitions_migrated = partitions_migrated_;

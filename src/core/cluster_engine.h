@@ -15,9 +15,10 @@
 //
 // The base class owns what both engines share: the assembly (loading the
 // graph into the storage tier, hash placement or an explicit assignment,
-// and standing up the processors) and the run itself — Run() plans
-// admission, applies quiesced mutations and fills the metrics once for
-// both engines, which supply only Execute and AddEngineMetrics.
+// standing up the processors and the router frontend's RouterFleet) and the
+// run itself — Run() plans admission, applies quiesced mutations and fills
+// the metrics once for both engines, which supply only Execute and
+// AddEngineMetrics.
 
 #ifndef GROUTING_SRC_CORE_CLUSTER_ENGINE_H_
 #define GROUTING_SRC_CORE_CLUSTER_ENGINE_H_
@@ -32,7 +33,7 @@
 #include <vector>
 
 #include "src/frontend/admission.h"
-#include "src/frontend/splitter.h"
+#include "src/frontend/router_fleet.h"
 #include "src/net/cost_model.h"
 #include "src/obs/trace.h"
 #include "src/obs/trace_export.h"
@@ -419,6 +420,10 @@ class ClusterEngine {
   const ClusterConfig& config() const { return config_; }
   StorageTier& storage() { return *storage_; }
   QueryProcessor& processor(uint32_t p) { return *processors_[p]; }
+  // The router frontend: splitter, shard strategies, gossip and routed
+  // counters (src/frontend/router_fleet.h).
+  RouterFleet& fleet() { return *fleet_; }
+  const RouterFleet& fleet() const { return *fleet_; }
 
   // The query-lifecycle trace recorder; nullptr when tracing is disabled
   // (config.trace_sample_every_n == 0). Read the events only after Run().
@@ -448,8 +453,10 @@ class ClusterEngine {
   // Shared cluster assembly: validates the config, loads the graph into a
   // fresh storage tier (hash placement unless `placement` is given; the
   // tier's repartitioning overlay is enabled when the config asks for it),
-  // and stands up the query processors.
+  // stands up the query processors, and builds the router fleet around
+  // `strategy` (shard 0 keeps it, further shards get clones).
   ClusterEngine(const Graph& graph, const ClusterConfig& config,
+                std::unique_ptr<RoutingStrategy> strategy,
                 const PartitionAssignment* placement);
 
   // Deterministic per-tenant admission decisions for one arrival schedule,
@@ -548,6 +555,7 @@ class ClusterEngine {
   ClusterConfig config_;
   std::unique_ptr<StorageTier> storage_;
   std::vector<std::unique_ptr<QueryProcessor>> processors_;
+  std::unique_ptr<RouterFleet> fleet_;
   std::vector<AnsweredQuery> answers_;
   // Built in the base ctor when config.trace_sample_every_n > 0; engines
   // record lifecycle spans into its per-track rings.
@@ -566,9 +574,9 @@ class ClusterEngine {
   virtual RunOutcome Execute(std::span<const Query> queries,
                              const AdmissionPlan& plan) = 0;
 
-  // Engine hook: the fields only the engine can measure — steals, the
-  // per-processor and per-router-shard splits, gossip and splitter stats —
-  // plus any engine-specific override of a field Run already filled.
+  // Engine hook: the fields only the engine can measure — steals and the
+  // per-processor split — plus any engine-specific override of a field Run
+  // already filled.
   virtual void AddEngineMetrics(ClusterMetrics* m) const = 0;
 
   AdmissionPlan PlanAdmission(std::span<const Query> queries) const;
@@ -578,7 +586,8 @@ class ClusterEngine {
   void ApplyQuiescedMutations();
 
   // Every engine-independent ClusterMetrics field, from the run's outcome,
-  // its admission plan, and the counters the base class keeps.
+  // its admission plan, the router fleet, and the counters the base class
+  // keeps.
   ClusterMetrics FillMetrics(const RunOutcome& run, const AdmissionPlan& plan) const;
 
   // Partitions moved / replica copies created / replica copies torn down so

@@ -1,6 +1,5 @@
 #include "src/frontend/gossip.h"
 
-#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <utility>
@@ -12,9 +11,6 @@ namespace grouting {
 
 static_assert(kGossipMergeWeight > 0.0 && kGossipMergeWeight <= 1.0,
               "the gossip blend weight must lie in (0, 1]");
-static_assert(RebalanceConfig::kStateCarryWeight > 0.0 &&
-                  RebalanceConfig::kStateCarryWeight <= 1.0,
-              "the migration carry weight must lie in (0, 1]");
 
 double CrossShardStateDivergence(std::span<const RoutingStrategy* const> shards) {
   if (shards.size() < 2) {
@@ -77,23 +73,6 @@ void GossipBlendStrategies(std::span<RoutingStrategy* const> shards) {
         ++k;
       }
     }
-  }
-}
-
-void ApplyMigrationCarry(std::span<RoutingStrategy* const> shards,
-                         std::span<const SessionMigration> migrations) {
-  if (migrations.empty()) {
-    return;
-  }
-  std::vector<std::pair<uint32_t, uint32_t>> pairs;  // tiny: linear dedupe
-  for (const SessionMigration& m : migrations) {
-    const auto pair = std::make_pair(m.from, m.to);
-    if (std::find(pairs.begin(), pairs.end(), pair) == pairs.end()) {
-      pairs.push_back(pair);
-    }
-  }
-  for (const auto& [from, to] : pairs) {
-    shards[to]->MergeRemoteState(*shards[from], RebalanceConfig::kStateCarryWeight);
   }
 }
 

@@ -17,9 +17,12 @@
 //      merge weight in (0, 1], so divergence shrinks instead of
 //      oscillating.
 //
-// The engines drive the period: the simulated engine schedules gossip as
-// discrete events in virtual time, the threaded runtime runs a wall-clock
-// gossip tick under per-shard mutexes.
+// RouterFleet::BlendStrategies runs steps 1 and 3 for both engines; the
+// simulator's GossipRound adds step 2 from its own queues, while threaded
+// router shards read live channel lengths instead. The engines drive the
+// period: the simulated engine schedules gossip as discrete events in
+// virtual time, the threaded runtime runs a wall-clock tick that holds every
+// shard mutex for the blend.
 
 #ifndef GROUTING_SRC_FRONTEND_GOSSIP_H_
 #define GROUTING_SRC_FRONTEND_GOSSIP_H_
@@ -27,7 +30,6 @@
 #include <cstdint>
 #include <span>
 
-#include "src/frontend/splitter.h"
 #include "src/routing/strategy.h"
 
 namespace grouting {
@@ -51,16 +53,6 @@ double CrossShardStateDivergence(std::span<const RoutingStrategy* const> shards)
 // effective uniform weight of kGossipMergeWeight / shards.size() each. No-op
 // when every shard's GossipState is empty (stateless strategies).
 void GossipBlendStrategies(std::span<RoutingStrategy* const> shards);
-
-// Strategy-state carry for a rebalance round's session migrations: the
-// destination shard merges the source shard's state ONCE per unique
-// (from, to) pair, with weight RebalanceConfig::kStateCarryWeight — merging
-// per migrated session would compound the blend and a storm of same-pair
-// migrations would wipe the destination's own adaptive state. Shared by
-// RouterFleet::RebalanceRound and the threaded engine's gossip tick so the
-// two engines' carry semantics cannot drift.
-void ApplyMigrationCarry(std::span<RoutingStrategy* const> shards,
-                         std::span<const SessionMigration> migrations);
 
 }  // namespace grouting
 

@@ -5,6 +5,10 @@
 
 namespace grouting {
 
+static_assert(RebalanceConfig::kStateCarryWeight > 0.0 &&
+                  RebalanceConfig::kStateCarryWeight <= 1.0,
+              "the migration carry weight must lie in (0, 1]");
+
 RouterFleet::RouterFleet(std::unique_ptr<RoutingStrategy> strategy,
                          uint32_t num_processors, FleetConfig config)
     : config_(config),
@@ -78,8 +82,6 @@ void RouterFleet::GossipRound() {
   if (num_shards() < 2) {
     return;
   }
-  gossip_stats_.last_divergence_before = CurrentEmaDivergence();
-
   // Remote-load exchange: every shard learns the sum of its siblings'
   // per-processor queue lengths as of this round.
   for (uint32_t i = 0; i < num_shards(); ++i) {
@@ -95,40 +97,53 @@ void RouterFleet::GossipRound() {
     }
     shards_[i]->SetRemoteLoad(remote_scratch_);
   }
-
-  // EMA (adaptive state) blend.
-  std::vector<RoutingStrategy*> strategies;
-  strategies.reserve(num_shards());
-  for (auto& shard : shards_) {
-    strategies.push_back(&shard->strategy());
-  }
-  GossipBlendStrategies(strategies);
-
-  gossip_stats_.last_divergence_after = CurrentEmaDivergence();
-  gossip_stats_.rounds += 1;
-
+  BlendStrategies();
   // Adaptive re-splitting rides the same round: the routed-count snapshot it
   // consumes is exactly what this round just exchanged.
   RebalanceRound();
 }
 
+void RouterFleet::BlendStrategies() {
+  if (num_shards() < 2) {
+    return;
+  }
+  gossip_stats_.last_divergence_before = CurrentEmaDivergence();
+  GossipBlendStrategies(Strategies());
+  gossip_stats_.last_divergence_after = CurrentEmaDivergence();
+  gossip_stats_.rounds += 1;
+}
+
+bool RouterFleet::rebalance_enabled() const {
+  return num_shards() > 1 && splitter_.kind() == SplitterKind::kAdaptive &&
+         config_.rebalance.enabled();
+}
+
 size_t RouterFleet::RebalanceRound() {
-  if (num_shards() < 2 || splitter_.kind() != SplitterKind::kAdaptive ||
-      !config_.rebalance.enabled()) {
+  if (!rebalance_enabled()) {
     return 0;
   }
-  const std::vector<uint64_t> routed = RoutedPerShard();
-  const auto migrations = splitter_.Rebalance(routed, config_.rebalance);
-  // Migration carries strategy state: the destination shard pulls in the
-  // source shard's view (EMA for Embed; no-op for stateless strategies) so
-  // the moved session's history is not lost to a cold strategy.
-  std::vector<RoutingStrategy*> strategies;
-  strategies.reserve(shards_.size());
-  for (auto& shard : shards_) {
-    strategies.push_back(&shard->strategy());
-  }
-  ApplyMigrationCarry(strategies, migrations);
+  const auto migrations = ResplitSessions(RoutedPerShard());
+  CarrySessionState(migrations);
   return migrations.size();
+}
+
+std::vector<SessionMigration> RouterFleet::ResplitSessions(
+    std::span<const uint64_t> routed) {
+  return splitter_.Rebalance(routed, config_.rebalance);
+}
+
+void RouterFleet::CarrySessionState(std::span<const SessionMigration> migrations) {
+  std::vector<std::pair<uint32_t, uint32_t>> pairs;  // tiny: linear dedupe
+  for (const SessionMigration& m : migrations) {
+    const auto pair = std::make_pair(m.from, m.to);
+    if (std::find(pairs.begin(), pairs.end(), pair) == pairs.end()) {
+      pairs.push_back(pair);
+    }
+  }
+  for (const auto& [from, to] : pairs) {
+    shards_[to]->strategy().MergeRemoteState(shards_[from]->strategy(),
+                                             RebalanceConfig::kStateCarryWeight);
+  }
 }
 
 std::vector<uint64_t> RouterFleet::RoutedPerShard() const {
@@ -142,6 +157,15 @@ std::vector<uint64_t> RouterFleet::RoutedPerShard() const {
 double RouterFleet::CurrentEmaDivergence() const {
   const auto views = StrategyViews();
   return CrossShardStateDivergence(views);
+}
+
+std::vector<RoutingStrategy*> RouterFleet::Strategies() {
+  std::vector<RoutingStrategy*> strategies;
+  strategies.reserve(shards_.size());
+  for (auto& shard : shards_) {
+    strategies.push_back(&shard->strategy());
+  }
+  return strategies;
 }
 
 std::vector<const RoutingStrategy*> RouterFleet::StrategyViews() const {

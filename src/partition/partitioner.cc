@@ -1,9 +1,6 @@
 #include "src/partition/partitioner.h"
 
-#include <algorithm>
-
 #include "src/util/murmur3.h"
-#include "src/util/rng.h"
 
 namespace grouting {
 
@@ -34,54 +31,6 @@ PartitionAssignment RangePartitioner::Partition(const Graph& g, uint32_t k) {
     for (size_t i = 0; i < size; ++i) {
       assignment[next++] = p;
     }
-  }
-  return assignment;
-}
-
-PartitionAssignment LdgPartitioner::Partition(const Graph& g, uint32_t k) {
-  GROUTING_CHECK(k > 0);
-  const size_t n = g.num_nodes();
-  PartitionAssignment assignment(n, k);  // k = unassigned sentinel
-  if (n == 0) {
-    return assignment;
-  }
-  const double capacity =
-      capacity_slack_ * static_cast<double>(n) / static_cast<double>(k) + 1.0;
-
-  std::vector<NodeId> order(n);
-  for (NodeId u = 0; u < n; ++u) {
-    order[u] = u;
-  }
-  Rng rng(seed_);
-  Shuffle(order, rng);
-
-  std::vector<size_t> load(k, 0);
-  std::vector<size_t> neighbor_count(k, 0);
-  for (NodeId u : order) {
-    std::fill(neighbor_count.begin(), neighbor_count.end(), 0);
-    for (const Edge& e : g.OutNeighbors(u)) {
-      if (assignment[e.dst] < k) {
-        neighbor_count[assignment[e.dst]] += 1;
-      }
-    }
-    for (const Edge& e : g.InNeighbors(u)) {
-      if (assignment[e.dst] < k) {
-        neighbor_count[assignment[e.dst]] += 1;
-      }
-    }
-    double best_score = -1.0;
-    PartitionId best = 0;
-    for (uint32_t p = 0; p < k; ++p) {
-      const double penalty = 1.0 - static_cast<double>(load[p]) / capacity;
-      // +1 so empty-neighbour nodes still spread by capacity penalty.
-      const double score = (static_cast<double>(neighbor_count[p]) + 1.0) * penalty;
-      if (score > best_score) {
-        best_score = score;
-        best = p;
-      }
-    }
-    assignment[u] = best;
-    load[best] += 1;
   }
   return assignment;
 }

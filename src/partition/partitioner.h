@@ -53,21 +53,6 @@ class RangePartitioner : public Partitioner {
   PartitionAssignment Partition(const Graph& g, uint32_t k) override;
 };
 
-// Linear Deterministic Greedy streaming partitioner (Stanton & Kliot, KDD'12):
-// one pass over nodes; each node goes to the partition holding most of its
-// already-placed neighbours, damped by a capacity penalty (1 - size/capacity).
-class LdgPartitioner : public Partitioner {
- public:
-  explicit LdgPartitioner(uint64_t seed = 42, double capacity_slack = 1.05)
-      : seed_(seed), capacity_slack_(capacity_slack) {}
-  std::string name() const override { return "ldg"; }
-  PartitionAssignment Partition(const Graph& g, uint32_t k) override;
-
- private:
-  uint64_t seed_;
-  double capacity_slack_;
-};
-
 }  // namespace grouting
 
 #endif  // GROUTING_SRC_PARTITION_PARTITIONER_H_

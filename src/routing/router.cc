@@ -25,23 +25,28 @@ void Router::SetRemoteLoad(std::span<const uint32_t> remote) {
   }
 }
 
-uint32_t Router::Enqueue(const Query& q) {
+uint32_t Router::Route(const Query& q, std::span<const uint32_t> queue_lengths) {
   RouterContext ctx;
   ctx.num_processors = num_processors_;
+  ctx.queue_lengths = queue_lengths;
+  const uint32_t p = strategy_->Route(q.node, ctx);
+  GROUTING_CHECK(p < num_processors_);
+  ++stats_.routed;
+  return p;
+}
+
+uint32_t Router::Enqueue(const Query& q) {
+  std::span<const uint32_t> load = lengths_;
   if (has_remote_load_) {
     for (uint32_t p = 0; p < num_processors_; ++p) {
       combined_load_[p] = lengths_[p] + remote_load_[p];
     }
-    ctx.queue_lengths = combined_load_;
-  } else {
-    ctx.queue_lengths = lengths_;
+    load = combined_load_;
   }
-  const uint32_t p = strategy_->Route(q.node, ctx);
-  GROUTING_CHECK(p < num_processors_);
+  const uint32_t p = Route(q, load);
   queues_[p].push_back(q);
   ++lengths_[p];
   ++pending_;
-  ++stats_.routed;
   return p;
 }
 

@@ -42,6 +42,12 @@ class Router {
 
   uint32_t num_processors() const { return num_processors_; }
 
+  // The one routing decision both engines make: asks the strategy for a
+  // processor given the per-processor `queue_lengths`, range-checks it and
+  // counts the routed query. Enqueue passes this router's own queues; the
+  // threaded engine passes live channel lengths under its shard mutex.
+  uint32_t Route(const Query& q, std::span<const uint32_t> queue_lengths);
+
   // Routes the query onto a processor queue; returns the chosen processor.
   uint32_t Enqueue(const Query& q);
 

@@ -74,23 +74,8 @@ double ElapsedUs(std::chrono::steady_clock::time_point from,
 ThreadedCluster::ThreadedCluster(const Graph& graph, const ClusterConfig& config,
                                  std::unique_ptr<RoutingStrategy> strategy,
                                  const PartitionAssignment* placement)
-    : ClusterEngine(graph, config, placement),
-      splitter_(config.router_splitter, config.num_router_shards) {
-  GROUTING_CHECK(strategy != nullptr);
-  adaptive_ = config_.num_router_shards > 1 &&
-              config_.router_splitter == SplitterKind::kAdaptive;
-  shards_.reserve(config_.num_router_shards);
-  for (uint32_t s = 1; s < config_.num_router_shards; ++s) {
-    auto clone = strategy->Clone();
-    GROUTING_CHECK_MSG(clone != nullptr,
-                       "num_router_shards > 1 requires a Clone()-able strategy");
-    auto shard = std::make_unique<RouterShard>();
-    shard->strategy = std::move(clone);
-    shards_.push_back(std::move(shard));
-  }
-  auto shard0 = std::make_unique<RouterShard>();
-  shard0->strategy = std::move(strategy);
-  shards_.insert(shards_.begin(), std::move(shard0));
+    : ClusterEngine(graph, config, std::move(strategy), placement),
+      shard_mu_(config.num_router_shards) {
   for (uint32_t p = 0; p < config_.num_processors; ++p) {
     channels_.push_back(std::make_unique<MpmcQueue<Routed>>());
   }
@@ -136,9 +121,8 @@ ThreadedCluster::~ThreadedCluster() {
 }
 
 bool ThreadedCluster::StealInto(uint32_t thief, Routed* out) {
-  // Scan for the longest sibling channel; take its oldest pending query.
-  // (The DES router steals the newest; with MPMC channels the oldest is the
-  // lock-free-friendly end. The balance property is identical.)
+  // Scan for the longest sibling channel; take its oldest pending query —
+  // the same end Router::NextForProcessor steals from in the simulator.
   uint32_t victim = thief;
   size_t longest = 0;
   for (uint32_t p = 0; p < config_.num_processors; ++p) {
@@ -193,7 +177,7 @@ void ThreadedCluster::FeederLoop(std::span<const Query> queries,
     uint32_t shard;
     {
       std::lock_guard<std::mutex> lock(splitter_mu_);
-      shard = splitter_.ShardFor(q);
+      shard = fleet_->ShardFor(q);
     }
     arrival_channels_[shard]->Push(q);
   }
@@ -204,11 +188,9 @@ void ThreadedCluster::FeederLoop(std::span<const Query> queries,
 }
 
 void ThreadedCluster::RouterShardLoop(uint32_t shard) {
-  RouterShard& rs = *shards_[shard];
+  Router& router = fleet_->shard(shard);
   WallTracer* tracer = shard_tracers_.empty() ? nullptr : &shard_tracers_[shard];
   std::vector<uint32_t> lengths(config_.num_processors, 0);
-  RouterContext ctx;
-  ctx.num_processors = config_.num_processors;
   while (auto arrival = arrival_channels_[shard]->Pop()) {
     const Query& q = *arrival;
     const bool traced = tracer != nullptr && tracer->Sample(q.id);
@@ -221,14 +203,11 @@ void ThreadedCluster::RouterShardLoop(uint32_t shard) {
     for (uint32_t p = 0; p < config_.num_processors; ++p) {
       lengths[p] = static_cast<uint32_t>(channels_[p]->Size());
     }
-    ctx.queue_lengths = lengths;
     uint32_t target;
     {
-      std::lock_guard<std::mutex> lock(rs.mu);
-      target = rs.strategy->Route(q.node, ctx);
+      std::lock_guard<std::mutex> lock(shard_mu_[shard].mu);
+      target = router.Route(q, lengths);
     }
-    GROUTING_CHECK(target < config_.num_processors);
-    rs.routed.fetch_add(1, std::memory_order_relaxed);
     if (traced) {
       tracer->Instant(TraceEventType::kRouted, tracer->NowUs(), q.id, target);
     }
@@ -258,9 +237,9 @@ void ThreadedCluster::WriterLoop(Clock::time_point epoch) {
 
 std::vector<std::unique_lock<std::mutex>> ThreadedCluster::LockAllShards() {
   std::vector<std::unique_lock<std::mutex>> locks;
-  locks.reserve(shards_.size());
-  for (auto& shard : shards_) {
-    locks.emplace_back(shard->mu);
+  locks.reserve(shard_mu_.size());
+  for (ShardMutex& shard : shard_mu_) {
+    locks.emplace_back(shard.mu);
   }
   return locks;
 }
@@ -268,39 +247,49 @@ std::vector<std::unique_lock<std::mutex>> ThreadedCluster::LockAllShards() {
 void ThreadedCluster::GossipLoop() {
   const auto period =
       std::chrono::duration<double, std::micro>(config_.gossip_period_us);
-  const RebalanceConfig& rebalance_config = config_.router_rebalance;
-  const bool rebalance = adaptive_ && rebalance_config.enabled();
   // Time base for the index-refresh period gate (wall µs since the loop
   // started — only differences are compared, so the epoch choice is free).
   const auto gossip_epoch = Clock::now();
-  std::vector<RoutingStrategy*> views;
-  std::vector<const RoutingStrategy*> const_views;
-  std::vector<uint64_t> loads(shards_.size(), 0);
-  views.reserve(shards_.size());
-  const_views.reserve(shards_.size());
-  for (auto& shard : shards_) {
-    views.push_back(shard->strategy.get());
-    const_views.push_back(shard->strategy.get());
-  }
   while (!gossip_stop_.load(std::memory_order_acquire)) {
     std::this_thread::sleep_for(period);
     if (gossip_stop_.load(std::memory_order_acquire)) {
       break;
     }
     if (router_gossip_) {
-      // One tick: hold every shard's mutex and run the SAME blend the sim
-      // fleet runs, so the two engines' gossip semantics cannot drift.
-      const auto locks = LockAllShards();
-      gossip_stats_.last_divergence_before = CrossShardStateDivergence(const_views);
-      GossipBlendStrategies(views);
-      gossip_stats_.last_divergence_after = CrossShardStateDivergence(const_views);
-      gossip_stats_.rounds += 1;
+      // The fleet's gossip round, in the simulator's order and split by
+      // lock: the strategy blend, the routed-count snapshot and the
+      // strategy-state carry hold every shard mutex, while the O(sessions)
+      // splitter round holds only the splitter mutex (stalling at most the
+      // feeder, never the routing threads). Once the stream has drained
+      // there is nothing left to re-split, so the tick stops rebalancing —
+      // the simulator's gossip chain stops the same way.
+      const bool rebalance = fleet_->rebalance_enabled() &&
+                             !arrivals_done_.load(std::memory_order_acquire);
+      std::vector<uint64_t> routed;
+      {
+        const auto locks = LockAllShards();
+        fleet_->BlendStrategies();
+        if (rebalance) {
+          routed = fleet_->RoutedPerShard();
+        }
+      }
+      if (rebalance) {
+        std::vector<SessionMigration> migrations;
+        {
+          std::lock_guard<std::mutex> splitter_lock(splitter_mu_);
+          migrations = fleet_->ResplitSessions(routed);
+        }
+        if (!migrations.empty()) {
+          const auto locks = LockAllShards();
+          fleet_->CarrySessionState(migrations);
+        }
+      }
     }
     if (repartition_enabled()) {
-      // Storage-tier repartitioning folded into the same tick, exactly like
-      // the arrival rebalance: the round plans against the monitor's
-      // decayed rates and physically migrates partitions while processor
-      // threads keep serving — MigratePartition's copy-flip-drain-
+      // Storage-tier repartitioning folded into the same tick, after the
+      // router round as on the simulator: the round plans against the
+      // monitor's decayed rates and physically migrates partitions while
+      // processor threads keep serving — MigratePartition's copy-flip-drain-
       // delete order plus the processor-side miss re-resolution keep every
       // answer exactly-once. The stall metric is the tick's wall time spent
       // moving data.
@@ -318,28 +307,6 @@ void ThreadedCluster::GossipLoop() {
       // the shard threads.
       const auto locks = LockAllShards();
       RunIndexMaintenance(ElapsedUs(gossip_epoch, Clock::now()));
-    }
-    if (rebalance && !arrivals_done_.load(std::memory_order_acquire)) {
-      // Adaptive re-splitting folded into the same tick: snapshot the
-      // shards' routed counts and migrate hot sessions. The O(sessions)
-      // rebalance scan holds only the splitter mutex (stalling at most the
-      // feeder, never the routing threads); the shard mutexes are retaken
-      // briefly for the deduped strategy-state carry. Once the stream has
-      // drained there is nothing left to re-split, so the tick stops
-      // migrating — the simulator's gossip chain stops the same way.
-      for (size_t s = 0; s < shards_.size(); ++s) {
-        loads[s] = shards_[s]->routed.load(std::memory_order_relaxed);
-      }
-      std::vector<SessionMigration> migrations;
-      {
-        std::lock_guard<std::mutex> splitter_lock(splitter_mu_);
-        migrations = splitter_.Rebalance(loads, rebalance_config);
-      }
-      if (!migrations.empty()) {
-        const auto locks = LockAllShards();
-        ApplyMigrationCarry(views, migrations);
-        sessions_migrated_.fetch_add(migrations.size(), std::memory_order_relaxed);
-      }
     }
   }
 }
@@ -370,9 +337,9 @@ void ThreadedCluster::ProcessorLoop(uint32_t p) {
       // one actually being warmed. The hook fires for EVERY dispatch (the
       // contract tests/frontend_test.cc pins down); the mostly-uncontended
       // lock is nanoseconds against the microseconds each query costs.
-      RouterShard& rs = *shards_[routed.shard];
-      std::lock_guard<std::mutex> lock(rs.mu);
-      rs.strategy->OnDispatch(routed.query.node, p, routed.target);
+      std::lock_guard<std::mutex> lock(shard_mu_[routed.shard].mu);
+      fleet_->shard(routed.shard).strategy().OnDispatch(routed.query.node, p,
+                                                        routed.target);
     }
     QueryResult result = processors_[p]->Execute(routed.query);
     const auto completed = Clock::now();
@@ -394,7 +361,7 @@ ThreadedCluster::RunOutcome ThreadedCluster::Execute(std::span<const Query> quer
                                                     const AdmissionPlan& plan) {
   remaining_.store(plan.admitted, std::memory_order_release);
 
-  const uint32_t num_shards = static_cast<uint32_t>(shards_.size());
+  const uint32_t num_shards = fleet_->num_shards();
 
   // Spawn the gossip tick only when it has work: EMA state to blend, an
   // adaptive rebalance to drive, or storage-side repartition rounds or
@@ -402,9 +369,9 @@ ThreadedCluster::RunOutcome ThreadedCluster::Execute(std::span<const Query> quer
   // Stateless strategies under a static splitter would pay the per-tick
   // locks and clones for a guaranteed no-op. Decided before any thread can
   // touch the strategies.
-  router_gossip_ = num_shards > 1 && config_.gossip_period_us > 0.0 &&
-                   (!shards_[0]->strategy->GossipState().empty() ||
-                    (adaptive_ && config_.router_rebalance.enabled()));
+  router_gossip_ = fleet_->gossip_enabled() &&
+                   (!fleet_->shard(0).strategy().GossipState().empty() ||
+                    fleet_->rebalance_enabled());
   const bool gossip = router_gossip_ || storage_tick_enabled();
 
   const auto start = Clock::now();
@@ -486,18 +453,6 @@ void ThreadedCluster::AddEngineMetrics(ClusterMetrics* m) const {
   for (uint32_t p = 0; p < config_.num_processors; ++p) {
     m->queries_per_processor[p] = processors_[p]->stats().queries_executed;
   }
-  m->queries_per_router_shard.assign(shards_.size(), 0);
-  std::vector<const RoutingStrategy*> views;
-  views.reserve(shards_.size());
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    m->queries_per_router_shard[s] = shards_[s]->routed.load(std::memory_order_relaxed);
-    views.push_back(shards_[s]->strategy.get());
-  }
-  m->gossip_rounds = gossip_stats_.rounds;
-  m->router_ema_divergence = CrossShardStateDivergence(views);
-  m->sessions_migrated = sessions_migrated_.load(std::memory_order_relaxed);
-  m->sticky_evictions = splitter_.stats().evictions;
-  m->router_load_imbalance = MaxMinLoadRatio(m->queries_per_router_shard);
 }
 
 }  // namespace grouting

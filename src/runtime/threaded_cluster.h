@@ -10,14 +10,15 @@
 //                    assignment can change mid-run as sessions migrate;
 //                    then it waits for the last answer,
 //   N router-shard threads : each drains its arrival channel onto
-//                    per-processor channels with its OWN strategy
-//                    instance, using live channel lengths as load,
-//   gossip thread  : when sharded, periodically blends the shards' EMA
-//                    state (mutex-light: one short lock per shard per tick)
-//                    and — with the adaptive splitter — runs the arrival
-//                    rebalance off the same tick: hot sessions migrate from
-//                    the most- to the least-loaded shard, carrying strategy
-//                    state via MergeRemoteState,
+//                    per-processor channels through its shard of the
+//                    cluster's RouterFleet (Router::Route, the same call the
+//                    simulator makes), using live channel lengths as load,
+//   gossip thread  : when sharded, periodically runs the fleet's gossip
+//                    round — the strategy blend and, with the adaptive
+//                    splitter, the session rebalance that moves hot sessions
+//                    from the most- to the least-loaded shard, carrying
+//                    strategy state — under the same locks the other
+//                    threads take,
 //   P processor threads : drain their channel; when empty they STEAL from
 //                    the longest sibling channel; every dispatch is fed
 //                    back to the routing shard's strategy (steal-aware);
@@ -29,6 +30,13 @@
 //                    query's trips run one after another; at window W up to
 //                    W overlap while the processor probes its cache,
 //   storage tier   : shared, internally synchronised per server.
+//
+// The router frontend is the RouterFleet that ClusterEngine builds for both
+// engines: its splitter, shard strategies, gossip and rebalance rounds and
+// routed counters. This engine adds only what real threads need — arrival
+// and processor channels, live lengths, stealing, one mutex per router
+// shard plus the splitter mutex, and stopping the rebalance once the
+// arrivals are done.
 //
 // The simulator answers "what would the paper's cluster do"; this runtime
 // answers "does the system actually work under real concurrency" — examples
@@ -53,8 +61,6 @@
 #include <vector>
 
 #include "src/core/cluster_engine.h"
-#include "src/frontend/gossip.h"
-#include "src/frontend/splitter.h"
 #include "src/util/mpmc_queue.h"
 
 namespace grouting {
@@ -76,8 +82,7 @@ class ThreadedCluster : public ClusterEngine {
   // joins every thread and collects the answers processor by processor; the
   // makespan is the feeder's start -> last answer.
   RunOutcome Execute(std::span<const Query> queries, const AdmissionPlan& plan) override;
-  // Steals, the per-processor and per-router-shard splits, and the gossip
-  // and splitter stats.
+  // Steals and the per-processor split.
   void AddEngineMetrics(ClusterMetrics* m) const override;
 
   // A query travelling through a processor channel, stamped at routing time
@@ -106,19 +111,17 @@ class ThreadedCluster : public ClusterEngine {
   // Takes every router shard's mutex in shard order. Other threads only
   // ever hold one shard mutex at a time, so the fixed order cannot
   // deadlock; the gossip tick holds all of them while it touches strategy
-  // state.
+  // state or reads the routed counters.
   std::vector<std::unique_lock<std::mutex>> LockAllShards();
 
-  // One router shard: its own strategy instance behind its own mutex. The
-  // mutex is uncontended outside gossip ticks and steal feedback.
-  struct RouterShard {
-    std::unique_ptr<RoutingStrategy> strategy;
+  // One mutex per router shard, guarding that shard's Router in the fleet
+  // (its strategy and routed counter). Uncontended outside gossip ticks and
+  // steal feedback. Each sits on its own cache line, so router-shard threads
+  // locking their own shard never contend for a line they share.
+  struct alignas(64) ShardMutex {
     std::mutex mu;
-    // Written by the owning shard thread, read by the gossip/rebalance tick.
-    std::atomic<uint64_t> routed{0};
   };
-
-  std::vector<std::unique_ptr<RouterShard>> shards_;
+  std::vector<ShardMutex> shard_mu_;
   std::vector<std::unique_ptr<MpmcQueue<Routed>>> channels_;
   // Per-processor latency samples, written only by the owning thread and
   // merged after all threads joined.
@@ -135,20 +138,17 @@ class ThreadedCluster : public ClusterEngine {
   std::thread gossip_thread_;
   std::atomic<bool> shutdown_{false};
   std::atomic<bool> gossip_stop_{false};
-  GossipStats gossip_stats_;  // written by the gossip thread, read post-join
-  // Router-shard gossip actually has state to blend (vs the tick existing
-  // only to drive the storage side). Decided in Execute().
+  // Router-shard gossip actually has state to blend or sessions to
+  // rebalance (vs the tick existing only to drive the storage side).
+  // Decided in Execute().
   bool router_gossip_ = false;
 
-  // Arrival splitter, shared between the feeder (ShardFor) and the gossip
-  // tick (the adaptive splitter's Rebalance) behind splitter_mu_.
-  ArrivalSplitter splitter_;
+  // Guards the fleet's arrival splitter, shared between the feeder
+  // (ShardFor) and the gossip tick (ResplitSessions).
   std::mutex splitter_mu_;
-  bool adaptive_;  // adaptive splitter: rebalance at gossip ticks
   std::vector<std::unique_ptr<MpmcQueue<Query>>> arrival_channels_;
   std::thread writer_thread_;
   std::atomic<bool> arrivals_done_{false};
-  std::atomic<uint64_t> sessions_migrated_{0};
 
   // Wall-clock tracers, one per processor thread and one per router-shard
   // thread (each written only by its owning thread into its own ring).

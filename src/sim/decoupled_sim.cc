@@ -8,14 +8,8 @@ namespace grouting {
 DecoupledClusterSim::DecoupledClusterSim(const Graph& graph, const ClusterConfig& config,
                                          std::unique_ptr<RoutingStrategy> strategy,
                                          const PartitionAssignment* placement)
-    : ClusterEngine(graph, config, placement), samples_(config.num_tenants) {
-  FleetConfig fc;
-  fc.num_shards = config_.num_router_shards;
-  fc.splitter = config_.router_splitter;
-  fc.router.enable_stealing = config_.enable_stealing;
-  fc.gossip_period_us = config_.gossip_period_us;
-  fc.rebalance = config_.router_rebalance;
-  fleet_ = std::make_unique<RouterFleet>(std::move(strategy), config_.num_processors, fc);
+    : ClusterEngine(graph, config, std::move(strategy), placement),
+      samples_(config.num_tenants) {
   in_flight_.resize(config_.num_processors);
   processor_idle_.assign(config_.num_processors, 1);
   server_busy_until_.assign(config_.num_storage_servers, 0.0);
@@ -107,12 +101,6 @@ void DecoupledClusterSim::AddEngineMetrics(ClusterMetrics* m) const {
   const RouterStats router_stats = fleet_->AggregateRouterStats();
   m->steals = router_stats.steals;
   m->queries_per_processor = router_stats.per_processor;
-  m->queries_per_router_shard = fleet_->RoutedPerShard();
-  m->gossip_rounds = fleet_->gossip_stats().rounds;
-  m->router_ema_divergence = fleet_->CurrentEmaDivergence();
-  m->sessions_migrated = fleet_->splitter().stats().migrations;
-  m->sticky_evictions = fleet_->splitter().stats().evictions;
-  m->router_load_imbalance = MaxMinLoadRatio(m->queries_per_router_shard);
   m->batches_inflight_peak = batches_inflight_peak_;
   m->fetch_overlap_us = total_fetch_overlap_us_;
   m->decompress_us = decompress_us_;

@@ -44,7 +44,6 @@
 #include <vector>
 
 #include "src/core/cluster_engine.h"
-#include "src/frontend/router_fleet.h"
 #include "src/sim/event_queue.h"
 
 namespace grouting {
@@ -58,10 +57,6 @@ class DecoupledClusterSim : public ClusterEngine {
                       const PartitionAssignment* placement = nullptr);
 
   EngineKind kind() const override { return EngineKind::kSimulated; }
-
-  RouterFleet& fleet() { return *fleet_; }
-  // The classic single-router view (shard 0) — fleet().shard(s) for others.
-  Router& router() { return fleet_->shard(0); }
 
   // Replay audit: every (query, level) completion in virtual-time order.
   // Model-check tests use it to prove the async pipeline never reorders a
@@ -80,9 +75,10 @@ class DecoupledClusterSim : public ClusterEngine {
   // Schedules the timed mutations, the admitted arrivals and the gossip
   // chain as virtual-time events, then drains the event queue.
   RunOutcome Execute(std::span<const Query> queries, const AdmissionPlan& plan) override;
-  // Fleet/splitter stats, plus the replay model's overrides of the async
-  // and decode fields (the functional layer executed inline, so the
-  // processors' wall-clock numbers are meaningless here).
+  // Steals and the per-processor split from the fleet's shard routers, plus
+  // the replay model's overrides of the async and decode fields (the
+  // functional layer executed inline, so the processors' wall-clock numbers
+  // are meaningless here).
   void AddEngineMetrics(ClusterMetrics* m) const override;
 
   // Asks the router fleet for work for processor p; begins execution or idles.
@@ -143,7 +139,6 @@ class DecoupledClusterSim : public ClusterEngine {
                 uint32_t level = 0, uint32_t server = 0, uint64_t value = 0);
 
   EventQueue events_;
-  std::unique_ptr<RouterFleet> fleet_;
   std::vector<InFlight> in_flight_;  // per processor
   std::vector<uint8_t> processor_idle_;
   std::vector<SimTimeUs> server_busy_until_;

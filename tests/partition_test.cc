@@ -66,22 +66,6 @@ TEST(RangePartitionerTest, ContiguousAndBalanced) {
             1u);
 }
 
-TEST(LdgPartitionerTest, ValidAndBalancedWithinSlack) {
-  Graph g = GenerateCommunityGraph(20, 50, 5, 1, 4);
-  LdgPartitioner part(42, 1.05);
-  auto a = part.Partition(g, 5);
-  ExpectValidAssignment(a, g.num_nodes(), 5);
-  auto m = EvaluatePartition(g, a, 5);
-  EXPECT_LT(m.balance, 1.25);
-}
-
-TEST(LdgPartitionerTest, BeatsHashOnCommunityGraph) {
-  Graph g = GenerateCommunityGraph(20, 50, 6, 1, 5);
-  auto hash_cut = EvaluatePartition(g, HashPartitioner().Partition(g, 4), 4);
-  auto ldg_cut = EvaluatePartition(g, LdgPartitioner().Partition(g, 4), 4);
-  EXPECT_LT(ldg_cut.cut_fraction, hash_cut.cut_fraction);
-}
-
 TEST(MultilevelTest, ValidAssignment) {
   Graph g = GenerateCommunityGraph(16, 40, 5, 1, 6);
   MultilevelPartitioner part;
@@ -150,9 +134,8 @@ TEST_P(PartitionerSweepTest, AllPartitionersValidForK) {
   Graph g = GenerateCommunityGraph(12, 40, 4, 1, 11);
   HashPartitioner hash;
   RangePartitioner range;
-  LdgPartitioner ldg;
   MultilevelPartitioner ml;
-  for (Partitioner* part : std::initializer_list<Partitioner*>{&hash, &range, &ldg, &ml}) {
+  for (Partitioner* part : std::initializer_list<Partitioner*>{&hash, &range, &ml}) {
     auto a = part->Partition(g, k);
     ExpectValidAssignment(a, g.num_nodes(), k);
     auto m = EvaluatePartition(g, a, k);
