@@ -8,9 +8,12 @@
 //
 // Prints the run's metrics as a table. `--help` lists everything.
 
+#include <charconv>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <map>
+#include <optional>
 #include <string>
 #include <type_traits>
 
@@ -20,6 +23,18 @@ using namespace grouting;
 
 namespace {
 
+// Defaults of the flags that no options struct holds.
+constexpr const char* kDefaultDataset = "webgraph";
+constexpr const char* kDefaultEngine = "sim";
+constexpr const char* kDefaultScale = "0.25";
+constexpr uint64_t kDefaultSeed = 4242;
+constexpr double kDefaultMutationFraction = 0.0;  // read-only
+
+[[noreturn]] void InvalidFlag(const std::string& key, const std::string& text) {
+  std::fprintf(stderr, "invalid --%s '%s'; see --help\n", key.c_str(), text.c_str());
+  std::exit(1);
+}
+
 struct Flags {
   std::map<std::string, std::string> values;
 
@@ -27,23 +42,29 @@ struct Flags {
     auto it = values.find(key);
     return it == values.end() ? def : it->second;
   }
-  double GetDouble(const std::string& key, double def) const {
+  // The flag's value as a T, or `def` when the flag is absent. The whole
+  // token must parse (std::from_chars) and fit T; anything else ends the
+  // program with exit code 1.
+  template <typename T>
+  T GetNumber(const std::string& key, T def) const {
     auto it = values.find(key);
-    return it == values.end() ? def : std::atof(it->second.c_str());
-  }
-  int64_t GetInt(const std::string& key, int64_t def) const {
-    auto it = values.find(key);
-    return it == values.end() ? def : std::atoll(it->second.c_str());
+    if (it == values.end()) {
+      return def;
+    }
+    const std::string& text = it->second;
+    T value{};
+    const char* end = text.data() + text.size();
+    const auto [parsed_to, error] = std::from_chars(text.data(), end, value);
+    if (error != std::errc{} || parsed_to != end) {
+      InvalidFlag(key, text);
+    }
+    return value;
   }
   // Overwrites *field with the flag's value when it is given; otherwise the
   // field keeps the default its struct set.
   template <typename T>
   void Override(const std::string& key, T* field) const {
-    if constexpr (std::is_floating_point_v<T>) {
-      *field = static_cast<T>(GetDouble(key, *field));
-    } else {
-      *field = static_cast<T>(GetInt(key, static_cast<int64_t>(*field)));
-    }
+    *field = GetNumber(key, *field);
   }
 };
 
@@ -65,79 +86,124 @@ Flags ParseFlags(int argc, char** argv) {
   return flags;
 }
 
+// Every default printed here is read from the struct (or constant) that
+// sets it, so the help cannot drift from what a run uses.
 void PrintHelp() {
-  std::printf(
-      "gRouting experiment CLI\n"
-      "  --dataset=webgraph|friendster|memetracker|freebase   (default webgraph)\n"
-      "  --scale=<float>          dataset scale               (default 0.25)\n"
-      "  --scheme=no_cache|next_ready|hash|landmark|embed     (default embed)\n"
-      "  --engine=sim|threaded    execution engine            (default sim)\n"
-      "  --processors=<int>       query processors            (default 7)\n"
-      "  --storage=<int>          storage servers             (default 4)\n"
-      "  --cache=<size>           per-processor cache, e.g. 16MB; 0 = ample\n"
-      "  --policy=lru|fifo|lfu|clock                          (default lru)\n"
-      "  --network=infiniband|ethernet                        (default infiniband)\n"
-      "  --radius=<int> --hops=<int>                          (defaults 2, 2)\n"
-      "  --hotspots=<int> --per-hotspot=<int>                 (defaults 100, 10)\n"
-      "  --landmarks=<int> --separation=<int> --dims=<int>\n"
-      "  --load-factor=<float> --alpha=<float> --no-stealing\n"
-      "  --router-shards=<int>    router frontend shards      (default 1)\n"
-      "  --splitter=round_robin|hash|sticky|adaptive          (default round_robin)\n"
-      "  --gossip-period=<µs>     0 disables gossip           (default 200)\n"
-      "  --rebalance-threshold=<ratio>  adaptive splitter migration trigger\n"
-      "                           (max/min routed load; <=1 disables, default 0)\n"
-      "  --migration-cap=<int>    sessions moved per rebalance round (default 8)\n"
-      "  --arrival-gap=<µs>       sim inter-arrival gap       (default 0)\n"
-      "  --inflight-batches=<int> async multiget window per processor\n"
-      "                           (1 = synchronous level barrier, default 1)\n"
-      "  --repartition-threshold=<ratio>  storage-tier repartition trigger\n"
-      "                           (max/min server access rate; <=1 disables,\n"
-      "                           default 0)\n"
-      "  --repartition-cap=<int>  partitions moved per repartition round\n"
-      "                           (default 4)\n"
-      "  --partitions-per-server=<int>  virtual partitions per storage server\n"
-      "                           (migration granularity, default 8)\n"
-      "  --replication-top-k=<int>  hot partitions promoted to an extra\n"
-      "                           replica per round (0 disables, default 0)\n"
-      "  --replica-demote-threshold=<frac>  demote replicas once a\n"
-      "                           partition's rate falls to this fraction of\n"
-      "                           the average server load (default 0.1)\n"
-      "  --max-replicas-per-partition=<int>  extra copies a partition may\n"
-      "                           hold beyond its primary (default 2, max 3)\n"
-      "  --adjacency-encoding=raw|delta_varint  storage wire format\n"
-      "                           (default raw)\n"
-      "  --cache-compressed       processor caches admit the compressed blob\n"
-      "                           (decode on hit; needs delta_varint to pay off)\n"
-      "  --trace-out=<file>       export the query-lifecycle trace as Chrome-\n"
-      "                           trace JSON (open in Perfetto / chrome://tracing)\n"
-      "  --trace-sample-every-n=<int>  trace every Nth query (default 1 when\n"
-      "                           --trace-out is set, else 0 = tracing off)\n"
-      "  --trace-buffer-capacity=<int> events per trace ring (default 65536)\n"
-      "  --num-tenants=<int>      tenant keyspaces federated over the storage\n"
-      "                           tier (default 1)\n"
-      "  --tenant-quota-qps=<float>  per-tenant admission quota at the\n"
-      "                           splitter (<=0 disables, default 0)\n"
-      "  --tenant-quota-burst=<float>  admission token-bucket burst\n"
-      "                           (default 32)\n"
-      "  --open-loop              open-loop Poisson workload: Query::arrive_us\n"
-      "                           timestamps drive arrivals on both engines\n"
-      "  --arrivals=<int>         open-loop arrivals          (default 8192)\n"
-      "  --arrival-rate=<qps>     open-loop aggregate rate    (default 50000)\n"
-      "  --tenant-skew=<float>    Zipf skew of per-tenant rates (default 1.0)\n"
-      "  --sessions-per-tenant=<int>  open-loop session universe per tenant\n"
-      "                           (default 1000000)\n"
-      "  --session-skew=<float>   heavy-tail exponent of session popularity\n"
-      "                           (default 1.1)\n"
-      "  --tenant-metrics-out=<file>  write per-tenant admission/latency\n"
-      "                           metrics + answer checksum as JSON\n"
-      "  --mutation-fraction=<frac>  fraction of open-loop arrivals converted\n"
-      "                           to live graph writes (enables the versioned\n"
-      "                           mutation path; requires --open-loop;\n"
-      "                           default 0 = read-only)\n"
-      "  --index-refresh-period=<µs>  minimum time between incremental\n"
-      "                           index-maintenance passes on the gossip\n"
-      "                           cadence (default 0 = every gossip tick)\n"
-      "  --seed=<int>\n");
+  const RunOptions d;
+  const OpenLoopConfig ol;
+  std::printf("gRouting experiment CLI\n");
+  std::printf("  --dataset=webgraph|friendster|memetracker|freebase   (default %s)\n",
+              kDefaultDataset);
+  std::printf("  --scale=<float>          dataset scale               (default %s)\n",
+              kDefaultScale);
+  std::printf("  --scheme=no_cache|next_ready|hash|landmark|embed     (default %s)\n",
+              RoutingSchemeKindName(d.scheme).c_str());
+  std::printf("  --engine=sim|threaded    execution engine            (default %s)\n",
+              kDefaultEngine);
+  std::printf("  --processors=<int>       query processors            (default %u)\n",
+              d.processors);
+  std::printf("  --storage=<int>          storage servers             (default %u)\n",
+              d.storage_servers);
+  std::printf("  --cache=<size>           per-processor cache, e.g. 16MB; 0 = ample\n"
+              "                           (default %llu)\n",
+              static_cast<unsigned long long>(d.cache_bytes));
+  std::printf("  --policy=lru|fifo|lfu|clock                          (default %s)\n",
+              CachePolicyName(d.cache_policy).c_str());
+  std::printf("  --network=infiniband|ethernet                        (default %s)\n",
+              d.cost.net.name.c_str());
+  std::printf("  --radius=<int> --hops=<int>                          (defaults %d, %d)\n",
+              d.hotspot_radius, d.hops);
+  std::printf("  --hotspots=<int> --per-hotspot=<int>                 (defaults %zu, %zu)\n",
+              d.num_hotspots, d.queries_per_hotspot);
+  std::printf("  --landmarks=<int> --separation=<int> --dims=<int>    (defaults %zu, %d, %zu)\n",
+              d.num_landmarks, d.min_separation, d.dimensions);
+  std::printf("  --load-factor=<float> --alpha=<float>                (defaults %g, %g)\n",
+              d.load_factor, d.alpha);
+  std::printf("  --no-stealing            turn query stealing off\n");
+  std::printf("  --router-shards=<int>    router frontend shards      (default %u)\n",
+              d.router_shards);
+  std::printf("  --splitter=round_robin|hash|sticky|adaptive          (default %s)\n",
+              SplitterKindName(d.splitter).c_str());
+  std::printf("  --gossip-period=<µs>     0 disables gossip           (default %g)\n",
+              d.gossip_period_us);
+  std::printf("  --rebalance-threshold=<ratio>  adaptive splitter migration trigger\n"
+              "                           (max/min routed load; <=1 disables, default %g)\n",
+              d.rebalance_threshold);
+  std::printf("  --migration-cap=<int>    sessions moved per rebalance round (default %u)\n",
+              d.migration_cap);
+  std::printf("  --arrival-gap=<µs>       sim inter-arrival gap       (default %g)\n",
+              d.arrival_gap_us);
+  std::printf("  --inflight-batches=<int> async multiget window per processor\n"
+              "                           (1 = synchronous level barrier, default %u)\n",
+              d.max_inflight_batches);
+  std::printf("  --repartition-threshold=<ratio>  storage-tier repartition trigger\n"
+              "                           (max/min server access rate; <=1 disables,\n"
+              "                           default %g)\n",
+              d.repartition_threshold);
+  std::printf("  --repartition-cap=<int>  partitions moved per repartition round\n"
+              "                           (default %u)\n",
+              d.repartition_cap);
+  std::printf("  --partitions-per-server=<int>  virtual partitions per storage server\n"
+              "                           (migration granularity, default %u)\n",
+              d.partitions_per_server);
+  std::printf("  --replication-top-k=<int>  hot partitions promoted to an extra\n"
+              "                           replica per round (0 disables, default %u)\n",
+              d.replication_top_k);
+  std::printf("  --replica-demote-threshold=<frac>  demote replicas once a\n"
+              "                           partition's rate falls to this fraction of\n"
+              "                           the average server load (default %g)\n",
+              d.replica_demote_threshold);
+  std::printf("  --max-replicas-per-partition=<int>  extra copies a partition may\n"
+              "                           hold beyond its primary (default %u, max %u)\n",
+              d.max_replicas_per_partition, PartitionMap::kMaxReplicas);
+  std::printf("  --adjacency-encoding=raw|delta_varint  storage wire format\n"
+              "                           (default %s)\n",
+              d.adjacency_encoding == AdjacencyEncoding::kRaw ? "raw" : "delta_varint");
+  std::printf("  --cache-compressed       processor caches admit the compressed blob\n"
+              "                           (decode on hit; needs delta_varint to pay off)\n");
+  std::printf("  --trace-out=<file>       export the query-lifecycle trace as Chrome-\n"
+              "                           trace JSON (open in Perfetto / chrome://tracing)\n");
+  std::printf("  --trace-sample-every-n=<int>  trace every Nth query (default 1 when\n"
+              "                           --trace-out is set, else %u = tracing off)\n",
+              d.trace_sample_every_n);
+  std::printf("  --trace-buffer-capacity=<int> events per trace ring (default %u)\n",
+              d.trace_buffer_capacity);
+  std::printf("  --num-tenants=<int>      tenant keyspaces federated over the storage\n"
+              "                           tier (default %u)\n",
+              d.num_tenants);
+  std::printf("  --tenant-quota-qps=<float>  per-tenant admission quota at the\n"
+              "                           splitter (<=0 disables, default %g)\n",
+              d.admission.quota_qps);
+  std::printf("  --tenant-quota-burst=<float>  admission token-bucket burst\n"
+              "                           (default %g)\n",
+              d.admission.burst);
+  std::printf("  --open-loop              open-loop Poisson workload: Query::arrive_us\n"
+              "                           timestamps drive arrivals on both engines\n");
+  std::printf("  --arrivals=<int>         open-loop arrivals          (default %zu)\n",
+              ol.num_arrivals);
+  std::printf("  --arrival-rate=<qps>     open-loop aggregate rate    (default %g)\n",
+              ol.arrival_rate_qps);
+  std::printf("  --tenant-skew=<float>    Zipf skew of per-tenant rates (default %g)\n",
+              ol.tenant_skew);
+  std::printf("  --sessions-per-tenant=<int>  open-loop session universe per tenant\n"
+              "                           (default %llu)\n",
+              static_cast<unsigned long long>(ol.sessions_per_tenant));
+  std::printf("  --session-skew=<float>   heavy-tail exponent of session popularity\n"
+              "                           (default %g)\n",
+              ol.session_skew);
+  std::printf("  --tenant-metrics-out=<file>  write per-tenant admission/latency\n"
+              "                           metrics + answer checksum as JSON\n");
+  std::printf("  --mutation-fraction=<frac>  fraction of open-loop arrivals converted\n"
+              "                           to live graph writes (enables the versioned\n"
+              "                           mutation path; requires --open-loop;\n"
+              "                           default %g = read-only)\n",
+              kDefaultMutationFraction);
+  std::printf("  --index-refresh-period=<µs>  minimum time between incremental\n"
+              "                           index-maintenance passes on the gossip\n"
+              "                           cadence (default %g = every gossip tick)\n",
+              d.index_refresh_period_us);
+  std::printf("  --seed=<int>             (default %llu)\n",
+              static_cast<unsigned long long>(kDefaultSeed));
 }
 
 // Order-independent checksum over the run's answers: each answer folds its
@@ -239,9 +305,10 @@ int main(int argc, char** argv) {
       {"clock", CachePolicy::kClock},
   };
 
-  const std::string dataset_name = flags.Get("dataset", "webgraph");
-  const std::string scheme_name = flags.Get("scheme", "embed");
-  const std::string engine_name = flags.Get("engine", "sim");
+  const RunOptions defaults;
+  const std::string dataset_name = flags.Get("dataset", kDefaultDataset);
+  const std::string scheme_name = flags.Get("scheme", RoutingSchemeKindName(defaults.scheme));
+  const std::string engine_name = flags.Get("engine", kDefaultEngine);
   if (kDatasets.count(dataset_name) == 0 || kSchemes.count(scheme_name) == 0 ||
       (engine_name != "sim" && engine_name != "threaded")) {
     std::fprintf(stderr, "unknown --dataset, --scheme or --engine; see --help\n");
@@ -249,28 +316,33 @@ int main(int argc, char** argv) {
   }
   const EngineKind engine =
       engine_name == "threaded" ? EngineKind::kThreaded : EngineKind::kSimulated;
-  const std::string policy_name = flags.Get("policy", "lru");
+  const std::string policy_name = flags.Get("policy", CachePolicyName(defaults.cache_policy));
   if (kPolicies.count(policy_name) == 0) {
     std::fprintf(stderr, "unknown --policy '%s'; see --help\n", policy_name.c_str());
     return 1;
   }
-  const std::string network_name = flags.Get("network", "infiniband");
+  const std::string network_name = flags.Get("network", defaults.cost.net.name);
   if (network_name != "infiniband" && network_name != "ethernet") {
     std::fprintf(stderr, "unknown --network '%s'; see --help\n", network_name.c_str());
     return 1;
   }
 
-  const double scale = flags.GetDouble("scale", 0.25);
-  ExperimentEnv env(kDatasets.at(dataset_name), scale,
-                    static_cast<uint64_t>(flags.GetInt("seed", 4242)));
+  const double scale = flags.GetNumber("scale", std::strtod(kDefaultScale, nullptr));
+  const uint64_t seed = flags.GetNumber("seed", kDefaultSeed);
 
-  // Numeric flags left unset keep RunOptions' own defaults.
+  // Numeric flags left unset keep RunOptions' own defaults. Every flag is
+  // parsed before the dataset is built, so a malformed one fails at once.
   RunOptions opts;
   opts.scheme = kSchemes.at(scheme_name);
   flags.Override("processors", &opts.processors);
   flags.Override("storage", &opts.storage_servers);
   if (flags.values.count("cache")) {
-    opts.cache_bytes = ParseByteSize(flags.Get("cache", ""));
+    const std::string text = flags.Get("cache", "");
+    const std::optional<uint64_t> bytes = ParseByteSize(text);
+    if (!bytes.has_value()) {
+      InvalidFlag("cache", text);
+    }
+    opts.cache_bytes = *bytes;
   }
   opts.cache_policy = kPolicies.at(policy_name);
   if (network_name == "ethernet") {
@@ -293,7 +365,7 @@ int main(int argc, char** argv) {
       {"adaptive", SplitterKind::kAdaptive},
   };
   flags.Override("router-shards", &opts.router_shards);
-  const std::string splitter_name = flags.Get("splitter", "round_robin");
+  const std::string splitter_name = flags.Get("splitter", SplitterKindName(defaults.splitter));
   if (kSplitters.count(splitter_name) == 0) {
     std::fprintf(stderr, "unknown --splitter '%s'; see --help\n", splitter_name.c_str());
     return 1;
@@ -321,8 +393,8 @@ int main(int argc, char** argv) {
                                 : AdjacencyEncoding::kRaw;
   opts.cache_compressed = flags.values.count("cache-compressed") > 0;
   const std::string trace_out = flags.Get("trace-out", "");
-  opts.trace_sample_every_n = static_cast<uint32_t>(
-      flags.GetInt("trace-sample-every-n", trace_out.empty() ? 0 : 1));
+  opts.trace_sample_every_n = flags.GetNumber(
+      "trace-sample-every-n", trace_out.empty() ? defaults.trace_sample_every_n : 1u);
   flags.Override("trace-buffer-capacity", &opts.trace_buffer_capacity);
   if (!trace_out.empty() && opts.trace_sample_every_n == 0) {
     std::fprintf(stderr, "--trace-out requires --trace-sample-every-n >= 1\n");
@@ -337,7 +409,8 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "--num-tenants must be >= 1\n");
     return 1;
   }
-  const double mutation_fraction = flags.GetDouble("mutation-fraction", 0.0);
+  const double mutation_fraction =
+      flags.GetNumber("mutation-fraction", kDefaultMutationFraction);
   if (mutation_fraction < 0.0 || mutation_fraction > 1.0) {
     std::fprintf(stderr, "--mutation-fraction must be in [0, 1]\n");
     return 1;
@@ -348,7 +421,16 @@ int main(int argc, char** argv) {
   }
   opts.enable_mutations = mutation_fraction > 0.0;
   flags.Override("index-refresh-period", &opts.index_refresh_period_us);
+  OpenLoopConfig ol;
+  ol.num_tenants = opts.num_tenants;
+  flags.Override("arrivals", &ol.num_arrivals);
+  flags.Override("arrival-rate", &ol.arrival_rate_qps);
+  flags.Override("tenant-skew", &ol.tenant_skew);
+  flags.Override("sessions-per-tenant", &ol.sessions_per_tenant);
+  flags.Override("session-skew", &ol.session_skew);
+  ol.hops = opts.hops;
 
+  ExperimentEnv env(kDatasets.at(dataset_name), scale, seed);
   const Graph& g = env.graph();
   std::printf("dataset %s (scale %.2f): %zu nodes, %zu edges\n", dataset_name.c_str(),
               scale, g.num_nodes(), g.num_edges());
@@ -361,14 +443,6 @@ int main(int argc, char** argv) {
   std::vector<Query> workload;
   std::vector<GraphMutation> mutations;
   if (open_loop) {
-    OpenLoopConfig ol;
-    ol.num_tenants = opts.num_tenants;
-    flags.Override("arrivals", &ol.num_arrivals);
-    flags.Override("arrival-rate", &ol.arrival_rate_qps);
-    flags.Override("tenant-skew", &ol.tenant_skew);
-    flags.Override("sessions-per-tenant", &ol.sessions_per_tenant);
-    flags.Override("session-skew", &ol.session_skew);
-    ol.hops = opts.hops;
     ol.seed = env.seed() ^ 0x99;
     if (mutation_fraction > 0.0) {
       // Mixed read/write stream from one arrival process: a deterministic
@@ -397,7 +471,7 @@ int main(int argc, char** argv) {
     TraceMetadata metadata;
     metadata.emplace_back("dataset", dataset_name);
     metadata.emplace_back("scheme", scheme_name);
-    metadata.emplace_back("scale", flags.Get("scale", "0.25"));
+    metadata.emplace_back("scale", flags.Get("scale", kDefaultScale));
     if (cluster->ExportTrace(trace_out, metadata)) {
       std::printf("wrote trace: %s (%llu events, %llu dropped)\n", trace_out.c_str(),
                   static_cast<unsigned long long>(m.trace_events_recorded),

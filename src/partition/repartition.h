@@ -54,6 +54,7 @@
 #include <vector>
 
 #include "src/graph/graph.h"
+#include "src/util/cache_line.h"
 #include "src/util/murmur3.h"
 
 namespace grouting {
@@ -231,10 +232,11 @@ class PartitionMap {
 };
 
 // Per-partition access-rate monitor. Record() is called from the tier's
-// get/multiget paths (any thread, relaxed atomics); RollWindow() is called
-// by the single planner thread at repartition rounds and folds the window
-// counts into decayed rate estimates, exactly like the arrival splitter's
-// per-session rate estimator.
+// get/multiget paths (any thread, relaxed atomics, each partition's window
+// on its own cache line); RollWindow() is called by the single planner
+// thread at repartition rounds and folds the window counts into decayed
+// rate estimates, exactly like the arrival splitter's per-session rate
+// estimator.
 class PartitionMonitor {
  public:
   explicit PartitionMonitor(uint32_t num_partitions);
@@ -242,7 +244,7 @@ class PartitionMonitor {
   uint32_t num_partitions() const { return num_partitions_; }
 
   void Record(uint32_t partition) {
-    windows_[partition].fetch_add(1, std::memory_order_relaxed);
+    windows_[partition].value.fetch_add(1, std::memory_order_relaxed);
   }
 
   // Rolls the current windows into the decayed rates and zeroes them.
@@ -258,7 +260,7 @@ class PartitionMonitor {
 
  private:
   uint32_t num_partitions_;
-  std::unique_ptr<std::atomic<uint64_t>[]> windows_;
+  std::unique_ptr<CacheLinePadded<std::atomic<uint64_t>>[]> windows_;
   std::vector<double> rates_;
   std::atomic<uint64_t> total_recorded_{0};
 };

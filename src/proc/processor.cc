@@ -12,11 +12,20 @@ double ElapsedUs(std::chrono::steady_clock::time_point from,
   return std::chrono::duration<double, std::micro>(to - from).count();
 }
 
-// Decodes `blob` into `*entry`, reusing its vectors. Memory bound: a
-// reused entry that once held a hub keeps no more than about twice what it
-// holds now.
-void DecodeReusing(std::span<const uint8_t> blob, AdjacencyEntry* entry) {
-  GROUTING_CHECK(DecodeAdjacencyInto(blob, entry));
+// The header of a blob the tier shipped. Every stored blob was written by
+// EncodeAdjacency, so a rejected header is a bug, not bad input.
+AdjacencyHeader ParseHeader(std::span<const uint8_t> blob) {
+  AdjacencyHeader header;
+  GROUTING_CHECK(DecodeAdjacencyHeader(blob, &header));
+  return header;
+}
+
+// Decodes the edges of `blob`, whose header is parsed, into `*entry`,
+// reusing its vectors. Memory bound: a reused entry that once held a hub
+// keeps no more than about twice what it holds now.
+void DecodeReusing(std::span<const uint8_t> blob, const AdjacencyHeader& header,
+                   AdjacencyEntry* entry) {
+  GROUTING_CHECK(DecodeAdjacencyEdges(blob, header, entry));
   for (std::vector<Edge>* edges : {&entry->out, &entry->in}) {
     if (edges->capacity() > 2 * edges->size() + 32) {
       edges->shrink_to_fit();
@@ -127,17 +136,21 @@ void CachedStorageSource::CompleteOldest(std::vector<Inflight>* inflight,
     blobs = &patched;
   }
 
-  // Decode pass: the one decode of each fetched blob, here on the
-  // processor with no storage lock held. It runs in full even when the
-  // caller reads only the label: it validates every blob before the cache
-  // installs it, and it yields the label and edge count the slot keeps, so
-  // a later label-only hit reads the slot alone. Only a decoded-mode cache
-  // keeps the entry, so only it gets a fresh one; every other miss decodes
-  // into a pool slot, or into the scratch entry when nothing but the label
-  // leaves this call. Under delta_varint encoding the pass (decodes plus
-  // their trace bookkeeping, not the cache installs) is timed as
-  // decompression with one clock pair: the simulator charges the same
-  // decodes (its fetch_decode) under the same condition.
+  // Decode pass: each fetched blob is parsed here, on the processor with
+  // no storage lock held, and only as far as someone reads it. The header,
+  // parsed once, yields the label and edge count a cache slot keeps, so a
+  // later label-only hit reads the slot alone. Only a decoded-mode cache
+  // keeps the entry, so only it gets a fresh one; a fetch that hands out
+  // entries decodes into a pool slot. A label-only miss that no cache
+  // keeps decoded (no cache, or a compressed one) reads just the header of
+  // a v1 blob: the header pins the blob's exact size, and v1 edge bytes of
+  // that size always decode, so the full decode would check nothing more.
+  // A v2 blob's edge lists are validated only by decoding them, so its
+  // label-only miss still decodes, into the scratch entry. Every blob a
+  // cache installs has thus passed the full check. Under delta_varint
+  // encoding the pass (decodes plus their trace bookkeeping, not the cache
+  // installs) is timed as decompression with one clock pair: the simulator
+  // charges the same decodes (its fetch_decode) under the same condition.
   const bool time_decodes = storage_->encoding() == AdjacencyEncoding::kDeltaVarint;
   const auto decode_start = time_decodes ? std::chrono::steady_clock::now()
                                           : std::chrono::steady_clock::time_point{};
@@ -152,19 +165,18 @@ void CachedStorageSource::CompleteOldest(std::vector<Inflight>* inflight,
     if (blob == nullptr) {
       continue;
     }
+    const AdjacencyHeader header = ParseHeader(*blob);
     AdjacencyPtr entry;
-    const AdjacencyEntry* decoded = &scratch_;
     if (cache_ != nullptr && !cache_compressed_) {
-      entry = DecodeAdjacency(*blob);
-      GROUTING_CHECK(entry != nullptr);
-      decoded = entry.get();
+      auto fresh = std::make_shared<AdjacencyEntry>();
+      GROUTING_CHECK(DecodeAdjacencyEdges(*blob, header, fresh.get()));
+      entry = std::move(fresh);
     } else if (out.labels == nullptr) {
-      entry = DecodePooled(*blob);
-      decoded = entry.get();
-    } else {
-      DecodeReusing(*blob, &scratch_);
+      entry = DecodePooled(*blob, header);
+    } else if (header.encoding != AdjacencyEncoding::kRaw) {
+      DecodeReusing(*blob, header, &scratch_);
     }
-    const auto edges = static_cast<uint32_t>(decoded->out.size() + decoded->in.size());
+    const auto edges = static_cast<uint32_t>(header.out_count + header.in_count);
     stats.values += 1;
     stats.bytes += blob->size();  // what actually crossed the network
     stats.edges += edges;
@@ -179,13 +191,13 @@ void CachedStorageSource::CompleteOldest(std::vector<Inflight>* inflight,
       // while the batch was in flight installs with a stale snapshot and
       // the next probe refetches it — never the other way around.
       const uint64_t version = batch.versions.empty() ? 0 : batch.versions[k];
-      const Label label = decoded->node_label;
+      const Label label = header.node_label;
       installs_[k] = cache_compressed_
                          ? CachedAdjacency{nullptr, blob, version, label, edges}
                          : CachedAdjacency{entry, nullptr, version, label, edges};
     }
     if (out.labels != nullptr) {
-      (*out.labels)[pos] = decoded->node_label;
+      (*out.labels)[pos] = header.node_label;
     } else {
       (*out.entries)[pos] = std::move(entry);
     }
@@ -211,7 +223,8 @@ void CachedStorageSource::CompleteOldest(std::vector<Inflight>* inflight,
   trace_.batches.push_back(stats);
 }
 
-AdjacencyPtr CachedStorageSource::DecodePooled(std::span<const uint8_t> blob) {
+AdjacencyPtr CachedStorageSource::DecodePooled(std::span<const uint8_t> blob,
+                                               const AdjacencyHeader& header) {
   // Slots behind the cursor were either handed out earlier in this call
   // (still referenced from its result vector) or found held by the caller,
   // so the scan never revisits them.
@@ -221,7 +234,7 @@ AdjacencyPtr CachedStorageSource::DecodePooled(std::span<const uint8_t> blob) {
   if (pool_cursor_ == pool_.size()) {
     pool_.push_back(std::make_shared<AdjacencyEntry>());
   }
-  DecodeReusing(blob, pool_[pool_cursor_].get());
+  DecodeReusing(blob, header, pool_[pool_cursor_].get());
   return pool_[pool_cursor_++];
 }
 
@@ -272,10 +285,10 @@ void CachedStorageSource::Fetch(std::span<const NodeId> nodes, Output out) {
         ++trace_.visited;
         if (out.labels != nullptr) {
           // Label-only hit: the slot alone answers it. Blobs are immutable
-          // and passed a full decode when their miss was completed
+          // and passed the full check when their miss was completed
           // (CompleteOldest installs nothing else, and fills the label and
-          // edge count from that decode), so debug builds only recheck
-          // that the slot still agrees with what it points to.
+          // edge count from the checked header), so debug builds only
+          // recheck that the slot still agrees with what it points to.
           GROUTING_DCHECK(SlotMatchesAdjacency(*hit));
           (*out.labels)[i] = hit->label;
           level.hit_edges += hit->edges;
@@ -289,7 +302,7 @@ void CachedStorageSource::Fetch(std::span<const NodeId> nodes, Output out) {
           // reports it; the sim charges its virtual equivalent during
           // replay.
           const auto decode_start = std::chrono::steady_clock::now();
-          entry = DecodePooled(*hit->encoded);
+          entry = DecodePooled(*hit->encoded, ParseHeader(*hit->encoded));
           const auto decode_end = std::chrono::steady_clock::now();
           trace_.decompress_us += ElapsedUs(decode_start, decode_end);
           if (tracer_ != nullptr && tracer_->active()) {

@@ -5,17 +5,21 @@
 // the unit the cost model charges network and service time for.
 //
 // The storage servers ship encoded blobs; the processor is the only place
-// that decodes them. Each fetched blob is decoded once, on completion,
-// outside any storage lock. The cache keeps the decoded entry, or (in
-// compressed mode) the very blob that was fetched, together with the node's
-// label and edge count: a hit that needs only the label reads the slot
-// alone.
+// that decodes them. Each fetched blob is parsed once, on completion,
+// outside any storage lock, and only as far as the query and the cache
+// read it: a label-only miss that no cache keeps decoded reads just the
+// header of a v1 blob, whose header check is already the full check. The
+// cache keeps the decoded entry, or (in compressed mode) the very blob that
+// was fetched, together with the node's label and edge count: a hit that
+// needs only the label reads the slot alone.
 //
 // Per traversal level the source runs an issue / probe / complete pipeline:
 // miss batches are opened as async multiget handles (StorageTier::
 // StartMultiGet) with at most `max_inflight_batches` outstanding, hits are
 // merged while batches are in flight, and completions decode the fetched
-// blobs and install them into the cache in issue order. With
+// blobs and install them into the cache in issue order. Each batch is one
+// storage request: the server takes its lock once for it, and counts the
+// batch and its keys when it services it. With
 // max_inflight_batches == 1 and no executor this degenerates to the classic
 // synchronous path — byte-identical cache state, stats and trace for every
 // window, which is what lets the window be a pure timing/overlap knob.
@@ -44,9 +48,10 @@ namespace grouting {
 // byte budget, and decoded again on every hit whose edges the query reads
 // (into a reused slot of the source's decode pool, not a fresh entry).
 // Exactly one of the two pointers is set. Either way the slot also carries
-// the node's label and edge count (out + in), filled from the full decode
-// that validated the blob before install, so a hit that needs only the
-// label reads the slot alone, in both modes. `version` is the adjacency
+// the node's label and edge count (out + in), filled from the header of
+// the blob, which passed the full check before install (a v1 blob's header
+// check is the full check; a v2 blob is decoded), so a hit that needs only
+// the label reads the slot alone, in both modes. `version` is the adjacency
 // version snapshot taken BEFORE the blob was fetched (always 0 with
 // mutations off): a probe re-validates it against the tier's current
 // NodeVersion, so a hit can never serve a list from before a mutation — the
@@ -105,8 +110,9 @@ class CachedStorageSource : public NodeDataSource {
 
   std::vector<AdjacencyPtr> FetchBatch(std::span<const NodeId> nodes) override;
   // Same probes, batches, cache installs and trace as FetchBatch. A hit
-  // reads only its cache slot's label and edge count; misses still decode
-  // in full.
+  // reads only its cache slot's label and edge count; a miss decodes only
+  // what a decoded-mode cache keeps or a v2 blob needs for its check, and
+  // otherwise reads just the blob's header.
   std::vector<std::optional<Label>> FetchLabels(std::span<const NodeId> nodes) override;
   const FetchTrace& trace() const override { return trace_; }
   void ResetTrace() override { trace_.Clear(); }
@@ -165,9 +171,10 @@ class CachedStorageSource : public NodeDataSource {
   void CompleteOldest(std::vector<Inflight>* inflight, std::span<const NodeId> nodes,
                       Output out, FetchTrace::Level* level, double* blocked_us);
 
-  // Decodes `blob` into the first free pool slot at or after the cursor,
-  // growing the pool when none is free, and returns that slot.
-  AdjacencyPtr DecodePooled(std::span<const uint8_t> blob);
+  // Decodes `blob`, whose header is parsed, into the first free pool slot
+  // at or after the cursor, growing the pool when none is free, and
+  // returns that slot.
+  AdjacencyPtr DecodePooled(std::span<const uint8_t> blob, const AdjacencyHeader& header);
 
   StorageTier* storage_;
   NodeCache<CachedAdjacency>* cache_;  // nullptr = no-cache mode
@@ -185,8 +192,9 @@ class CachedStorageSource : public NodeDataSource {
   // cursor restarts at 0 on each call and only moves forward within it.
   std::vector<std::shared_ptr<AdjacencyEntry>> pool_;
   size_t pool_cursor_ = 0;
-  // Where a label-only fetch decodes a miss the cache does not keep: the
-  // entry is read for its label and dropped, so it never needs a slot.
+  // Where a label-only fetch decodes a v2 miss the cache does not keep
+  // decoded, only to validate its edge lists: the entry is dropped, so it
+  // never needs a slot. (A v1 miss of that kind reads just its header.)
   AdjacencyEntry scratch_;
   // The cache slots one completed batch installs, parallel to its blobs:
   // filled by CompleteOldest's decode pass, moved into the cache by its

@@ -205,7 +205,7 @@ void ThreadedCluster::RouterShardLoop(uint32_t shard) {
     }
     uint32_t target;
     {
-      std::lock_guard<std::mutex> lock(shard_mu_[shard].mu);
+      std::lock_guard<std::mutex> lock(shard_mu_[shard].value);
       target = router.Route(q, lengths);
     }
     if (traced) {
@@ -238,8 +238,8 @@ void ThreadedCluster::WriterLoop(Clock::time_point epoch) {
 std::vector<std::unique_lock<std::mutex>> ThreadedCluster::LockAllShards() {
   std::vector<std::unique_lock<std::mutex>> locks;
   locks.reserve(shard_mu_.size());
-  for (ShardMutex& shard : shard_mu_) {
-    locks.emplace_back(shard.mu);
+  for (CacheLinePadded<std::mutex>& shard : shard_mu_) {
+    locks.emplace_back(shard.value);
   }
   return locks;
 }
@@ -337,7 +337,7 @@ void ThreadedCluster::ProcessorLoop(uint32_t p) {
       // one actually being warmed. The hook fires for EVERY dispatch (the
       // contract tests/frontend_test.cc pins down); the mostly-uncontended
       // lock is nanoseconds against the microseconds each query costs.
-      std::lock_guard<std::mutex> lock(shard_mu_[routed.shard].mu);
+      std::lock_guard<std::mutex> lock(shard_mu_[routed.shard].value);
       fleet_->shard(routed.shard).strategy().OnDispatch(routed.query.node, p,
                                                         routed.target);
     }

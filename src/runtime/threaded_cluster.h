@@ -61,6 +61,7 @@
 #include <vector>
 
 #include "src/core/cluster_engine.h"
+#include "src/util/cache_line.h"
 #include "src/util/mpmc_queue.h"
 
 namespace grouting {
@@ -118,13 +119,10 @@ class ThreadedCluster : public ClusterEngine {
   // (its strategy and routed counter). Uncontended outside gossip ticks and
   // steal feedback. Each sits on its own cache line, so router-shard threads
   // locking their own shard never contend for a line they share.
-  struct alignas(64) ShardMutex {
-    std::mutex mu;
-  };
-  std::vector<ShardMutex> shard_mu_;
+  std::vector<CacheLinePadded<std::mutex>> shard_mu_;
   std::vector<std::unique_ptr<MpmcQueue<Routed>>> channels_;
-  // Per-processor latency samples, written only by the owning thread and
-  // merged after all threads joined.
+  // Per-processor latency samples, written only by the owning thread (each
+  // on its own cache lines) and merged after all threads joined.
   std::vector<RunSamples> samples_;
   std::atomic<uint64_t> steals_{0};
   // Admitted queries not yet answered. The processor whose decrement takes
@@ -132,6 +130,7 @@ class ThreadedCluster : public ClusterEngine {
   std::atomic<uint64_t> remaining_{0};
   // Per-processor answers in that processor's completion order, written only
   // by the owning thread and appended to answers_ after all threads joined.
+  // Padded like samples_: every answer moves its vector's end pointer.
   std::vector<std::vector<AnsweredQuery>> proc_answers_;
   std::vector<std::thread> threads_;
   std::vector<std::thread> router_threads_;

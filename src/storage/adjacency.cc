@@ -300,11 +300,8 @@ bool DecodeAdjacencyHeader(std::span<const uint8_t> bytes, AdjacencyHeader* head
   return true;
 }
 
-bool DecodeAdjacencyInto(std::span<const uint8_t> bytes, AdjacencyEntry* entry) {
-  AdjacencyHeader header;
-  if (!DecodeAdjacencyHeader(bytes, &header)) {
-    return false;
-  }
+bool DecodeAdjacencyEdges(std::span<const uint8_t> bytes, const AdjacencyHeader& header,
+                          AdjacencyEntry* entry) {
   entry->node = header.node;
   entry->node_label = header.node_label;
   entry->out.resize(header.out_count);
@@ -314,6 +311,12 @@ bool DecodeAdjacencyInto(std::span<const uint8_t> bytes, AdjacencyEntry* entry) 
     return true;
   }
   return DecodeV2Edges(bytes, header, entry);
+}
+
+bool DecodeAdjacencyInto(std::span<const uint8_t> bytes, AdjacencyEntry* entry) {
+  AdjacencyHeader header;
+  return DecodeAdjacencyHeader(bytes, &header) &&
+         DecodeAdjacencyEdges(bytes, header, entry);
 }
 
 AdjacencyPtr DecodeAdjacency(std::span<const uint8_t> bytes) {

@@ -95,9 +95,21 @@ struct AdjacencyHeader {
 // the one header parser DecodeAdjacencyInto also runs. Returns false on a
 // blob the full decoder rejects for a header reason (unknown format,
 // truncated or out-of-range fields, counts the payload cannot hold) —
-// never crashes, whatever the bytes. Accepting says nothing about the edge
-// lists: only a full decode validates those.
+// never crashes, whatever the bytes. For a v1 blob (encoding kRaw) the
+// header check is the whole check: it pins the exact size, and any edge
+// bytes of that size decode, so the full decoder accepts exactly the v1
+// blobs this accepts, with the same node, label and counts. For a v2 blob
+// accepting says nothing about the edge lists: only a full decode
+// validates those.
 bool DecodeAdjacencyHeader(std::span<const uint8_t> bytes, AdjacencyHeader* header);
+
+// The second half of DecodeAdjacencyInto: given the header
+// DecodeAdjacencyHeader accepted for `bytes`, fills `*entry` (node, label
+// and both edge lists, reusing the capacity its edge vectors already
+// have). Returns false on malformed edge lists, which only a v2 blob can
+// have, and then leaves `*entry` in an unspecified (but valid) state.
+bool DecodeAdjacencyEdges(std::span<const uint8_t> bytes, const AdjacencyHeader& header,
+                          AdjacencyEntry* entry);
 
 // Parses a wire blob of either version (auto-detected) into `*entry`,
 // reusing the capacity its edge vectors already have. Returns false on

@@ -17,6 +17,7 @@ std::vector<BlobPtr> StorageServer::MultiGet(std::span<const NodeId> nodes) {
   std::vector<BlobPtr> result;
   result.reserve(nodes.size());
   std::lock_guard<std::mutex> lock(mu_);
+  ++stats_.batch_requests;
   for (const NodeId node : nodes) {
     ++stats_.get_requests;
     const auto it = blobs_.find(node);
@@ -39,8 +40,8 @@ BlobPtr StorageServer::PeekBlob(NodeId node) const {
 }
 
 void StorageServer::DrainOpenBatches() {
-  const uint32_t old = epoch_.fetch_add(1, std::memory_order_acq_rel);
-  while (open_batches_[old & 1].load(std::memory_order_acquire) != 0) {
+  const uint32_t old = epoch_.value.fetch_add(1, std::memory_order_acq_rel);
+  while (open_batches_[old & 1].value.load(std::memory_order_acquire) != 0) {
     std::this_thread::yield();
   }
 }
@@ -135,7 +136,7 @@ uint32_t StorageTier::ReadServerOf(NodeId node) {
   if (count == 0) {
     // Unreplicated partitions still feed the load signal: a server hot with
     // primary-only traffic should lose p2c ties elsewhere.
-    read_load_[owner].fetch_add(1, std::memory_order_relaxed);
+    read_load_[owner].value.fetch_add(1, std::memory_order_relaxed);
     return owner;
   }
   uint32_t holders[1 + PartitionMap::kMaxReplicas];
@@ -150,20 +151,20 @@ uint32_t StorageTier::ReadServerOf(NodeId node) {
   // per-key pair would pin a hot key to two servers forever, which loses to
   // plain migration's time-multiplexing. Hash-derived — not RNG — so the
   // sim's single-threaded runs stay deterministic.
-  const uint64_t seq = read_seq_.fetch_add(1, std::memory_order_relaxed);
+  const uint64_t seq = read_seq_.value.fetch_add(1, std::memory_order_relaxed);
   const uint64_t h = Murmur3Hash64(node ^ (seq * 0x9e3779b97f4a7c15ull), 0x7e2c0a15u);
   uint32_t pick = holders[h % (count + 1)];
   const uint32_t alt = holders[(h >> 16) % (count + 1)];
   if (alt != pick) {
-    const uint64_t load_pick = read_load_[pick].load(std::memory_order_relaxed);
-    const uint64_t load_alt = read_load_[alt].load(std::memory_order_relaxed);
+    const uint64_t load_pick = read_load_[pick].value.load(std::memory_order_relaxed);
+    const uint64_t load_alt = read_load_[alt].value.load(std::memory_order_relaxed);
     if (load_alt < load_pick || (load_alt == load_pick && alt < pick)) {
       pick = alt;
     }
   }
-  read_load_[pick].fetch_add(1, std::memory_order_relaxed);
+  read_load_[pick].value.fetch_add(1, std::memory_order_relaxed);
   if (pick != owner) {
-    replica_reads_.fetch_add(1, std::memory_order_relaxed);
+    replica_reads_.value.fetch_add(1, std::memory_order_relaxed);
   }
   return pick;
 }
@@ -175,7 +176,6 @@ BlobPtr StorageTier::PeekCurrent(NodeId node) {
 std::shared_ptr<MultiGetHandle> StorageTier::StartMultiGet(uint32_t server,
                                                            std::vector<NodeId> keys) {
   GROUTING_CHECK(server < servers_.size());
-  servers_[server]->NoteBatch();
   if (partition_monitor_ != nullptr) {
     for (const NodeId key : keys) {
       partition_monitor_->Record(partition_map_->PartitionOf(key));
@@ -206,10 +206,7 @@ void StorageTier::EnableReplication() {
   GROUTING_CHECK_MSG(partition_map_ != nullptr,
                      "EnableReplication requires EnableRepartitioning first");
   replication_on_ = true;
-  read_load_ = std::make_unique<std::atomic<uint64_t>[]>(servers_.size());
-  for (size_t i = 0; i < servers_.size(); ++i) {
-    read_load_[i].store(0, std::memory_order_relaxed);
-  }
+  read_load_ = std::make_unique<CacheLinePadded<std::atomic<uint64_t>>[]>(servers_.size());
 }
 
 StorageTier::MigrationResult StorageTier::AddReplica(uint32_t partition,

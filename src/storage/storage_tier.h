@@ -22,6 +22,7 @@
 #include "src/partition/partitioner.h"
 #include "src/partition/repartition.h"
 #include "src/storage/adjacency.h"
+#include "src/util/cache_line.h"
 
 namespace grouting {
 
@@ -37,8 +38,12 @@ struct StorageServerStats {
 // Requests are serialised by an internal mutex — a real server services its
 // request queue sequentially, and this is exactly what lets the threaded
 // runtime share the tier between processor threads. The mutex covers only
-// map lookups and pointer copies; a blob handed out stays valid (and
-// unchanged) however the key is overwritten or deleted afterwards.
+// map lookups, pointer copies and the serving stats, and a multiget batch
+// takes it once: the batch is counted when it is serviced, under the same
+// lock as its keys. A blob handed out stays valid (and unchanged) however
+// the key is overwritten or deleted afterwards. The migration-drain
+// counters, which every handle writes without the mutex, sit on cache lines
+// of their own, away from the mutex and the stats.
 class StorageServer {
  public:
   explicit StorageServer(uint32_t id) : id_(id) {}
@@ -56,8 +61,9 @@ class StorageServer {
   }
 
   // Services one multiget batch: takes the server mutex once and looks up
-  // every key, positionally matching `nodes` (nullptr where absent). Each
-  // key counts one get_request, and one miss or one served value.
+  // every key, positionally matching `nodes` (nullptr where absent). The
+  // call counts one batch_request; each key counts one get_request, and one
+  // miss or one served value.
   std::vector<BlobPtr> MultiGet(std::span<const NodeId> nodes);
 
   void Delete(NodeId node) {
@@ -70,12 +76,6 @@ class StorageServer {
     std::lock_guard<std::mutex> lock(mu_);
     stats_ = StorageServerStats{};
   }
-  // Called once per multiget batch for queueing/statistics purposes.
-  void NoteBatch() {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.batch_requests;
-  }
-
   // --- Partition-migration support (see StorageTier::MigratePartition) ---
 
   // One key's blob WITHOUT touching serving stats — migration reads are not
@@ -91,7 +91,7 @@ class StorageServer {
   // with the new epoch) never block the wait.
   std::atomic<int64_t>* RegisterOpenBatch() {
     std::atomic<int64_t>* slot =
-        &open_batches_[epoch_.load(std::memory_order_acquire) & 1];
+        &open_batches_[epoch_.value.load(std::memory_order_acquire) & 1].value;
     slot->fetch_add(1, std::memory_order_acq_rel);
     return slot;
   }
@@ -103,8 +103,10 @@ class StorageServer {
   std::unordered_map<NodeId, BlobPtr> blobs_;
   StorageServerStats stats_;
   // Migration-drain state (used only when the tier has repartitioning on).
-  std::atomic<uint32_t> epoch_{0};
-  std::array<std::atomic<int64_t>, 2> open_batches_{};
+  // Every handle reads the epoch and writes one slot, from any processor
+  // thread, so each gets a line of its own.
+  CacheLinePadded<std::atomic<uint32_t>> epoch_;
+  std::array<CacheLinePadded<std::atomic<int64_t>>, 2> open_batches_;
 };
 
 // One multiget request against a single storage server: the handle is
@@ -289,9 +291,9 @@ class StorageTier {
   // partitions look hotter than they are.
   BlobPtr PeekCurrent(NodeId node);
 
-  // Opens an async multiget against one server (counted as one batch for
-  // that server's queueing stats). The handle is NOT serviced yet — hand it
-  // to a BatchFetchExecutor, or call Execute() inline, then Wait().
+  // Opens an async multiget against one server. The handle is NOT serviced
+  // yet — hand it to a BatchFetchExecutor, or call Execute() inline, then
+  // Wait(); the server counts the batch when it services it.
   std::shared_ptr<MultiGetHandle> StartMultiGet(uint32_t server,
                                                 std::vector<NodeId> keys);
 
@@ -322,7 +324,15 @@ class StorageTier {
   // Reads served by a non-primary replica (p2c picked a replica over the
   // owner). 0 with replication off.
   uint64_t replica_reads() const {
-    return replica_reads_.load(std::memory_order_relaxed);
+    return replica_reads_.value.load(std::memory_order_relaxed);
+  }
+
+  // The p2c read-load counter of one server: how many ReadServerOf calls
+  // picked it. 0 with replication off.
+  uint64_t read_load(uint32_t server) const {
+    return read_load_ == nullptr
+               ? 0
+               : read_load_[server].value.load(std::memory_order_relaxed);
   }
 
   // What one executed migration / promotion / demotion physically moved.
@@ -441,13 +451,15 @@ class StorageTier {
   std::unique_ptr<PartitionMonitor> partition_monitor_;
   // Replica-aware read routing (EnableReplication). read_load_ is the p2c
   // load signal: one relaxed bump per ReadServerOf resolution, approximate
-  // by design (staleness just makes p2c pick the second candidate).
+  // by design (staleness just makes p2c pick the second candidate). Every
+  // processor thread writes these counters, so each sits on its own cache
+  // line.
   bool replication_on_ = false;
-  std::unique_ptr<std::atomic<uint64_t>[]> read_load_;
-  std::atomic<uint64_t> replica_reads_{0};
+  std::unique_ptr<CacheLinePadded<std::atomic<uint64_t>>[]> read_load_;
+  CacheLinePadded<std::atomic<uint64_t>> replica_reads_;
   // Read-sequence counter mixed into the p2c candidate hash so a hot key's
   // candidate pair rotates over its holder set instead of pinning.
-  std::atomic<uint64_t> read_seq_{0};
+  CacheLinePadded<std::atomic<uint64_t>> read_seq_;
   // Per-partition key lists, built once at LoadGraph when repartitioning is
   // on. Partition membership is a pure hash of the key and the tier's key
   // population is fixed after load (only migrations move keys between

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cstdio>
+#include <limits>
 
 #include "src/util/check.h"
 
@@ -89,40 +91,32 @@ std::string Table::ToString() const {
   return out;
 }
 
-uint64_t ParseByteSize(const std::string& text) {
-  if (text.empty()) {
-    return 0;
-  }
-  size_t i = 0;
+std::optional<uint64_t> ParseByteSize(const std::string& text) {
   uint64_t value = 0;
-  bool any_digit = false;
-  while (i < text.size() && std::isdigit(static_cast<unsigned char>(text[i]))) {
-    value = value * 10 + static_cast<uint64_t>(text[i] - '0');
-    any_digit = true;
-    ++i;
+  const char* end = text.data() + text.size();
+  const auto [unit_begin, error] = std::from_chars(text.data(), end, value);
+  if (error != std::errc{}) {
+    return std::nullopt;  // no leading digits, or more than 64 bits
   }
-  if (!any_digit) {
-    return 0;
-  }
-  std::string unit = text.substr(i);
+  std::string unit(unit_begin, end);
   std::transform(unit.begin(), unit.end(), unit.begin(),
                  [](unsigned char c) { return std::toupper(c); });
-  if (unit.empty() || unit == "B") {
-    return value;
-  }
+  int shift = 0;
   if (unit == "KB" || unit == "K") {
-    return value << 10;
+    shift = 10;
+  } else if (unit == "MB" || unit == "M") {
+    shift = 20;
+  } else if (unit == "GB" || unit == "G") {
+    shift = 30;
+  } else if (unit == "TB" || unit == "T") {
+    shift = 40;
+  } else if (!unit.empty() && unit != "B") {
+    return std::nullopt;
   }
-  if (unit == "MB" || unit == "M") {
-    return value << 20;
+  if (value > (std::numeric_limits<uint64_t>::max() >> shift)) {
+    return std::nullopt;
   }
-  if (unit == "GB" || unit == "G") {
-    return value << 30;
-  }
-  if (unit == "TB" || unit == "T") {
-    return value << 40;
-  }
-  return 0;
+  return value << shift;
 }
 
 }  // namespace grouting

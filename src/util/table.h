@@ -6,6 +6,7 @@
 #define GROUTING_SRC_UTIL_TABLE_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -36,9 +37,11 @@ class Table {
   std::vector<std::vector<std::string>> rows_;
 };
 
-// Parses byte-size strings such as "16MB", "4GB", "512" (bytes).
-// Returns 0 on malformed input.
-uint64_t ParseByteSize(const std::string& text);
+// Parses byte-size strings such as "16MB", "4GB", "512" (bytes): digits,
+// then an optional unit B, K(B), M(B), G(B) or T(B), any case. Returns
+// nullopt on malformed input (no digits, an unknown unit, or a value that
+// does not fit 64 bits).
+std::optional<uint64_t> ParseByteSize(const std::string& text);
 
 }  // namespace grouting
 

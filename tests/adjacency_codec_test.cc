@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <iterator>
 #include <tuple>
 #include <vector>
@@ -283,6 +284,81 @@ TEST(AdjacencyV2Test, DecodeIntoReusedEntryLeavesNoStaleEdges) {
   }
 }
 
+// The header check is the whole check for v1 blobs, which is what lets a
+// label-only miss read only the header. Over seeded inputs — random byte
+// strings, random v1-shaped blobs, and every prefix and many single-byte
+// flips of real v1 blobs — whenever DecodeAdjacencyHeader accepts with
+// encoding kRaw, DecodeAdjacencyInto accepts too, with the same node, label
+// and counts; and whenever DecodeAdjacencyInto accepts bytes that are the
+// v1 encoding of what it decoded, the header accepts them as kRaw.
+TEST(AdjacencyV1HeaderTest, HeaderAcceptsExactlyTheV1BlobsTheDecoderAccepts) {
+  const Graph g = GenerateBarabasiAlbert(300, 4, 31, LabelConfig{5, 0});
+  Rng rng(32);
+  AdjacencyEntry reused;
+  size_t raw_accepts = 0;
+  size_t rejects = 0;
+  auto check = [&](std::span<const uint8_t> bytes) {
+    AdjacencyHeader header;
+    const bool header_raw = DecodeAdjacencyHeader(bytes, &header) &&
+                            header.encoding == AdjacencyEncoding::kRaw;
+    const bool decoded = DecodeAdjacencyInto(bytes, &reused);
+    if (header_raw) {
+      ++raw_accepts;
+      ASSERT_TRUE(decoded);
+      EXPECT_EQ(reused.node, header.node);
+      EXPECT_EQ(reused.node_label, header.node_label);
+      EXPECT_EQ(reused.out.size(), header.out_count);
+      EXPECT_EQ(reused.in.size(), header.in_count);
+    }
+    if (!decoded) {
+      ++rejects;
+      return;
+    }
+    const auto v1 = EncodeAdjacency(reused, AdjacencyEncoding::kRaw);
+    if (std::equal(v1.begin(), v1.end(), bytes.begin(), bytes.end())) {
+      EXPECT_TRUE(header_raw);
+    }
+  };
+  auto random_bytes = [&](size_t size) {
+    std::vector<uint8_t> bytes(size);
+    for (uint8_t& byte : bytes) {
+      byte = static_cast<uint8_t>(rng.NextBounded(256));
+    }
+    return bytes;
+  };
+
+  for (int trial = 0; trial < 2000; ++trial) {
+    check(random_bytes(rng.NextBounded(80)));
+    // v1-shaped: the declared counts match the size, reserved bytes zero,
+    // anything at all in the fields and edges.
+    const uint32_t out_count = static_cast<uint32_t>(rng.NextBounded(5));
+    const uint32_t in_count = static_cast<uint32_t>(rng.NextBounded(5));
+    std::vector<uint8_t> shaped = random_bytes(16 + 6 * (out_count + in_count));
+    shaped[6] = 0;
+    shaped[7] = 0;
+    std::memcpy(shaped.data() + 8, &out_count, 4);
+    std::memcpy(shaped.data() + 12, &in_count, 4);
+    check(shaped);
+  }
+  for (NodeId u = 0; u < 40; ++u) {
+    const auto raw = EncodeAdjacency(g, u, AdjacencyEncoding::kRaw);
+    for (size_t len = 0; len <= raw.size(); ++len) {
+      check(std::span<const uint8_t>(raw.data(), len));
+    }
+    auto longer = raw;
+    longer.push_back(0);
+    check(longer);
+    for (int flip = 0; flip < 64; ++flip) {
+      auto bad = raw;
+      bad[rng.NextBounded(bad.size())] ^= static_cast<uint8_t>(1 + rng.NextBounded(255));
+      check(bad);
+    }
+  }
+  // Both sides of the property were exercised, not just one.
+  EXPECT_GT(raw_accepts, 2000u);
+  EXPECT_GT(rejects, 2000u);
+}
+
 // ---- compressed processor cache over a delta_varint tier ---------------
 
 TEST(CompressedCacheTest, CompressedModeHoldsMoreEntriesAndSameAnswers) {
@@ -505,8 +581,9 @@ void ExpectSameTrace(const FetchTrace& a, const FetchTrace& b, size_t query) {
   }
 }
 
-// CachedStorageSource::FetchLabels (header-only compressed hits, no handle
-// copy on decoded hits, scratch decode of uncached misses) must be
+// CachedStorageSource::FetchLabels (slot-only hits, no handle copy on
+// decoded hits, header-only reads of v1 misses no cache keeps decoded,
+// scratch decode of such v2 misses) must be
 // invisible: over 300 seeded queries the answers and the whole FetchTrace
 // equal those of the FetchBatch-only reference, in every cache mode. The
 // hotspot generator never sets a label filter, so label-filtered
@@ -540,6 +617,8 @@ TEST(LabelFetchTest, LabelOnlyFetchesMatchFullFetchesInEveryCacheMode) {
   };
   const Mode modes[] = {
       {"raw/decoded", AdjacencyEncoding::kRaw, true, false},
+      {"raw/compressed", AdjacencyEncoding::kRaw, true, true},
+      {"raw/no-cache", AdjacencyEncoding::kRaw, false, false},
       {"delta_varint/compressed", AdjacencyEncoding::kDeltaVarint, true, true},
       {"delta_varint/no-cache", AdjacencyEncoding::kDeltaVarint, false, false},
   };
@@ -639,6 +718,8 @@ TEST(LabelFetchTest, MutatedSlotsRefetchAndTheirLabelAndEdgeCountFollow) {
   };
   const Mode modes[] = {
       {"raw/decoded", AdjacencyEncoding::kRaw, true, false},
+      {"raw/compressed", AdjacencyEncoding::kRaw, true, true},
+      {"raw/no-cache", AdjacencyEncoding::kRaw, false, false},
       {"delta_varint/compressed", AdjacencyEncoding::kDeltaVarint, true, true},
       {"delta_varint/no-cache", AdjacencyEncoding::kDeltaVarint, false, false},
   };

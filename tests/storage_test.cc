@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/graph/generators.h"
@@ -10,6 +13,7 @@
 #include "src/query/query.h"
 #include "src/storage/adjacency.h"
 #include "src/storage/storage_tier.h"
+#include "src/util/rng.h"
 
 namespace grouting {
 namespace {
@@ -296,6 +300,102 @@ TEST(StorageTierTest, DistributionAcrossServers) {
   for (size_t s = 0; s < 4; ++s) {
     EXPECT_GT(KeysHeld(tier.server(s), g.num_nodes()), 150u);
   }
+}
+
+// The read path's counters under concurrent readers: 4 threads each run
+// the same seeded ReadServerOf + StartMultiGet + Execute loop against one
+// repartitioned, replicated tier. Each counter is a relaxed atomic or sits
+// under its server's mutex, so after the joins every total is exact: one
+// batch_request per handle, one get_request, served value and monitor
+// record per key, and one read-load bump per ReadServerOf call. Under TSan
+// this is also the race check of the read path.
+TEST(StorageTierTest, ReadPathCountersAreExactUnderConcurrentReaders) {
+  constexpr uint32_t kServers = 4;
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 1500;
+  const Graph g = GenerateBarabasiAlbert(2000, 4, 41);
+  StorageTier tier(kServers);
+  tier.EnableRepartitioning(4);
+  tier.EnableReplication();
+  tier.LoadGraph(g);
+  const PartitionMap& map = *tier.partition_map();
+  for (uint32_t q = 0; q < map.num_partitions(); q += 2) {
+    tier.AddReplica(q, (map.owner(q) + 1) % kServers);
+  }
+
+  struct Counts {
+    uint64_t reads = 0;
+    uint64_t handles = 0;
+    uint64_t keys = 0;
+    uint64_t absent = 0;
+  };
+  std::vector<Counts> counts(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&tier, &g, &counts, t] {
+      Rng rng(4242);  // the same seeded loop on every thread
+      Counts& c = counts[t];
+      std::vector<std::pair<uint32_t, NodeId>> picks;  // (server, key)
+      for (int round = 0; round < kRounds; ++round) {
+        picks.clear();
+        const uint64_t n = 1 + rng.NextBounded(8);
+        for (uint64_t i = 0; i < n; ++i) {
+          const auto key = static_cast<NodeId>(rng.NextBounded(g.num_nodes()));
+          picks.emplace_back(tier.ReadServerOf(key), key);
+          ++c.reads;
+        }
+        std::sort(picks.begin(), picks.end());
+        for (size_t i = 0; i < picks.size();) {
+          const uint32_t server = picks[i].first;
+          std::vector<NodeId> keys;
+          for (; i < picks.size() && picks[i].first == server; ++i) {
+            keys.push_back(picks[i].second);
+          }
+          c.keys += keys.size();
+          auto handle = tier.StartMultiGet(server, std::move(keys));
+          handle->Execute();
+          c.absent += std::count(handle->Wait().begin(), handle->Wait().end(), nullptr);
+          ++c.handles;
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+
+  Counts total;
+  for (const Counts& c : counts) {
+    total.reads += c.reads;
+    total.handles += c.handles;
+    total.keys += c.keys;
+    total.absent += c.absent;
+  }
+  EXPECT_EQ(total.absent, 0u);
+  uint64_t batches = 0;
+  uint64_t gets = 0;
+  uint64_t served = 0;
+  uint64_t read_load = 0;
+  for (uint32_t s = 0; s < kServers; ++s) {
+    batches += tier.server(s).stats().batch_requests;
+    gets += tier.server(s).stats().get_requests;
+    served += tier.server(s).stats().values_served;
+    read_load += tier.read_load(s);
+  }
+  EXPECT_EQ(batches, total.handles);
+  EXPECT_EQ(gets, total.keys);
+  EXPECT_EQ(served, total.keys);
+  EXPECT_EQ(read_load, total.reads);
+  EXPECT_GT(tier.replica_reads(), 0u);
+
+  PartitionMonitor& monitor = *tier.partition_monitor();
+  monitor.RollWindow(0.0);  // rates = this window's counts
+  EXPECT_EQ(monitor.total_recorded(), total.keys);
+  double recorded = 0.0;
+  for (const double rate : monitor.rates()) {
+    recorded += rate;
+  }
+  EXPECT_EQ(recorded, static_cast<double>(total.keys));
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <optional>
 #include <set>
 #include <thread>
 #include <unordered_map>
@@ -437,10 +438,16 @@ TEST(ParseByteSizeTest, Units) {
   EXPECT_EQ(ParseByteSize("1TB"), 1ULL << 40);
 }
 
+// Malformed sizes are rejected, never read as 0 (which means "ample").
 TEST(ParseByteSizeTest, Malformed) {
-  EXPECT_EQ(ParseByteSize(""), 0u);
-  EXPECT_EQ(ParseByteSize("abc"), 0u);
-  EXPECT_EQ(ParseByteSize("12XB"), 0u);
+  EXPECT_EQ(ParseByteSize(""), std::nullopt);
+  EXPECT_EQ(ParseByteSize("abc"), std::nullopt);
+  EXPECT_EQ(ParseByteSize("12XB"), std::nullopt);
+  EXPECT_EQ(ParseByteSize("-5MB"), std::nullopt);
+  EXPECT_EQ(ParseByteSize("18446744073709551616"), std::nullopt);  // 2^64
+  EXPECT_EQ(ParseByteSize("16777216TB"), std::nullopt);            // 2^64 bytes
+  EXPECT_EQ(ParseByteSize("0"), 0u);
+  EXPECT_EQ(ParseByteSize("16777215TB"), 16777215ULL << 40);
 }
 
 // ---------------------------------------------------------- MpmcQueue ----

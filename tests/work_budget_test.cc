@@ -209,11 +209,13 @@ TEST_F(WorkBudgetTest, WarmCompressedHits) {
   ExpectWithinBudget(Mode::kWarmCompressed, "warm compressed", 25.0, 3.2);
 }
 
-// No cache: every fetch decodes, into the pool or, on the last level, into
-// one scratch entry (163.3 allocs/query, 0.99 MiB; pooling every fetch
-// took 240.5, 4.85; a fresh entry per fetch took 1411.6, 3.62).
+// No cache: a fetch that hands out entries decodes into the pool; a
+// last-level, label-only fetch of these v1 blobs reads just each header
+// (84.6 allocs/query, 0.99 MiB; decoding those into one scratch entry,
+// which shrank and regrew on every hub, took 163.3, 0.99; pooling every
+// fetch took 240.5, 4.85; a fresh entry per fetch took 1411.6, 3.62).
 TEST_F(WorkBudgetTest, NoCache) {
-  ExpectWithinBudget(Mode::kNoCache, "no-cache", 180.0, 1.1);
+  ExpectWithinBudget(Mode::kNoCache, "no-cache", 93.0, 1.1);
 }
 
 // Cold compressed cache: misses install blobs into slab slots and decode
