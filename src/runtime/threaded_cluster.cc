@@ -33,25 +33,18 @@ class WireDelayExecutor : public BatchFetchExecutor {
   double per_kb_us_;
 };
 
-void BusyWaitUs(double us) {
-  if (us <= 0.0) {
-    return;
-  }
-  const auto until = std::chrono::steady_clock::now() +
-                     std::chrono::nanoseconds(static_cast<int64_t>(us * 1000.0));
-  while (std::chrono::steady_clock::now() < until) {
-    // spin: injected delays are microseconds; sleeping would oversleep 100x
-  }
-}
-
 // Paces the calling thread to `offset_us` after `epoch`: sleeps coarse
 // while the target is more than 200 µs away, then spins the last stretch
 // (sleeping alone would overshoot by scheduler quanta). The spin gives up
-// early once `keep_waiting()` turns false.
+// early once `keep_waiting()` turns false. An offset <= 0 returns at once,
+// without reading the clock.
 template <typename KeepWaiting>
 void PaceTo(std::chrono::steady_clock::time_point epoch, double offset_us,
             KeepWaiting keep_waiting) {
   using Clock = std::chrono::steady_clock;
+  if (offset_us <= 0.0) {
+    return;
+  }
   const auto target =
       epoch + std::chrono::nanoseconds(static_cast<int64_t>(offset_us * 1000.0));
   auto now = Clock::now();
@@ -152,25 +145,22 @@ void ThreadedCluster::FeederLoop(std::span<const Query> queries,
   // The splitter is sequential state, so one thread walks the arrival stream
   // in order; between any two arrivals the gossip tick may migrate sessions
   // under the same mutex, changing where the NEXT arrival of a session goes.
-  // A configured arrival gap is paced here in wall time — the threaded
-  // counterpart of the simulator's virtual-time arrival events, and what
-  // lets gossip/rebalance ticks interleave with the stream on real threads.
-  // Open-loop schedules pace to each query's absolute arrive_us from the
-  // loop's epoch instead (sleep coarse, spin the last stretch), so the wall
-  // clock replays the same Poisson schedule the simulator fires in virtual
-  // time. Shed arrivals are paced but never handed to a shard — admission
-  // happens at the splitter, and the schedule's timing is unaffected.
+  // Arrival i is paced in wall time to ArrivalTimeUs(q, i) from the loop's
+  // epoch (sleep coarse, spin the last stretch): i * arrival_gap_us in a
+  // closed loop, the query's own arrive_us in an open one. That is the
+  // schedule the simulator fires in virtual time, it lets gossip/rebalance
+  // ticks interleave with the stream on real threads, and because every
+  // arrival is paced to an absolute time, feeder overhead never builds up
+  // as drift. Shed arrivals are paced but never handed to a shard —
+  // admission happens at the splitter, and the schedule's timing is
+  // unaffected.
   const auto epoch = Clock::now();
   for (size_t i = 0; i < queries.size(); ++i) {
     const Query& q = queries[i];
     if (shutdown_.load(std::memory_order_acquire)) {
       break;
     }
-    if (q.arrive_us >= 0.0) {
-      PaceTo(epoch, q.arrive_us, [] { return true; });
-    } else {
-      BusyWaitUs(config_.arrival_gap_us);
-    }
+    PaceTo(epoch, ArrivalTimeUs(q, i), [] { return true; });
     if (!plan.Admitted(i)) {
       continue;
     }

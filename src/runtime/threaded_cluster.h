@@ -3,12 +3,12 @@
 // but on actual threads with actual concurrency:
 //
 //   feeder         : the thread that calls Run() spawns the workers, then
-//                    walks the arrival stream in order — pacing
-//                    arrival_gap_us or the open-loop arrive_us schedule in
-//                    wall time — and hands each admitted query to its
-//                    CURRENT shard via a per-shard arrival channel, so the
-//                    assignment can change mid-run as sessions migrate;
-//                    then it waits for the last answer,
+//                    walks the arrival stream in order — pacing each
+//                    arrival to its scheduled time from the run epoch (the
+//                    simulator's ArrivalTimeUs) — and hands each admitted
+//                    query to its CURRENT shard via a per-shard arrival
+//                    channel, so the assignment can change mid-run as
+//                    sessions migrate; then it waits for the last answer,
 //   N router-shard threads : each drains its arrival channel onto
 //                    per-processor channels through its shard of the
 //                    cluster's RouterFleet (Router::Route, the same call the

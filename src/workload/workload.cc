@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <unordered_set>
 
 #include "src/graph/traversal.h"
@@ -24,8 +25,11 @@ QueryType DrawType(const WorkloadConfig& config, Rng& rng) {
   return QueryType::kReachability;
 }
 
+// `near` holds the nodes within 2h hops of the query node once computed;
+// it is filled only when a reachability query draws a near target.
 Query MakeQuery(const Graph& g, NodeId query_node, uint64_t id,
-                const WorkloadConfig& config, Rng& rng) {
+                const WorkloadConfig& config, Rng& rng,
+                std::optional<std::vector<NodeId>>& near) {
   Query q;
   q.id = id;
   q.node = query_node;
@@ -37,9 +41,11 @@ Query MakeQuery(const Graph& g, NodeId query_node, uint64_t id,
     // Target within 2h hops half the time (bidirectional search does real
     // work), otherwise uniform (usually unreachable within h).
     if (rng.NextBool(0.5)) {
-      const auto near = KHopNeighborhood(g, query_node, 2 * config.hops);
-      if (!near.empty()) {
-        q.target = near[rng.NextBounded(near.size())];
+      if (!near.has_value()) {
+        near = KHopNeighborhood(g, query_node, 2 * config.hops);
+      }
+      if (!near->empty()) {
+        q.target = (*near)[rng.NextBounded(near->size())];
       }
     }
     if (q.target == kInvalidNode) {
@@ -65,7 +71,8 @@ std::vector<Query> GenerateHotspotWorkload(const Graph& g, const WorkloadConfig&
       // the region is empty, e.g. isolated nodes).
       const NodeId node =
           region.empty() ? center : region[rng.NextBounded(region.size())];
-      queries.push_back(MakeQuery(g, node, id++, config, rng));
+      std::optional<std::vector<NodeId>> near;
+      queries.push_back(MakeQuery(g, node, id++, config, rng, near));
     }
   }
   return queries;
@@ -107,14 +114,18 @@ std::vector<Query> GenerateSkewedSessionWorkload(const Graph& g,
   wl.weight_reachability = config.weight_reachability;
   wl.restart_prob = config.restart_prob;
 
+  // Every query starts at a session node, so each session's neighbourhood
+  // is computed at most once, the first time one of its queries needs it.
+  std::vector<std::optional<std::vector<NodeId>>> near(sessions.size());
+
   std::vector<Query> queries;
   queries.reserve(config.num_queries);
   for (uint64_t id = 0; id < config.num_queries; ++id) {
     const double r = rng.NextDouble() * total;
     const size_t rank = static_cast<size_t>(
         std::lower_bound(cdf.begin(), cdf.end(), r) - cdf.begin());
-    const NodeId node = sessions[std::min(rank, sessions.size() - 1)];
-    queries.push_back(MakeQuery(g, node, id, wl, rng));
+    const size_t session = std::min(rank, sessions.size() - 1);
+    queries.push_back(MakeQuery(g, sessions[session], id, wl, rng, near[session]));
   }
   return queries;
 }
@@ -127,7 +138,8 @@ std::vector<Query> GenerateUniformWorkload(const Graph& g, size_t count,
   queries.reserve(count);
   for (uint64_t id = 0; id < count; ++id) {
     const auto node = static_cast<NodeId>(rng.NextBounded(g.num_nodes()));
-    queries.push_back(MakeQuery(g, node, id, config, rng));
+    std::optional<std::vector<NodeId>> near;
+    queries.push_back(MakeQuery(g, node, id, config, rng, near));
   }
   return queries;
 }

@@ -2,9 +2,12 @@
 // StorageTier::MigratePartition): map identity with classic hash placement,
 // the planner's threshold/hysteresis/cap/noise controller, the physical
 // copy-flip-drain-delete executor, and — the part that earns the "exactly
-// once" claim — migrations racing in-flight async multiget windows, both at
-// the storage layer directly and through a full threaded-engine run checked
-// against a no-repartitioning reference.
+// once" claim — migrations racing in-flight async multiget windows on real
+// threads, both at the storage layer directly and through a full
+// threaded-engine run checked against a no-repartitioning reference. The
+// single-threaded interleavings (a batch formed before a partition moves
+// away and back, then healed) are enumerated by the storage-tier model
+// checker in model_check_test.cc.
 
 #include <gtest/gtest.h>
 
@@ -331,80 +334,8 @@ TEST(StorageTierRepartitionTest, MigrationStormNeverLosesAValue) {
   migrator.join();
 }
 
-// Randomized-interleaving fuzz for the stamp-stable retry: every seed draws
-// a different schedule of "snapshot stale servers -> run 0-3 more
-// migrations (deliberately including moves BACK to the snapshotted owner,
-// the ABA case a naive owner-equality check would misread as 'nothing
-// happened') -> issue the stale batches -> heal". Exactly-once must hold on
-// every schedule: all values present and correct after ResolveMigratedMisses.
-TEST(StorageTierRepartitionTest, SeededMigrationSchedulesHealExactlyOnce) {
-  const Graph g = TestGraph();
-  for (uint64_t seed = 0; seed < 32; ++seed) {
-    StorageTier tier(4);
-    tier.EnableRepartitioning(8);
-    tier.LoadGraph(g);
-    const PartitionMap& map = *tier.partition_map();
-    std::mt19937_64 rng(seed);
-
-    std::vector<NodeId> keys;
-    for (int i = 0; i < 16; ++i) {
-      keys.push_back(static_cast<NodeId>(rng() % g.num_nodes()));
-    }
-
-    for (int round = 0; round < 12; ++round) {
-      // Snapshot the keys' servers, as a processor's miss pass would.
-      std::vector<uint32_t> stale_server(keys.size());
-      for (size_t i = 0; i < keys.size(); ++i) {
-        stale_server[i] = tier.ServerOf(keys[i]);
-      }
-
-      // Race: migrations land between the snapshot and the batch issue.
-      const int moves = static_cast<int>(rng() % 4);
-      for (int m = 0; m < moves; ++m) {
-        const uint32_t q = map.PartitionOf(keys[rng() % keys.size()]);
-        // Half the moves target the key's snapshotted owner: the partition
-        // leaves and comes back, so a stale batch can read a key that is
-        // "home again" under a different stamp (ABA).
-        const uint32_t to = (rng() % 2 == 0)
-                                ? stale_server[rng() % keys.size()]
-                                : static_cast<uint32_t>(rng() % 4);
-        tier.MigratePartition(q, to);
-      }
-
-      // Issue the stale batches grouped by snapshotted server, then heal.
-      std::vector<BlobPtr> values(keys.size());
-      for (uint32_t s = 0; s < 4; ++s) {
-        std::vector<NodeId> batch;
-        std::vector<size_t> pos;
-        for (size_t i = 0; i < keys.size(); ++i) {
-          if (stale_server[i] == s) {
-            batch.push_back(keys[i]);
-            pos.push_back(i);
-          }
-        }
-        if (batch.empty()) {
-          continue;
-        }
-        auto handle = tier.StartMultiGet(s, batch);
-        handle->Execute();
-        const auto& got = handle->Wait();
-        for (size_t i = 0; i < pos.size(); ++i) {
-          values[pos[i]] = got[i];
-        }
-      }
-      ResolveMigratedMisses(&tier, keys, &values);
-      for (size_t i = 0; i < keys.size(); ++i) {
-        ASSERT_NE(values[i], nullptr)
-            << "seed " << seed << " round " << round << " key " << keys[i];
-        ASSERT_EQ(DecodeAdjacency(*values[i])->out.size(), g.OutDegree(keys[i]))
-            << "seed " << seed << " round " << round << " key " << keys[i];
-      }
-    }
-  }
-}
-
-// The threaded variant: a pre-generated deterministic migration schedule
-// (so a failing seed reproduces) races FetchBatch loops on real threads.
+// A pre-generated deterministic migration schedule (so a failing seed
+// reproduces) races FetchBatch loops on real threads.
 // Run under TSan in CI.
 TEST(StorageTierRepartitionTest, SeededThreadedSchedulesNeverLoseAValue) {
   const Graph g = TestGraph(/*nodes=*/600);

@@ -1,16 +1,15 @@
 // Hot-partition replication (PartitionMap replica stamps + PlanReplication
 // + StorageTier::AddReplica/RemoveReplica/ReadServerOf): packed replica-set
 // semantics, the promotion/demotion controller, power-of-two-choices read
-// fan-out, and — the coherence co-headline — a small model checker that
-// enumerates promote/demote/migrate/read interleavings against a single-map
-// reference, a threaded replica-churn storm racing async multiget windows,
-// and full-engine exactly-once + acceptance-shape runs. Run under TSan and
-// ASan/UBSan in CI.
+// fan-out, the demotion drain, a threaded replica-churn storm racing async
+// multiget windows, and full-engine exactly-once + acceptance-shape runs.
+// Promote/demote interleaved with migrations, mutations and in-flight
+// batches are enumerated by the storage-tier model checker in
+// model_check_test.cc. Run under TSan and ASan/UBSan in CI.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <array>
 #include <atomic>
 #include <thread>
 #include <vector>
@@ -374,150 +373,6 @@ TEST(StorageTierReplicationTest, ResolveMigratedMissesHealsDemotionRaces) {
   for (size_t i = 0; i < values.size(); ++i) {
     EXPECT_NE(values[i], nullptr) << "key " << keys[i];
   }
-}
-
-// ---------------------------------------------------------------------------
-// Model checker: enumerated promote/demote/migrate/read interleavings
-// against a single-map reference
-// ---------------------------------------------------------------------------
-
-// Reference model: one partition is exactly {owner} ∪ replicas, nothing
-// else. The checker applies every length-3 sequence over the full op
-// alphabet (two tracked partitions x promote/demote/migrate to each server)
-// cumulatively to one tier, validating after EVERY op that the live map,
-// the physical stores, Get, and ReadServerOf all agree with the model.
-TEST(ReplicationModelCheckTest, EnumeratedOpSequencesMatchSingleMapReference) {
-  const Graph g = TestGraph(/*nodes=*/360, /*seed=*/11);
-  constexpr uint32_t kServers = 3;
-  StorageTier tier(kServers);
-  tier.EnableRepartitioning(/*partitions_per_server=*/8);
-  tier.EnableReplication();
-  tier.LoadGraph(g);
-  const PartitionMap& map = *tier.partition_map();
-
-  const uint32_t qa = map.PartitionOf(0);
-  uint32_t qb = qa;
-  for (NodeId u = 1; qb == qa; ++u) {
-    qb = map.PartitionOf(u);
-  }
-  const std::array<uint32_t, 2> tracked = {qa, qb};
-
-  struct RefState {
-    uint32_t owner;
-    std::vector<uint32_t> replicas;
-    bool Holds(uint32_t s) const {
-      return s == owner || std::find(replicas.begin(), replicas.end(), s) !=
-                               replicas.end();
-    }
-  };
-  std::array<RefState, 2> model = {RefState{map.owner(qa), {}},
-                                   RefState{map.owner(qb), {}}};
-
-  std::array<std::vector<NodeId>, 2> keys;
-  for (NodeId u = 0; u < g.num_nodes(); ++u) {
-    for (size_t t = 0; t < tracked.size(); ++t) {
-      if (map.PartitionOf(u) == tracked[t]) {
-        keys[t].push_back(u);
-      }
-    }
-  }
-  ASSERT_FALSE(keys[0].empty());
-  ASSERT_FALSE(keys[1].empty());
-
-  enum class OpKind { kPromote, kDemote, kMigrate };
-  struct Op {
-    OpKind kind;
-    size_t t;  // tracked-partition index
-    uint32_t server;
-  };
-  std::vector<Op> alphabet;
-  for (size_t t = 0; t < tracked.size(); ++t) {
-    for (uint32_t s = 0; s < kServers; ++s) {
-      alphabet.push_back({OpKind::kPromote, t, s});
-      alphabet.push_back({OpKind::kDemote, t, s});
-      alphabet.push_back({OpKind::kMigrate, t, s});
-    }
-  }
-
-  const auto apply = [&](const Op& op) {
-    RefState& ref = model[op.t];
-    const uint32_t q = tracked[op.t];
-    switch (op.kind) {
-      case OpKind::kPromote:
-        if (ref.Holds(op.server) ||
-            ref.replicas.size() >= PartitionMap::kMaxReplicas) {
-          return;  // illegal in this state; enumeration skips it
-        }
-        tier.AddReplica(q, op.server);
-        ref.replicas.push_back(op.server);
-        return;
-      case OpKind::kDemote: {
-        auto it = std::find(ref.replicas.begin(), ref.replicas.end(), op.server);
-        if (it == ref.replicas.end()) {
-          return;
-        }
-        tier.RemoveReplica(q, op.server);
-        ref.replicas.erase(it);
-        return;
-      }
-      case OpKind::kMigrate:
-        if (op.server == ref.owner) {
-          return;  // MigratePartition treats from == to as a no-op
-        }
-        // A migration collapses the holder set to exactly {server}: the
-        // tier demotes any replicas first, then moves the single copy.
-        tier.MigratePartition(q, op.server);
-        ref.owner = op.server;
-        ref.replicas.clear();
-        return;
-    }
-  };
-
-  uint64_t verified_ops = 0;
-  const auto verify = [&]() {
-    for (size_t t = 0; t < tracked.size(); ++t) {
-      const RefState& ref = model[t];
-      const uint32_t q = tracked[t];
-      ASSERT_EQ(map.owner(q), ref.owner);
-      std::vector<uint32_t> live = map.ReplicaSnapshot()[q];
-      std::vector<uint32_t> want = ref.replicas;
-      std::sort(live.begin(), live.end());
-      std::sort(want.begin(), want.end());
-      ASSERT_EQ(live, want);
-      for (const NodeId u : keys[t]) {
-        for (uint32_t s = 0; s < kServers; ++s) {
-          ASSERT_EQ(tier.server(s).PeekBlob(u) != nullptr, ref.Holds(s))
-              << "key " << u << " on server " << s;
-        }
-        const uint32_t read_server = tier.ReadServerOf(u);
-        ASSERT_TRUE(ref.Holds(read_server))
-            << "read of " << u << " routed to non-holder " << read_server;
-        const BlobPtr blob = ReadFrom(tier, read_server, u);
-        ASSERT_NE(blob, nullptr);
-        ASSERT_EQ(DecodeAdjacency(*blob)->out.size(), g.OutDegree(u))
-            << "wrong value for " << u;
-      }
-    }
-    ++verified_ops;
-  };
-
-  // Every length-3 op sequence, applied cumulatively: ~6k schedules whose
-  // start states are themselves products of all earlier schedules, covering
-  // promote-on-promoted, demote-mid-fanout, migrate-over-replicas, ...
-  for (const Op& a : alphabet) {
-    for (const Op& b : alphabet) {
-      for (const Op& c : alphabet) {
-        for (const Op& op : {a, b, c}) {
-          apply(op);
-          verify();
-          if (::testing::Test::HasFatalFailure()) {
-            return;
-          }
-        }
-      }
-    }
-  }
-  EXPECT_EQ(verified_ops, 3u * alphabet.size() * alphabet.size() * alphabet.size());
 }
 
 // ---------------------------------------------------------------------------
