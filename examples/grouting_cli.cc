@@ -14,6 +14,7 @@
 #include <cstring>
 #include <map>
 #include <optional>
+#include <set>
 #include <string>
 #include <type_traits>
 
@@ -35,10 +36,19 @@ constexpr double kDefaultMutationFraction = 0.0;  // read-only
   std::exit(1);
 }
 
+// Every read of a flag marks it known; RejectUnknown then fails on any flag
+// the program never read, so a misspelt flag cannot silently fall back to a
+// default.
 struct Flags {
   std::map<std::string, std::string> values;
+  mutable std::set<std::string> known;
 
+  bool Has(const std::string& key) const {
+    known.insert(key);
+    return values.count(key) > 0;
+  }
   std::string Get(const std::string& key, const std::string& def) const {
+    known.insert(key);
     auto it = values.find(key);
     return it == values.end() ? def : it->second;
   }
@@ -47,6 +57,7 @@ struct Flags {
   // program with exit code 1.
   template <typename T>
   T GetNumber(const std::string& key, T def) const {
+    known.insert(key);
     auto it = values.find(key);
     if (it == values.end()) {
       return def;
@@ -65,6 +76,25 @@ struct Flags {
   template <typename T>
   void Override(const std::string& key, T* field) const {
     *field = GetNumber(key, *field);
+  }
+  // The same for a count that must be at least 1: a given 0 ends the
+  // program with exit code 1.
+  template <typename T>
+  void OverridePositive(const std::string& key, T* field) const {
+    Override(key, field);
+    if (*field == 0 && values.count(key) > 0) {
+      InvalidFlag(key, values.at(key));
+    }
+  }
+  // Ends the program with exit code 1 at the first flag never read.
+  void RejectUnknown() const {
+    for (const auto& [key, text] : values) {
+      if (known.count(key) == 0) {
+        std::fprintf(stderr, "unknown --%s '%s'; see --help\n", key.c_str(),
+                     text.c_str());
+        std::exit(1);
+      }
+    }
   }
 };
 
@@ -280,7 +310,7 @@ bool WriteTenantMetricsJson(const std::string& path, const std::string& engine,
 
 int main(int argc, char** argv) {
   const Flags flags = ParseFlags(argc, argv);
-  if (flags.values.count("help")) {
+  if (flags.Has("help")) {
     PrintHelp();
     return 0;
   }
@@ -334,9 +364,9 @@ int main(int argc, char** argv) {
   // parsed before the dataset is built, so a malformed one fails at once.
   RunOptions opts;
   opts.scheme = kSchemes.at(scheme_name);
-  flags.Override("processors", &opts.processors);
-  flags.Override("storage", &opts.storage_servers);
-  if (flags.values.count("cache")) {
+  flags.OverridePositive("processors", &opts.processors);
+  flags.OverridePositive("storage", &opts.storage_servers);
+  if (flags.Has("cache")) {
     const std::string text = flags.Get("cache", "");
     const std::optional<uint64_t> bytes = ParseByteSize(text);
     if (!bytes.has_value()) {
@@ -357,14 +387,14 @@ int main(int argc, char** argv) {
   flags.Override("dims", &opts.dimensions);
   flags.Override("load-factor", &opts.load_factor);
   flags.Override("alpha", &opts.alpha);
-  opts.stealing = flags.values.count("no-stealing") == 0;
+  opts.stealing = !flags.Has("no-stealing");
   static const std::map<std::string, SplitterKind> kSplitters = {
       {"round_robin", SplitterKind::kRoundRobin},
       {"hash", SplitterKind::kHash},
       {"sticky", SplitterKind::kSticky},
       {"adaptive", SplitterKind::kAdaptive},
   };
-  flags.Override("router-shards", &opts.router_shards);
+  flags.OverridePositive("router-shards", &opts.router_shards);
   const std::string splitter_name = flags.Get("splitter", SplitterKindName(defaults.splitter));
   if (kSplitters.count(splitter_name) == 0) {
     std::fprintf(stderr, "unknown --splitter '%s'; see --help\n", splitter_name.c_str());
@@ -375,7 +405,7 @@ int main(int argc, char** argv) {
   flags.Override("rebalance-threshold", &opts.rebalance_threshold);
   flags.Override("migration-cap", &opts.migration_cap);
   flags.Override("arrival-gap", &opts.arrival_gap_us);
-  flags.Override("inflight-batches", &opts.max_inflight_batches);
+  flags.OverridePositive("inflight-batches", &opts.max_inflight_batches);
   flags.Override("repartition-threshold", &opts.repartition_threshold);
   flags.Override("repartition-cap", &opts.repartition_cap);
   flags.Override("partitions-per-server", &opts.partitions_per_server);
@@ -391,7 +421,7 @@ int main(int argc, char** argv) {
   opts.adjacency_encoding = encoding_name == "delta_varint"
                                 ? AdjacencyEncoding::kDeltaVarint
                                 : AdjacencyEncoding::kRaw;
-  opts.cache_compressed = flags.values.count("cache-compressed") > 0;
+  opts.cache_compressed = flags.Has("cache-compressed");
   const std::string trace_out = flags.Get("trace-out", "");
   opts.trace_sample_every_n = flags.GetNumber(
       "trace-sample-every-n", trace_out.empty() ? defaults.trace_sample_every_n : 1u);
@@ -400,15 +430,11 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "--trace-out requires --trace-sample-every-n >= 1\n");
     return 1;
   }
-  flags.Override("num-tenants", &opts.num_tenants);
+  flags.OverridePositive("num-tenants", &opts.num_tenants);
   flags.Override("tenant-quota-qps", &opts.admission.quota_qps);
   flags.Override("tenant-quota-burst", &opts.admission.burst);
-  const bool open_loop = flags.values.count("open-loop") > 0;
+  const bool open_loop = flags.Has("open-loop");
   const std::string tenant_metrics_out = flags.Get("tenant-metrics-out", "");
-  if (opts.num_tenants == 0) {
-    std::fprintf(stderr, "--num-tenants must be >= 1\n");
-    return 1;
-  }
   const double mutation_fraction =
       flags.GetNumber("mutation-fraction", kDefaultMutationFraction);
   if (mutation_fraction < 0.0 || mutation_fraction > 1.0) {
@@ -429,6 +455,7 @@ int main(int argc, char** argv) {
   flags.Override("sessions-per-tenant", &ol.sessions_per_tenant);
   flags.Override("session-skew", &ol.session_skew);
   ol.hops = opts.hops;
+  flags.RejectUnknown();
 
   ExperimentEnv env(kDatasets.at(dataset_name), scale, seed);
   const Graph& g = env.graph();

@@ -13,13 +13,18 @@
 // Erase or Clear on the same cache (any of which may evict or replace the
 // entry); a hit (Get) never invalidates it.
 //
-// Entries live in a slab: fixed-size chunks that are never reallocated, so
-// an entry's address holds for its whole life. The eviction order is a
-// doubly linked list of 32-bit slot indices threaded through the entries,
-// freed slots go on a free list, and the NodeTable maps each key to its
-// slot. An install therefore allocates no list node and an eviction frees
-// none; only a new chunk (every kChunkEntries installs past the previous
-// peak) or the index tables allocate.
+// Entries live in a slab of chunks. The eviction order is a doubly linked
+// list of 32-bit slot indices threaded through the entries, freed slots go
+// on a free list, and the NodeTable maps each key to its slot. An install
+// therefore allocates no list node and an eviction frees none; only slab
+// growth or the index tables allocate. The first chunk is sized by use: it
+// starts at kFirstChunkEntries slots and doubles whenever every slot is in
+// use, until it holds kChunkEntries, so a cache that holds a few entries
+// never pays for a full chunk. Doubling moves the entries (only a Put can
+// do that, which the Get contract above allows) but keeps every slot index,
+// so no link and no eviction order changes. Later chunks are full-size and
+// never move: once a cache holds kChunkEntries entries, addresses hold for
+// an entry's whole life.
 
 #ifndef GROUTING_SRC_CACHE_CACHE_H_
 #define GROUTING_SRC_CACHE_CACHE_H_
@@ -64,9 +69,16 @@ struct CacheStats {
 template <typename V>
 class NodeCache {
  public:
-  // Entries per slab chunk. A chunk is allocated when every slot of the
-  // previous ones is in use, and is never moved or freed before Clear.
+  // Entries per full slab chunk. The first chunk grows from
+  // kFirstChunkEntries to this by doubling; each later chunk is allocated
+  // full when every slot of the previous ones is in use, and is never moved
+  // or freed before Clear.
   static constexpr uint32_t kChunkEntries = 1024;
+  static constexpr uint32_t kFirstChunkEntries = 16;
+  static_assert(kChunkEntries % kFirstChunkEntries == 0 &&
+                    ((kChunkEntries / kFirstChunkEntries) &
+                     (kChunkEntries / kFirstChunkEntries - 1)) == 0,
+                "doubling the first chunk must land on kChunkEntries");
 
   explicit NodeCache(uint64_t capacity_bytes, CachePolicy policy = CachePolicy::kLru)
       : capacity_bytes_(capacity_bytes), policy_(policy) {}
@@ -115,9 +127,13 @@ class NodeCache {
 
   Entry& At(Index i) { return chunks_[i / kChunkEntries][i % kChunkEntries]; }
 
-  // Takes a slot off the free list, or the next never-used one (adding a
-  // chunk when all are in use), and links it at the back of the order.
+  // Takes a slot off the free list, or the next never-used one (growing the
+  // slab when all are in use), and links it at the back of the order.
   Index Allocate();
+  // Makes room for one more slot: doubles the first chunk, moving its
+  // entries to the same indices, until it is full-size; then appends a
+  // full-size chunk.
+  void Grow();
   // Unlinks the slot, drops its value and pushes it on the free list.
   void Release(Index i);
   void Unlink(Index i);
@@ -150,6 +166,7 @@ class NodeCache {
   //   LFU  : insertion order; eviction via lfu_index_.
   //   CLOCK: circular scan with hand_ and reference bits.
   std::vector<std::unique_ptr<Entry[]>> chunks_;
+  Index slots_ = 0;       // slots the chunks hold
   Index used_slots_ = 0;  // slots ever handed out since the last Clear
   Index free_head_ = kNil;
   Index head_ = kNil;
@@ -169,13 +186,33 @@ typename NodeCache<V>::Index NodeCache<V>::Allocate() {
     free_head_ = At(i).next;
   } else {
     GROUTING_CHECK(used_slots_ < kNil);
-    if (used_slots_ == chunks_.size() * kChunkEntries) {
-      chunks_.push_back(std::make_unique<Entry[]>(kChunkEntries));
+    if (used_slots_ == slots_) {
+      Grow();
     }
     i = used_slots_++;
   }
   LinkBack(i);
   return i;
+}
+
+template <typename V>
+void NodeCache<V>::Grow() {
+  if (slots_ >= kChunkEntries) {
+    chunks_.push_back(std::make_unique<Entry[]>(kChunkEntries));
+    slots_ += kChunkEntries;
+    return;
+  }
+  const Index grown = slots_ == 0 ? kFirstChunkEntries : 2 * slots_;
+  auto first = std::make_unique<Entry[]>(grown);
+  for (Index k = 0; k < used_slots_; ++k) {
+    first[k] = std::move(chunks_[0][k]);
+  }
+  if (chunks_.empty()) {
+    chunks_.push_back(std::move(first));
+  } else {
+    chunks_[0] = std::move(first);
+  }
+  slots_ = grown;
 }
 
 template <typename V>
@@ -326,6 +363,7 @@ void NodeCache<V>::Erase(NodeId key) {
 template <typename V>
 void NodeCache<V>::Clear() {
   chunks_.clear();
+  slots_ = 0;
   used_slots_ = 0;
   free_head_ = kNil;
   head_ = kNil;

@@ -32,6 +32,10 @@ ClusterEngine::ClusterEngine(const Graph& graph, const ClusterConfig& config,
   GROUTING_CHECK(config_.num_tenants > 0);
   GROUTING_CHECK(config_.admission.burst >= 1.0);
   storage_ = std::make_unique<StorageTier>(config_.num_storage_servers);
+  // One read-counter shard per processor plus the shared reader 0: every
+  // simulated processor reads as reader 0, so the simulator's p2c sequence
+  // is the single-reader one; threaded processor p reads as reader p + 1.
+  storage_->set_num_readers(config_.num_processors + 1);
   if (config_.num_tenants > 1) {
     GROUTING_CHECK_MSG(placement == nullptr,
                        "multi-tenant federation is incompatible with an "

@@ -99,16 +99,15 @@ std::vector<std::vector<uint32_t>> PartitionMap::ReplicaSnapshot() const {
   return snapshot;
 }
 
-PartitionMonitor::PartitionMonitor(uint32_t num_partitions)
-    : num_partitions_(num_partitions), rates_(num_partitions, 0.0) {
-  GROUTING_CHECK(num_partitions_ > 0);
-  windows_ = std::make_unique<CacheLinePadded<std::atomic<uint64_t>>[]>(num_partitions_);
-}
+PartitionMonitor::PartitionMonitor(uint32_t num_partitions, uint32_t num_readers)
+    : num_partitions_(num_partitions),
+      windows_(num_readers, num_partitions),
+      rates_(num_partitions, 0.0) {}
 
 void PartitionMonitor::RollWindow(double decay) {
   GROUTING_CHECK(decay >= 0.0 && decay < 1.0);
   for (uint32_t q = 0; q < num_partitions_; ++q) {
-    const uint64_t window = windows_[q].value.exchange(0, std::memory_order_relaxed);
+    const uint64_t window = windows_.ExchangeSum(q);
     rates_[q] = decay * rates_[q] + static_cast<double>(window);
     total_recorded_.fetch_add(window, std::memory_order_relaxed);
   }

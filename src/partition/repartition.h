@@ -19,8 +19,8 @@
 //                        first migration actually fires.
 //   * PartitionMonitor — per-partition decayed access-rate estimates, fed
 //                        with one Record() per key from the StorageTier
-//                        get/multiget paths and rolled into rates at
-//                        planner rounds.
+//                        multiget path (into the reading processor's own
+//                        shard) and rolled into rates at planner rounds.
 //   * PlanRepartition  — the controller: at gossip-aligned rounds, propose
 //                        hot-partition migrations from the most- to the
 //                        least-loaded storage server once the max/min load
@@ -38,9 +38,11 @@
 // partition saturates its owner even after migration (migration can only
 // relocate the hotspot, never split it), PlanReplication promotes the top-k
 // hottest partitions to an extra replica on the least-loaded server. Readers
-// then fan across {owner + replicas} with power-of-two-choices on server
-// load (StorageTier::ReadServerOf), and a demotion rule on the same decayed
-// rates reclaims replicas once a partition cools. Replica sets live in the
+// then fan across {owner + replicas} with power-of-two-choices on their own
+// per-server read loads (StorageTier::ReadServerOf): each processor balances
+// its own reads on the threaded engine, and all processors together, as one
+// shared reader, in the simulator. A demotion rule on the same decayed rates
+// reclaims replicas once a partition cools. Replica sets live in the
 // map as packed versioned stamps next to the owner stamps; creation and
 // teardown reuse the copy -> flip -> drain -> delete epoch machinery.
 
@@ -232,23 +234,26 @@ class PartitionMap {
 };
 
 // Per-partition access-rate monitor. Record() is called from the tier's
-// get/multiget paths (any thread, relaxed atomics, each partition's window
-// on its own cache line); RollWindow() is called by the single planner
-// thread at repartition rounds and folds the window counts into decayed
-// rate estimates, exactly like the arrival splitter's per-session rate
-// estimator.
+// multiget path (any thread, relaxed atomics); RollWindow() is called by the
+// single planner thread at repartition rounds and folds the window counts
+// into decayed rate estimates, exactly like the arrival splitter's
+// per-session rate estimator. The windows are sharded per reader (see
+// StorageTier::set_num_readers): a reader counts into its own shard, which
+// sits on cache lines of its own, so processor threads that read the tier
+// never write the same line; RollWindow sums the shards.
 class PartitionMonitor {
  public:
-  explicit PartitionMonitor(uint32_t num_partitions);
+  explicit PartitionMonitor(uint32_t num_partitions, uint32_t num_readers = 1);
 
   uint32_t num_partitions() const { return num_partitions_; }
 
-  void Record(uint32_t partition) {
-    windows_[partition].value.fetch_add(1, std::memory_order_relaxed);
+  // Counts one access to `partition` in `reader`'s window shard.
+  void Record(uint32_t partition, uint32_t reader = 0) {
+    windows_.at(reader, partition).fetch_add(1, std::memory_order_relaxed);
   }
 
-  // Rolls the current windows into the decayed rates and zeroes them.
-  // Planner-thread only.
+  // Rolls the current windows, summed over the reader shards, into the
+  // decayed rates and zeroes them. Planner-thread only.
   void RollWindow(double decay);
 
   // Decayed per-partition access rates, valid between RollWindow() calls.
@@ -260,7 +265,7 @@ class PartitionMonitor {
 
  private:
   uint32_t num_partitions_;
-  std::unique_ptr<CacheLinePadded<std::atomic<uint64_t>>[]> windows_;
+  ShardedCounters windows_;  // reader x partition
   std::vector<double> rates_;
   std::atomic<uint64_t> total_recorded_{0};
 };

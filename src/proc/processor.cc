@@ -90,12 +90,9 @@ size_t ResolveMigratedMisses(StorageTier* storage, std::span<const NodeId> keys,
   return resolved;
 }
 
-void CachedStorageSource::CompleteOldest(std::vector<Inflight>* inflight,
-                                         std::span<const NodeId> nodes, Output out,
-                                         FetchTrace::Level* level, double* blocked_us) {
-  Inflight batch = std::move(inflight->front());
-  inflight->erase(inflight->begin());
-
+void CachedStorageSource::Complete(Inflight& batch, std::span<const NodeId> nodes,
+                                   Output out, FetchTrace::Level* level,
+                                   double* blocked_us) {
   const bool traced = tracer_ != nullptr && tracer_->active();
   const std::vector<BlobPtr>* blobs = nullptr;
   if (executor_ != nullptr) {
@@ -115,7 +112,7 @@ void CachedStorageSource::CompleteOldest(std::vector<Inflight>* inflight,
     }
   } else {
     // Inline execution: the batch was serviced synchronously at issue time
-    // and its batch/stall spans were recorded there (see FetchBatch).
+    // and its batch/stall spans were recorded there (see Fetch).
     blobs = &batch.handle->Wait();
   }
 
@@ -265,7 +262,9 @@ void CachedStorageSource::Fetch(std::span<const NodeId> nodes, Output out) {
   // materialisation, partial-result merge) is what the sim's replay charges
   // as overlapping the outstanding batches; on the threaded engine the
   // measured overlap covers issue + completion merging, not this pass.
-  std::vector<size_t> miss_positions;
+  GROUTING_CHECK(nodes.size() <= UINT32_MAX);  // result slots are 32-bit
+  misses_.clear();
+  misses_.reserve(nodes.size());
   for (size_t i = 0; i < nodes.size(); ++i) {
     if (cache_ != nullptr) {
       ++trace_.cache_lookups;
@@ -286,7 +285,7 @@ void CachedStorageSource::Fetch(std::span<const NodeId> nodes, Output out) {
         if (out.labels != nullptr) {
           // Label-only hit: the slot alone answers it. Blobs are immutable
           // and passed the full check when their miss was completed
-          // (CompleteOldest installs nothing else, and fills the label and
+          // (Complete installs nothing else, and fills the label and
           // edge count from the checked header), so debug builds only
           // recheck that the slot still agrees with what it points to.
           GROUTING_DCHECK(SlotMatchesAdjacency(*hit));
@@ -322,29 +321,30 @@ void CachedStorageSource::Fetch(std::span<const NodeId> nodes, Output out) {
       ++trace_.cache_misses;  // every access is a storage fetch
       ++level.misses;
     }
-    miss_positions.push_back(i);
+    // Each miss's server is resolved EXACTLY ONCE into a snapshot, in
+    // position order: under repartitioning the map can flip concurrently,
+    // and a live-ServerOf sort comparator would be inconsistent mid-sort
+    // (undefined behaviour). A batch formed from a snapshot that lost the
+    // flip race is healed in Complete. ReadServerOf gives the owner, or
+    // under replication a p2c-chosen replica — so one scorching partition's
+    // misses fan across its replica set — and the key's partition, which
+    // rides with the batch so the key is hashed once. Keys go out
+    // tenant-offset: placement only ever sees global keys, while positions
+    // keep indexing the tenant-local result slots.
+    uint32_t partition = 0;
+    const uint32_t server = storage_->ReadServerOf(Key(nodes[i]), reader_, &partition);
+    misses_.push_back(Miss{server, partition, static_cast<uint32_t>(i)});
   }
 
-  // Issue / complete phases: group misses by owning storage server into
-  // multiget batches and keep at most `window_` of them outstanding.
-  // Completions install values in issue order (ascending server id), so
-  // stats, trace and cache state never depend on the window or on when the
-  // executor actually serviced a handle. Each miss's owner is resolved
-  // EXACTLY ONCE into a snapshot before sorting: under repartitioning the
-  // map can flip concurrently, and a live-ServerOf comparator would be
-  // inconsistent mid-sort (undefined behaviour). A batch formed from a
-  // snapshot that lost the flip race is healed in CompleteOldest.
-  if (!miss_positions.empty()) {
-    std::vector<std::pair<uint32_t, size_t>> misses;  // (server snapshot, pos)
-    misses.reserve(miss_positions.size());
-    for (const size_t pos : miss_positions) {
-      // ReadServerOf: the owner, or under replication a p2c-chosen replica
-      // — so one scorching partition's misses fan across its replica set.
-      // Keys go out tenant-offset: placement below only ever sees global
-      // keys, while positions keep indexing the tenant-local result slots.
-      misses.emplace_back(storage_->ReadServerOf(Key(nodes[pos])), pos);
-    }
-    std::sort(misses.begin(), misses.end());
+  // Issue / complete phases: group misses by storage server into multiget
+  // batches and keep at most `window_` of them outstanding. Completions
+  // install values in issue order (ascending server id), so stats, trace
+  // and cache state never depend on the window or on when the executor
+  // actually serviced a handle.
+  if (!misses_.empty()) {
+    std::sort(misses_.begin(), misses_.end(), [](const Miss& a, const Miss& b) {
+      return a.server != b.server ? a.server < b.server : a.pos < b.pos;
+    });
 
     // Overlap is measured only where the window lets batches overlap: at
     // window 1 peak and overlap stay 0 on both engines.
@@ -353,17 +353,29 @@ void CachedStorageSource::Fetch(std::span<const NodeId> nodes, Output out) {
         timed ? std::chrono::steady_clock::now() : std::chrono::steady_clock::time_point{};
     double blocked_us = 0.0;
     uint32_t peak = 0;
-    std::vector<Inflight> inflight;
+    // Batches [completed, issued) of batches_ are in flight.
+    size_t issued = 0;
+    size_t completed = 0;
+    const bool versioned = storage_->mutations_enabled();
+    const bool partitioned = storage_->repartitioning_enabled();
 
     size_t i = 0;
-    while (i < misses.size()) {
-      const uint32_t server = misses[i].first;
-      Inflight batch;
-      std::vector<NodeId> keys;
-      const bool versioned = storage_->mutations_enabled();
-      while (i < misses.size() && misses[i].first == server) {
-        const size_t pos = misses[i].second;
-        keys.push_back(Key(nodes[pos]));
+    while (i < misses_.size()) {
+      const uint32_t server = misses_[i].server;
+      if (issued == batches_.size()) {
+        batches_.emplace_back();
+      }
+      Inflight& batch = batches_[issued];
+      batch.positions.clear();
+      batch.versions.clear();
+      keys_.clear();
+      partitions_.clear();
+      while (i < misses_.size() && misses_[i].server == server) {
+        const uint32_t pos = misses_[i].pos;
+        keys_.push_back(Key(nodes[pos]));
+        if (partitioned) {
+          partitions_.push_back(misses_[i].partition);
+        }
         batch.positions.push_back(pos);
         if (versioned) {
           // Snapshot BEFORE the multiget runs: the installed cache slot
@@ -373,11 +385,17 @@ void CachedStorageSource::Fetch(std::span<const NodeId> nodes, Output out) {
         }
         ++i;
       }
-      if (inflight.size() >= window_) {
-        CompleteOldest(&inflight, nodes, out, &level, &blocked_us);
+      if (issued - completed >= window_) {
+        Complete(batches_[completed++], nodes, out, &level, &blocked_us);
       }
-      const size_t batch_keys = keys.size();
-      batch.handle = storage_->StartMultiGet(server, std::move(keys));
+      // The slot's handle is reopened unless someone else (an executor)
+      // still holds it; use_count() is exact because only this thread
+      // copies it.
+      if (batch.handle == nullptr || batch.handle.use_count() != 1) {
+        batch.handle = std::make_shared<MultiGetHandle>();
+      }
+      storage_->StartMultiGet(server, keys_, partitions_, reader_, batch.handle.get());
+      const size_t batch_keys = keys_.size();
       if (executor_ != nullptr) {
         if (traced) {
           batch.issue_ts_us = tracer_->NowUs();
@@ -397,11 +415,11 @@ void CachedStorageSource::Fetch(std::span<const NodeId> nodes, Output out) {
       } else {
         batch.handle->Execute();
       }
-      inflight.push_back(std::move(batch));
-      peak = std::max(peak, static_cast<uint32_t>(inflight.size()));
+      ++issued;
+      peak = std::max(peak, static_cast<uint32_t>(issued - completed));
     }
-    while (!inflight.empty()) {
-      CompleteOldest(&inflight, nodes, out, &level, &blocked_us);
+    while (completed < issued) {
+      Complete(batches_[completed++], nodes, out, &level, &blocked_us);
     }
 
     if (timed) {

@@ -138,13 +138,21 @@ class CachedStorageSource : public NodeDataSource {
     tenant_offset_ = static_cast<NodeId>(tenant) * storage_->keyspace_stride();
   }
 
+  // The storage tier reader this source's reads count as (see
+  // StorageTier::set_num_readers); 0, the shared reader, by default.
+  void set_reader(uint32_t reader) {
+    GROUTING_CHECK(reader < storage_->num_readers());
+    reader_ = reader;
+  }
+
  private:
   // Global storage/cache key of a tenant-local node id.
   NodeId Key(NodeId node) const { return node + tenant_offset_; }
-  // One outstanding multiget batch plus what is needed to install it.
+  // One multiget batch plus what is needed to install it. The slots live
+  // in batches_ and are reused by later fetches, vectors and handle too.
   struct Inflight {
     std::shared_ptr<MultiGetHandle> handle;
-    std::vector<size_t> positions;  // result slots, parallel to handle keys
+    std::vector<uint32_t> positions;  // result slots, parallel to handle keys
     // Per-key NodeVersion snapshots taken at batch formation, parallel to
     // positions; empty with mutations off. Fetched values install into the
     // cache under these (pre-fetch) snapshots so a mutation that lands
@@ -152,6 +160,13 @@ class CachedStorageSource : public NodeDataSource {
     // reverse.
     std::vector<uint64_t> versions;
     double issue_ts_us = 0.0;  // tracer timestamp at issue (if tracing)
+  };
+  // One cache miss: the server ReadServerOf chose for it, the key's
+  // partition, and its result slot. Sorted by (server, pos).
+  struct Miss {
+    uint32_t server;
+    uint32_t partition;
+    uint32_t pos;
   };
 
   // Where one fetch delivers its nodes: the entries (FetchBatch) or, when
@@ -165,11 +180,11 @@ class CachedStorageSource : public NodeDataSource {
   // The probe / issue / complete pipeline behind both fetch calls.
   void Fetch(std::span<const NodeId> nodes, Output out);
 
-  // Waits for the oldest in-flight batch, decodes its blobs and merges them
-  // into `out`, the cache and the trace (issue order keeps this
+  // Waits for `batch`, the oldest in-flight one, decodes its blobs and
+  // merges them into `out`, the cache and the trace (issue order keeps this
   // deterministic).
-  void CompleteOldest(std::vector<Inflight>* inflight, std::span<const NodeId> nodes,
-                      Output out, FetchTrace::Level* level, double* blocked_us);
+  void Complete(Inflight& batch, std::span<const NodeId> nodes, Output out,
+                FetchTrace::Level* level, double* blocked_us);
 
   // Decodes `blob`, whose header is parsed, into the first free pool slot
   // at or after the cursor, growing the pool when none is free, and
@@ -180,6 +195,7 @@ class CachedStorageSource : public NodeDataSource {
   NodeCache<CachedAdjacency>* cache_;  // nullptr = no-cache mode
   uint32_t window_;
   bool cache_compressed_;
+  uint32_t reader_ = 0;
   NodeId tenant_offset_ = 0;
   BatchFetchExecutor* executor_ = nullptr;
   WallTracer* tracer_ = nullptr;
@@ -197,9 +213,17 @@ class CachedStorageSource : public NodeDataSource {
   // never needs a slot. (A v1 miss of that kind reads just its header.)
   AdjacencyEntry scratch_;
   // The cache slots one completed batch installs, parallel to its blobs:
-  // filled by CompleteOldest's decode pass, moved into the cache by its
-  // install pass, and emptied before it returns.
+  // filled by Complete's decode pass, moved into the cache by its install
+  // pass, and emptied before it returns.
   std::vector<CachedAdjacency> installs_;
+  // Per-fetch working state, kept between fetches so that a warmed source
+  // allocates none of it: the misses of the current fetch, the keys and
+  // partitions of the batch being opened, and one batch slot per batch of
+  // a fetch (at most one per storage server), each with its handle.
+  std::vector<Miss> misses_;
+  std::vector<NodeId> keys_;
+  std::vector<uint32_t> partitions_;
+  std::vector<Inflight> batches_;
 };
 
 struct ProcessorStats {
@@ -239,6 +263,9 @@ class QueryProcessor {
   // Wall-clock tracer for the thread running this processor (threaded
   // runtime only); forwarded to the storage source for batch/decode spans.
   void set_tracer(WallTracer* tracer) { source_->set_tracer(tracer); }
+  // The storage tier reader this processor's reads count as (threaded
+  // runtime: processor p is reader p + 1; 0, the shared reader, otherwise).
+  void set_reader(uint32_t reader) { source_->set_reader(reader); }
   bool cache_enabled() const { return cache_ != nullptr; }
   NodeCache<CachedAdjacency>* cache() { return cache_.get(); }
   const NodeCache<CachedAdjacency>* cache() const { return cache_.get(); }

@@ -71,6 +71,10 @@ ThreadedCluster::ThreadedCluster(const Graph& graph, const ClusterConfig& config
       shard_mu_(config.num_router_shards) {
   for (uint32_t p = 0; p < config_.num_processors; ++p) {
     channels_.push_back(std::make_unique<MpmcQueue<Routed>>());
+    // Each processor thread counts its storage reads in a shard of its own
+    // (reader 0 stays the shared default), so no two processors write the
+    // same counter line.
+    processors_[p]->set_reader(p + 1);
   }
   for (uint32_t s = 0; s < config_.num_router_shards; ++s) {
     arrival_channels_.push_back(std::make_unique<MpmcQueue<Query>>());

@@ -13,8 +13,9 @@ BlobPtr MakeBlob(std::vector<uint8_t> bytes) {
 
 }  // namespace
 
-std::vector<BlobPtr> StorageServer::MultiGet(std::span<const NodeId> nodes) {
-  std::vector<BlobPtr> result;
+void StorageServer::MultiGet(std::span<const NodeId> nodes, std::vector<BlobPtr>* values) {
+  std::vector<BlobPtr>& result = *values;
+  result.clear();
   result.reserve(nodes.size());
   std::lock_guard<std::mutex> lock(mu_);
   ++stats_.batch_requests;
@@ -30,7 +31,6 @@ std::vector<BlobPtr> StorageServer::MultiGet(std::span<const NodeId> nodes) {
     stats_.bytes_served += it->second->size();
     result.push_back(it->second);
   }
-  return result;
 }
 
 BlobPtr StorageServer::PeekBlob(NodeId node) const {
@@ -40,9 +40,11 @@ BlobPtr StorageServer::PeekBlob(NodeId node) const {
 }
 
 void StorageServer::DrainOpenBatches() {
-  const uint32_t old = epoch_.value.fetch_add(1, std::memory_order_acq_rel);
-  while (open_batches_[old & 1].value.load(std::memory_order_acquire) != 0) {
-    std::this_thread::yield();
+  const uint32_t old = epoch_.value.fetch_add(1, std::memory_order_acq_rel) & 1;
+  for (uint32_t reader = 0; reader < open_batches_.shards(); ++reader) {
+    while (open_batches_.at(reader, old).load(std::memory_order_acquire) != 0) {
+      std::this_thread::yield();
+    }
   }
 }
 
@@ -125,18 +127,34 @@ uint32_t StorageTier::ServerOf(NodeId node) const {
   return hasher_.Place(node, static_cast<uint32_t>(servers_.size()));
 }
 
-uint32_t StorageTier::ReadServerOf(NodeId node) {
-  if (!replication_on_) {
+void StorageTier::set_num_readers(uint32_t num_readers) {
+  GROUTING_CHECK(num_readers > 0);
+  GROUTING_CHECK_MSG(partition_map_ == nullptr,
+                     "set_num_readers must precede EnableRepartitioning");
+  num_readers_ = num_readers;
+  for (const auto& s : servers_) {
+    s->set_num_readers(num_readers);
+  }
+}
+
+uint32_t StorageTier::ReadServerOf(NodeId node, uint32_t reader, uint32_t* partition) {
+  if (partition_map_ == nullptr) {
+    *partition = 0;
     return ServerOf(node);
   }
   const uint32_t q = partition_map_->PartitionOf(node);
-  const uint32_t owner = PartitionMap::StampOwner(partition_map_->OwnerStamp(q));
+  *partition = q;
+  const uint32_t owner = partition_map_->owner(q);
+  if (!replication_on_) {
+    return owner;
+  }
+  GROUTING_DCHECK(reader < num_readers_);
   const uint64_t rep = partition_map_->ReplicaStamp(q);
   const uint32_t count = PartitionMap::StampReplicaCount(rep);
   if (count == 0) {
     // Unreplicated partitions still feed the load signal: a server hot with
     // primary-only traffic should lose p2c ties elsewhere.
-    read_load_[owner].value.fetch_add(1, std::memory_order_relaxed);
+    read_counters_.at(reader, kReadLoad + owner).fetch_add(1, std::memory_order_relaxed);
     return owner;
   }
   uint32_t holders[1 + PartitionMap::kMaxReplicas];
@@ -150,21 +168,25 @@ uint32_t StorageTier::ReadServerOf(NodeId node) {
   // key rotate their candidate pair over the whole holder set — a fixed
   // per-key pair would pin a hot key to two servers forever, which loses to
   // plain migration's time-multiplexing. Hash-derived — not RNG — so the
-  // sim's single-threaded runs stay deterministic.
-  const uint64_t seq = read_seq_.value.fetch_add(1, std::memory_order_relaxed);
+  // sim's single-threaded runs stay deterministic. Sequence and loads are
+  // the reader's own shard.
+  const uint64_t seq =
+      read_counters_.at(reader, kReadSeq).fetch_add(1, std::memory_order_relaxed);
   const uint64_t h = Murmur3Hash64(node ^ (seq * 0x9e3779b97f4a7c15ull), 0x7e2c0a15u);
   uint32_t pick = holders[h % (count + 1)];
   const uint32_t alt = holders[(h >> 16) % (count + 1)];
   if (alt != pick) {
-    const uint64_t load_pick = read_load_[pick].value.load(std::memory_order_relaxed);
-    const uint64_t load_alt = read_load_[alt].value.load(std::memory_order_relaxed);
+    const uint64_t load_pick =
+        read_counters_.at(reader, kReadLoad + pick).load(std::memory_order_relaxed);
+    const uint64_t load_alt =
+        read_counters_.at(reader, kReadLoad + alt).load(std::memory_order_relaxed);
     if (load_alt < load_pick || (load_alt == load_pick && alt < pick)) {
       pick = alt;
     }
   }
-  read_load_[pick].value.fetch_add(1, std::memory_order_relaxed);
+  read_counters_.at(reader, kReadLoad + pick).fetch_add(1, std::memory_order_relaxed);
   if (pick != owner) {
-    replica_reads_.value.fetch_add(1, std::memory_order_relaxed);
+    read_counters_.at(reader, kReplicaReads).fetch_add(1, std::memory_order_relaxed);
   }
   return pick;
 }
@@ -173,21 +195,37 @@ BlobPtr StorageTier::PeekCurrent(NodeId node) {
   return servers_[ServerOf(node)]->PeekBlob(node);
 }
 
-std::shared_ptr<MultiGetHandle> StorageTier::StartMultiGet(uint32_t server,
-                                                           std::vector<NodeId> keys) {
+void StorageTier::StartMultiGet(uint32_t server, std::span<const NodeId> keys,
+                                std::span<const uint32_t> partitions, uint32_t reader,
+                                MultiGetHandle* handle) {
   GROUTING_CHECK(server < servers_.size());
+  GROUTING_DCHECK(reader < num_readers_);
+  StorageServer* target = servers_[server].get();
+  std::atomic<uint64_t>* open_slot = nullptr;
   if (partition_monitor_ != nullptr) {
+    GROUTING_CHECK(partitions.size() == keys.size());
+    for (const uint32_t q : partitions) {
+      partition_monitor_->Record(q, reader);
+    }
+    // Drain accounting: the handle occupies its reader's slot of the
+    // server's current epoch until it is serviced, so a migration can wait
+    // for requests that were opened against the old owner.
+    open_slot = target->RegisterOpenBatch(reader);
+  }
+  handle->Reopen(target, keys, open_slot);
+}
+
+std::shared_ptr<MultiGetHandle> StorageTier::StartMultiGet(uint32_t server,
+                                                           const std::vector<NodeId>& keys) {
+  std::vector<uint32_t> partitions;
+  if (partition_map_ != nullptr) {
+    partitions.reserve(keys.size());
     for (const NodeId key : keys) {
-      partition_monitor_->Record(partition_map_->PartitionOf(key));
+      partitions.push_back(partition_map_->PartitionOf(key));
     }
   }
-  auto handle = std::make_shared<MultiGetHandle>(servers_[server].get(), std::move(keys));
-  if (partition_map_ != nullptr) {
-    // Drain accounting: the handle occupies the server's current epoch slot
-    // until it is serviced, so a migration can wait for requests that were
-    // opened against the old owner.
-    handle->set_open_slot(servers_[server]->RegisterOpenBatch());
-  }
+  auto handle = std::make_shared<MultiGetHandle>();
+  StartMultiGet(server, keys, partitions, /*reader=*/0, handle.get());
   return handle;
 }
 
@@ -198,15 +236,16 @@ void StorageTier::EnableRepartitioning(uint32_t partitions_per_server) {
   const uint32_t num_servers = static_cast<uint32_t>(servers_.size());
   partition_map_ = std::make_unique<PartitionMap>(
       partitions_per_server * num_servers, num_servers, hasher_.seed());
-  partition_monitor_ =
-      std::make_unique<PartitionMonitor>(partition_map_->num_partitions());
+  partition_monitor_ = std::make_unique<PartitionMonitor>(
+      partition_map_->num_partitions(), num_readers_);
 }
 
 void StorageTier::EnableReplication() {
   GROUTING_CHECK_MSG(partition_map_ != nullptr,
                      "EnableReplication requires EnableRepartitioning first");
   replication_on_ = true;
-  read_load_ = std::make_unique<CacheLinePadded<std::atomic<uint64_t>>[]>(servers_.size());
+  read_counters_ = ShardedCounters(num_readers_,
+                                   kReadLoad + static_cast<uint32_t>(servers_.size()));
 }
 
 StorageTier::MigrationResult StorageTier::AddReplica(uint32_t partition,

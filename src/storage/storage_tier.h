@@ -8,12 +8,12 @@
 #ifndef GROUTING_SRC_STORAGE_STORAGE_TIER_H_
 #define GROUTING_SRC_STORAGE_STORAGE_TIER_H_
 
-#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -43,10 +43,11 @@ struct StorageServerStats {
 // lock as its keys. A blob handed out stays valid (and unchanged) however
 // the key is overwritten or deleted afterwards. The migration-drain
 // counters, which every handle writes without the mutex, sit on cache lines
-// of their own, away from the mutex and the stats.
+// of their own, away from the mutex and the stats, with one pair of slots
+// per reader (see StorageTier::set_num_readers).
 class StorageServer {
  public:
-  explicit StorageServer(uint32_t id) : id_(id) {}
+  explicit StorageServer(uint32_t id) : id_(id), open_batches_(1, 2) {}
 
   uint32_t id() const { return id_; }
 
@@ -61,10 +62,18 @@ class StorageServer {
   }
 
   // Services one multiget batch: takes the server mutex once and looks up
-  // every key, positionally matching `nodes` (nullptr where absent). The
+  // every key into `*values`, positionally matching `nodes` (nullptr where
+  // absent). The vector is cleared first and keeps its capacity, so a
+  // caller that reuses it allocates nothing once it is large enough. The
   // call counts one batch_request; each key counts one get_request, and one
   // miss or one served value.
-  std::vector<BlobPtr> MultiGet(std::span<const NodeId> nodes);
+  void MultiGet(std::span<const NodeId> nodes, std::vector<BlobPtr>* values);
+  // The same, into a fresh vector.
+  std::vector<BlobPtr> MultiGet(std::span<const NodeId> nodes) {
+    std::vector<BlobPtr> values;
+    MultiGet(nodes, &values);
+    return values;
+  }
 
   void Delete(NodeId node) {
     std::lock_guard<std::mutex> lock(mu_);
@@ -84,18 +93,25 @@ class StorageServer {
 
   // Epoch-tagged accounting of multiget handles opened against this server
   // but not yet serviced. StartMultiGet registers each handle in the
-  // current epoch's slot; the handle releases it once Execute() has
-  // published its values (or on destruction if never serviced). A migration
-  // drain advances the epoch and waits for the OLD epoch's slot to empty —
-  // in-flight requests finish against the old owner while new ones (tagged
-  // with the new epoch) never block the wait.
-  std::atomic<int64_t>* RegisterOpenBatch() {
-    std::atomic<int64_t>* slot =
-        &open_batches_[epoch_.value.load(std::memory_order_acquire) & 1].value;
+  // current epoch's slot of its reader; the handle releases it once
+  // Execute() has published its values (or on reopen or destruction if
+  // never serviced). A migration drain advances the epoch and waits for the
+  // OLD epoch's slot of EVERY reader to empty — in-flight requests finish
+  // against the old owner while new ones (tagged with the new epoch) never
+  // block the wait.
+  std::atomic<uint64_t>* RegisterOpenBatch(uint32_t reader) {
+    std::atomic<uint64_t>* slot =
+        &open_batches_.at(reader, epoch_.value.load(std::memory_order_acquire) & 1);
     slot->fetch_add(1, std::memory_order_acq_rel);
     return slot;
   }
   void DrainOpenBatches();
+
+  // Resizes the drain slots to one pair per reader. Only while no handle
+  // is open against this server (StorageTier::set_num_readers).
+  void set_num_readers(uint32_t num_readers) {
+    open_batches_ = ShardedCounters(num_readers, 2);
+  }
 
  private:
   uint32_t id_;
@@ -103,26 +119,28 @@ class StorageServer {
   std::unordered_map<NodeId, BlobPtr> blobs_;
   StorageServerStats stats_;
   // Migration-drain state (used only when the tier has repartitioning on).
-  // Every handle reads the epoch and writes one slot, from any processor
-  // thread, so each gets a line of its own.
+  // Every handle reads the epoch, which only a drain writes, so it gets a
+  // line of its own; a handle writes one slot of its reader's pair, so
+  // readers with shards of their own never write the same line.
   CacheLinePadded<std::atomic<uint32_t>> epoch_;
-  std::array<CacheLinePadded<std::atomic<int64_t>>, 2> open_batches_;
+  ShardedCounters open_batches_;  // reader x epoch parity
 };
 
 // One multiget request against a single storage server: the handle is
-// created by StorageTier::StartMultiGet, executed exactly once — inline by
+// opened by StorageTier::StartMultiGet, executed exactly once — inline by
 // the issuing processor, or by the BatchFetchExecutor it was submitted to —
 // and then collected by the same thread with Wait(). The processor overlaps
 // cache work with outstanding requests and decodes the blobs itself. An
 // executor that models the wire stamps a landing time on the handle: the
 // reply is then not available before it, so Wait() yields until it passes.
+// A handle nobody else holds may be opened again for the next request; its
+// key and value vectors keep their capacity, so a reused handle allocates
+// nothing once they are large enough.
 class MultiGetHandle {
  public:
   using Clock = std::chrono::steady_clock;
 
-  MultiGetHandle(StorageServer* server, std::vector<NodeId> keys)
-      : server_(server), keys_(std::move(keys)) {}
-
+  MultiGetHandle() = default;
   ~MultiGetHandle() { ReleaseOpenSlot(); }
 
   MultiGetHandle(const MultiGetHandle&) = delete;
@@ -132,9 +150,9 @@ class MultiGetHandle {
   const std::vector<NodeId>& keys() const { return keys_; }
 
   // Services the request against the server (thread-safe; the server
-  // serialises internally). Call exactly once.
+  // serialises internally). Call exactly once per opening.
   void Execute() {
-    values_ = server_->MultiGet(keys_);
+    server_->MultiGet(keys_, &values_);
     uint64_t bytes = 0;
     for (const BlobPtr& v : values_) {
       if (v != nullptr) {
@@ -169,25 +187,40 @@ class MultiGetHandle {
     return values_;
   }
 
-  // Migration-drain accounting (repartitioning only; nullptr otherwise):
-  // the epoch slot StorageTier::StartMultiGet registered this handle in.
-  void set_open_slot(std::atomic<int64_t>* slot) { open_slot_ = slot; }
-
  private:
+  friend class StorageTier;
+
+  // Binds the handle to a new request for `keys` against `server`, dropping
+  // the previous reply and landing time but keeping the vectors' capacity.
+  // `open_slot` is the drain slot StorageTier::StartMultiGet registered the
+  // request in (repartitioning only; nullptr otherwise). A slot still held
+  // by an unserviced previous request is released first.
+  void Reopen(StorageServer* server, std::span<const NodeId> keys,
+              std::atomic<uint64_t>* open_slot) {
+    ReleaseOpenSlot();
+    server_ = server;
+    keys_.assign(keys.begin(), keys.end());
+    values_.clear();
+    payload_bytes_ = 0;
+    executed_ = false;
+    landing_ = Clock::time_point{};
+    open_slot_.store(open_slot, std::memory_order_release);
+  }
+
   void ReleaseOpenSlot() {
-    std::atomic<int64_t>* slot = open_slot_.exchange(nullptr, std::memory_order_acq_rel);
+    std::atomic<uint64_t>* slot = open_slot_.exchange(nullptr, std::memory_order_acq_rel);
     if (slot != nullptr) {
       slot->fetch_sub(1, std::memory_order_acq_rel);
     }
   }
 
-  StorageServer* server_;
+  StorageServer* server_ = nullptr;
   std::vector<NodeId> keys_;
   std::vector<BlobPtr> values_;
   uint64_t payload_bytes_ = 0;
   bool executed_ = false;
   Clock::time_point landing_{};
-  std::atomic<std::atomic<int64_t>*> open_slot_{nullptr};
+  std::atomic<std::atomic<uint64_t>*> open_slot_{nullptr};
 };
 
 // Seam between "who issues a multiget" and "who runs it". The default
@@ -274,14 +307,38 @@ class StorageTier {
   size_t num_servers() const { return servers_.size(); }
   uint32_t ServerOf(NodeId node) const;
 
+  // --- Readers --------------------------------------------------------------
+  //
+  // A reader is one writer of the read path's counters: the p2c read loads
+  // and read sequence, replica_reads, the partition monitor's windows and
+  // each server's drain slots all keep one shard per reader, each on cache
+  // lines of its own, so two readers never write the same line. Reader 0
+  // is the shared default: every entry point that names no reader uses it,
+  // and every simulated processor does. On the threaded engine processor p
+  // reads as reader p + 1 (ClusterEngine sizes the tier to num_processors
+  // + 1 readers). Counts are relaxed atomic increments in every shard, so
+  // a reader shared by several threads still counts exactly, and every
+  // getter below sums over the shards. Set before EnableRepartitioning;
+  // the default is 1 (reader 0 alone).
+  void set_num_readers(uint32_t num_readers);
+  uint32_t num_readers() const { return num_readers_; }
+
   // Read-path server choice. With replication off this IS ServerOf (same
   // bits, no side effects). With replication on and the key's partition
   // replicated, picks between two hash-derived candidates from
-  // {owner + replicas} by power-of-two-choices on the per-server read-load
-  // counters, bumps the winner's counter, and counts replica_reads when a
-  // non-primary wins. Used by CachedStorageSource when it groups misses
-  // into per-server multiget batches.
-  uint32_t ReadServerOf(NodeId node);
+  // {owner + replicas} by power-of-two-choices on the reader's own
+  // per-server read-load counters, bumps the winner's counter, and counts
+  // replica_reads when a non-primary wins. So p2c balances each reader's
+  // own reads: per processor on the threaded engine, over the one shared
+  // reader in the simulator. Used by CachedStorageSource when it groups
+  // misses into per-server multiget batches; `*partition` receives the
+  // key's partition (0 with repartitioning off), which the batch hands to
+  // StartMultiGet so the key is hashed once.
+  uint32_t ReadServerOf(NodeId node, uint32_t reader, uint32_t* partition);
+  uint32_t ReadServerOf(NodeId node) {
+    uint32_t partition = 0;
+    return ReadServerOf(node, /*reader=*/0, &partition);
+  }
 
   // Stats-free blob read through the current map's primary: no serving
   // stats, no monitor record; nullptr if absent. Used by the
@@ -291,11 +348,19 @@ class StorageTier {
   // partitions look hotter than they are.
   BlobPtr PeekCurrent(NodeId node);
 
-  // Opens an async multiget against one server. The handle is NOT serviced
-  // yet — hand it to a BatchFetchExecutor, or call Execute() inline, then
-  // Wait(); the server counts the batch when it services it.
+  // Opens `*handle` (fresh, or reused once nobody else holds it) as an
+  // async multiget of `keys` against one server on behalf of `reader`.
+  // `partitions` holds each key's partition as ReadServerOf handed it back;
+  // with repartitioning on, each is recorded in the reader's monitor shard
+  // and the handle registers in the reader's drain slot. The handle is NOT
+  // serviced yet — hand it to a BatchFetchExecutor, or call Execute()
+  // inline, then Wait(); the server counts the batch when it services it.
+  void StartMultiGet(uint32_t server, std::span<const NodeId> keys,
+                     std::span<const uint32_t> partitions, uint32_t reader,
+                     MultiGetHandle* handle);
+  // The same on a fresh handle as reader 0, hashing each key's partition.
   std::shared_ptr<MultiGetHandle> StartMultiGet(uint32_t server,
-                                                std::vector<NodeId> keys);
+                                                const std::vector<NodeId>& keys);
 
   StorageServer& server(size_t i) { return *servers_[i]; }
   const StorageServer& server(size_t i) const { return *servers_[i]; }
@@ -305,7 +370,8 @@ class StorageTier {
   // EnableRepartitioning installs a PartitionMap over P = partitions_per_
   // server x num_servers virtual partitions (same placement hash, so the
   // initial layout is byte-identical to classic hash placement) plus a
-  // PartitionMonitor fed one Record() per key from StartMultiGet.
+  // PartitionMonitor fed one Record() per key from StartMultiGet, into the
+  // reading processor's shard.
   // Incompatible with an explicit placement (there is no partition
   // structure to migrate): LoadGraph(g, placement) after enabling — or
   // enabling after it — is a checked error.
@@ -322,17 +388,15 @@ class StorageTier {
   bool replication_enabled() const { return replication_on_; }
 
   // Reads served by a non-primary replica (p2c picked a replica over the
-  // owner). 0 with replication off.
+  // owner), summed over the readers. 0 with replication off.
   uint64_t replica_reads() const {
-    return replica_reads_.value.load(std::memory_order_relaxed);
+    return replication_on_ ? read_counters_.Sum(kReplicaReads) : 0;
   }
 
-  // The p2c read-load counter of one server: how many ReadServerOf calls
-  // picked it. 0 with replication off.
+  // The p2c read-load counter of one server, summed over the readers: how
+  // many ReadServerOf calls picked it. 0 with replication off.
   uint64_t read_load(uint32_t server) const {
-    return read_load_ == nullptr
-               ? 0
-               : read_load_[server].value.load(std::memory_order_relaxed);
+    return replication_on_ ? read_counters_.Sum(kReadLoad + server) : 0;
   }
 
   // What one executed migration / promotion / demotion physically moved.
@@ -438,6 +502,7 @@ class StorageTier {
   uint64_t MutateEdgeHalfLocked(NodeId key, NodeId other, Label label, bool insert,
                                 bool out);
   std::vector<std::unique_ptr<StorageServer>> servers_;
+  uint32_t num_readers_ = 1;
   HashPartitioner hasher_;
   AdjacencyEncoding encoding_ = AdjacencyEncoding::kRaw;
   uint32_t num_tenants_ = 1;
@@ -449,17 +514,18 @@ class StorageTier {
   // Installed by EnableRepartitioning; null = classic static placement.
   std::unique_ptr<PartitionMap> partition_map_;
   std::unique_ptr<PartitionMonitor> partition_monitor_;
-  // Replica-aware read routing (EnableReplication). read_load_ is the p2c
-  // load signal: one relaxed bump per ReadServerOf resolution, approximate
-  // by design (staleness just makes p2c pick the second candidate). Every
-  // processor thread writes these counters, so each sits on its own cache
-  // line.
+  // Replica-aware read routing (EnableReplication): one shard per reader
+  // of [read sequence, replica_reads, read load of each server]. The read
+  // load is the p2c load signal: one relaxed bump per ReadServerOf
+  // resolution, approximate by design (staleness just makes p2c pick the
+  // second candidate). The read sequence is mixed into the p2c candidate
+  // hash so a hot key's candidate pair rotates over its holder set instead
+  // of pinning.
+  static constexpr uint32_t kReadSeq = 0;
+  static constexpr uint32_t kReplicaReads = 1;
+  static constexpr uint32_t kReadLoad = 2;  // + server
   bool replication_on_ = false;
-  std::unique_ptr<CacheLinePadded<std::atomic<uint64_t>>[]> read_load_;
-  CacheLinePadded<std::atomic<uint64_t>> replica_reads_;
-  // Read-sequence counter mixed into the p2c candidate hash so a hot key's
-  // candidate pair rotates over its holder set instead of pinning.
-  CacheLinePadded<std::atomic<uint64_t>> read_seq_;
+  ShardedCounters read_counters_;
   // Per-partition key lists, built once at LoadGraph when repartitioning is
   // on. Partition membership is a pure hash of the key and the tier's key
   // population is fixed after load (only migrations move keys between

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -396,6 +398,201 @@ TEST(StorageTierTest, ReadPathCountersAreExactUnderConcurrentReaders) {
     recorded += rate;
   }
   EXPECT_EQ(recorded, static_cast<double>(total.keys));
+}
+
+
+// A tier whose read path counts into per-reader shards: 4 servers, 4
+// partitions per server, every other partition replicated once, 3 readers.
+void MakeShardedTier(const Graph& g, StorageTier* tier) {
+  tier->set_num_readers(3);
+  tier->EnableRepartitioning(4);
+  tier->EnableReplication();
+  tier->LoadGraph(g);
+  const PartitionMap& map = *tier->partition_map();
+  for (uint32_t q = 0; q < map.num_partitions(); q += 2) {
+    tier->AddReplica(q, (map.owner(q) + 1) % static_cast<uint32_t>(tier->num_servers()));
+  }
+}
+
+// Readers 0, 1 and 2 used together: two threads share reader 0 and one
+// thread each has readers 1 and 2, all through the reader-naming entry
+// points and one reused handle per thread. The getters sum the shards, so
+// every total is exact. Readers 1 and 2 run the same seeded key sequence:
+// each balances over its own read loads and read sequence, so their p2c
+// picks are identical whatever the other readers do.
+TEST(StorageTierTest, ReaderShardsSumExactly) {
+  constexpr int kRounds = 1500;
+  const Graph g = GenerateBarabasiAlbert(2000, 4, 41);
+  StorageTier tier(4);
+  MakeShardedTier(g, &tier);
+  const PartitionMap& map = *tier.partition_map();
+
+  struct Counts {
+    uint64_t reads = 0;
+    uint64_t replica_reads = 0;
+    uint64_t keys = 0;
+    uint64_t handles = 0;
+    uint64_t absent = 0;
+    std::vector<uint32_t> picks;
+  };
+  const uint32_t readers[] = {0, 0, 1, 2};
+  const uint64_t seeds[] = {1, 2, 3, 3};
+  std::vector<Counts> counts(4);
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < counts.size(); ++t) {
+    threads.emplace_back([&, t] {
+      Rng rng(seeds[t]);
+      Counts& c = counts[t];
+      MultiGetHandle handle;
+      std::vector<std::pair<uint32_t, std::pair<NodeId, uint32_t>>> picks;
+      std::vector<NodeId> keys;
+      std::vector<uint32_t> partitions;
+      for (int round = 0; round < kRounds; ++round) {
+        picks.clear();
+        const uint64_t n = 1 + rng.NextBounded(8);
+        for (uint64_t i = 0; i < n; ++i) {
+          const auto key = static_cast<NodeId>(rng.NextBounded(g.num_nodes()));
+          uint32_t partition = 0;
+          const uint32_t server = tier.ReadServerOf(key, readers[t], &partition);
+          EXPECT_EQ(partition, map.PartitionOf(key));
+          c.replica_reads += server != map.owner(partition) ? 1 : 0;
+          c.picks.push_back(server);
+          picks.push_back({server, {key, partition}});
+          ++c.reads;
+        }
+        std::sort(picks.begin(), picks.end());
+        for (size_t i = 0; i < picks.size();) {
+          const uint32_t server = picks[i].first;
+          keys.clear();
+          partitions.clear();
+          for (; i < picks.size() && picks[i].first == server; ++i) {
+            keys.push_back(picks[i].second.first);
+            partitions.push_back(picks[i].second.second);
+          }
+          tier.StartMultiGet(server, keys, partitions, readers[t], &handle);
+          handle.Execute();
+          c.absent += std::count(handle.Wait().begin(), handle.Wait().end(), nullptr);
+          c.keys += keys.size();
+          ++c.handles;
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+
+  Counts total;
+  for (const Counts& c : counts) {
+    total.reads += c.reads;
+    total.replica_reads += c.replica_reads;
+    total.keys += c.keys;
+    total.handles += c.handles;
+    total.absent += c.absent;
+  }
+  EXPECT_EQ(total.absent, 0u);
+  EXPECT_EQ(counts[2].picks, counts[3].picks);
+  EXPECT_GT(counts[2].replica_reads, 0u);
+  uint64_t read_load = 0;
+  uint64_t batches = 0;
+  uint64_t gets = 0;
+  for (uint32_t s = 0; s < tier.num_servers(); ++s) {
+    read_load += tier.read_load(s);
+    batches += tier.server(s).stats().batch_requests;
+    gets += tier.server(s).stats().get_requests;
+  }
+  EXPECT_EQ(read_load, total.reads);
+  EXPECT_EQ(tier.replica_reads(), total.replica_reads);
+  EXPECT_EQ(batches, total.handles);
+  EXPECT_EQ(gets, total.keys);
+  PartitionMonitor& monitor = *tier.partition_monitor();
+  monitor.RollWindow(0.0);
+  EXPECT_EQ(monitor.total_recorded(), total.keys);
+}
+
+// The keys of `partition` among the first nodes of `g`, at most `max`.
+std::vector<NodeId> PartitionKeys(const Graph& g, const PartitionMap& map,
+                                  uint32_t partition, size_t max) {
+  std::vector<NodeId> keys;
+  for (NodeId u = 0; u < g.num_nodes() && keys.size() < max; ++u) {
+    if (map.PartitionOf(u) == partition) {
+      keys.push_back(u);
+    }
+  }
+  return keys;
+}
+
+// A migration drains every reader's slot of the old epoch: a handle that
+// reader 2 opened against the old owner holds the source-side delete until
+// it is serviced, so its values are all present.
+TEST(StorageTierTest, DrainWaitsForAHandleOfReaderTwo) {
+  const Graph g = GenerateBarabasiAlbert(2000, 4, 41);
+  StorageTier tier(4);
+  tier.set_num_readers(3);
+  tier.EnableRepartitioning(8);
+  tier.LoadGraph(g);
+  const PartitionMap& map = *tier.partition_map();
+  const uint32_t partition = map.PartitionOf(0);
+  const uint32_t from = map.owner(partition);
+  const std::vector<NodeId> keys = PartitionKeys(g, map, partition, 8);
+  ASSERT_FALSE(keys.empty());
+  const std::vector<uint32_t> partitions(keys.size(), partition);
+
+  MultiGetHandle handle;
+  tier.StartMultiGet(from, keys, partitions, /*reader=*/2, &handle);
+  std::atomic<bool> migrated{false};
+  std::thread migrator([&] {
+    tier.MigratePartition(partition, (from + 1) % 4);
+    migrated.store(true, std::memory_order_release);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(migrated.load(std::memory_order_acquire));
+
+  handle.Execute();
+  migrator.join();
+  const std::vector<BlobPtr>& values = handle.Wait();
+  ASSERT_EQ(values.size(), keys.size());
+  for (size_t i = 0; i < values.size(); ++i) {
+    EXPECT_NE(values[i], nullptr) << "key " << keys[i] << " lost in migration";
+  }
+}
+
+// A reused handle that raced a migration: reader 1 serves one batch of a
+// partition's keys from its owner, the partition moves, and the same
+// handle, reopened against the old owner, comes back empty without
+// growing its vectors. ResolveMigratedMisses heals every slot through the
+// current map.
+TEST(StorageTierTest, ReopenedHandleThatRacedAMigrationHeals) {
+  const Graph g = GenerateBarabasiAlbert(2000, 4, 41);
+  StorageTier tier(4);
+  tier.set_num_readers(2);
+  tier.EnableRepartitioning(8);
+  tier.LoadGraph(g);
+  const PartitionMap& map = *tier.partition_map();
+  const uint32_t partition = map.PartitionOf(0);
+  const uint32_t from = map.owner(partition);
+  const std::vector<NodeId> keys = PartitionKeys(g, map, partition, 6);
+  ASSERT_FALSE(keys.empty());
+  const std::vector<uint32_t> partitions(keys.size(), partition);
+
+  MultiGetHandle handle;
+  tier.StartMultiGet(from, keys, partitions, /*reader=*/1, &handle);
+  handle.Execute();
+  ASSERT_EQ(std::count(handle.Wait().begin(), handle.Wait().end(), nullptr), 0);
+  const size_t key_capacity = handle.keys().capacity();
+
+  tier.MigratePartition(partition, (from + 1) % 4);
+  tier.StartMultiGet(from, keys, partitions, /*reader=*/1, &handle);
+  EXPECT_EQ(handle.keys().capacity(), key_capacity);
+  handle.Execute();
+  std::vector<BlobPtr> values = handle.Wait();
+  for (const BlobPtr& v : values) {
+    ASSERT_EQ(v, nullptr) << "the old owner should have lost the partition";
+  }
+  EXPECT_EQ(ResolveMigratedMisses(&tier, keys, &values), keys.size());
+  for (size_t i = 0; i < values.size(); ++i) {
+    EXPECT_NE(values[i], nullptr) << "key " << keys[i];
+  }
 }
 
 }  // namespace

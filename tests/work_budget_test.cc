@@ -5,7 +5,9 @@
 // 500 hotspot queries through one CachedStorageSource over 4 storage
 // servers and check allocations per query and peak live heap bytes
 // (malloc_usable_size); the storage tests check allocations per
-// StorageTier::ApplyMutation and per StorageServer::MultiGet; the routing
+// StorageTier::ApplyMutation, per StorageServer::MultiGet (fresh and
+// filled-in result vector) and per StartMultiGet + Execute on a reused
+// handle; the routing
 // test checks allocations per RoutingStrategy::Route for each scheme. Every
 // budget
 // is written here. A change in a budget is a gate change and is reported as
@@ -26,6 +28,7 @@
 #include <memory>
 #include <new>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/core/experiment.h"
@@ -34,6 +37,7 @@
 #include "src/query/query.h"
 #include "src/routing/strategy.h"
 #include "src/storage/storage_tier.h"
+#include "src/util/rng.h"
 #include "src/workload/mutations.h"
 #include "src/workload/workload.h"
 
@@ -210,21 +214,24 @@ TEST_F(WorkBudgetTest, WarmCompressedHits) {
 }
 
 // No cache: a fetch that hands out entries decodes into the pool; a
-// last-level, label-only fetch of these v1 blobs reads just each header
-// (84.6 allocs/query, 0.99 MiB; decoding those into one scratch entry,
-// which shrank and regrew on every hub, took 163.3, 0.99; pooling every
-// fetch took 240.5, 4.85; a fresh entry per fetch took 1411.6, 3.62).
+// last-level, label-only fetch of these v1 blobs reads just each header;
+// the source reuses its miss list, batch slots and multiget handles (26.5
+// allocs/query, 0.98 MiB; a fresh handle, key vector and miss list per
+// fetch took 84.6, 0.99; decoding label-only misses into one scratch
+// entry, which shrank and regrew on every hub, took 163.3, 0.99; pooling
+// every fetch took 240.5, 4.85; a fresh entry per fetch took 1411.6, 3.62).
 TEST_F(WorkBudgetTest, NoCache) {
-  ExpectWithinBudget(Mode::kNoCache, "no-cache", 93.0, 1.1);
+  ExpectWithinBudget(Mode::kNoCache, "no-cache", 29.0, 1.1);
 }
 
 // Cold compressed cache: misses install blobs into slab slots and decode
-// into the pool or the scratch entry while the pool itself grows (46.4
-// allocs/query, 2.86 MiB; a std::list node per cache entry took 86.1,
+// into the pool or the scratch entry while the pool itself grows (31.3
+// allocs/query, 2.93 MiB; a fresh handle, key vector and miss list per
+// fetch took 46.4, 2.86; a std::list node per cache entry took 86.1,
 // 3.74; decoding every hit into the pool took 309.8, 7.01; a fresh entry
 // per decode took 1406.7, 6.34).
 TEST_F(WorkBudgetTest, ColdCompressed) {
-  ExpectWithinBudget(Mode::kColdCompressed, "cold compressed", 52.0, 3.2);
+  ExpectWithinBudget(Mode::kColdCompressed, "cold compressed", 35.0, 3.2);
 }
 
 // Allocations per StorageTier::ApplyMutation over 500 seeded edge
@@ -248,28 +255,114 @@ double AllocsPerMutation() {
   return static_cast<double>(probe.allocs()) / static_cast<double>(schedule.size());
 }
 
-// Allocations per 128-key StorageServer::MultiGet: 100 calls, each over 128
-// keys server 0 holds.
-double AllocsPerMultiGet() {
+// The 128 keys server 0 of `tier` holds first, in node order.
+std::vector<NodeId> ServerZeroKeys(const StorageTier& tier, const Graph& g) {
   constexpr size_t kKeys = 128;
-  constexpr int kCalls = 100;
-  const Fixture& f = SharedFixture();
-  StorageTier tier(4);
-  tier.LoadGraph(f.graph);
   std::vector<NodeId> keys;
-  for (NodeId u = 0; u < f.graph.num_nodes() && keys.size() < kKeys; ++u) {
+  for (NodeId u = 0; u < g.num_nodes() && keys.size() < kKeys; ++u) {
     if (tier.ServerOf(u) == 0) {
       keys.push_back(u);
     }
   }
   EXPECT_EQ(keys.size(), kKeys);
+  return keys;
+}
+
+// Allocations per 128-key StorageServer::MultiGet: 100 calls, each over 128
+// keys server 0 holds.
+double AllocsPerMultiGet() {
+  constexpr int kCalls = 100;
+  const Fixture& f = SharedFixture();
+  StorageTier tier(4);
+  tier.LoadGraph(f.graph);
+  const std::vector<NodeId> keys = ServerZeroKeys(tier, f.graph);
   StorageServer& server = tier.server(0);
   HeapProbe probe;
   for (int i = 0; i < kCalls; ++i) {
     const std::vector<BlobPtr> blobs = server.MultiGet(keys);
-    EXPECT_EQ(blobs.size(), kKeys);
+    EXPECT_EQ(blobs.size(), keys.size());
   }
   return static_cast<double>(probe.allocs()) / kCalls;
+}
+
+// Allocations per fill-in StorageServer::MultiGet: 100 calls over the same
+// 128 keys into one reused result vector, after one warm-up call.
+double AllocsPerFillInMultiGet() {
+  constexpr int kCalls = 100;
+  const Fixture& f = SharedFixture();
+  StorageTier tier(4);
+  tier.LoadGraph(f.graph);
+  const std::vector<NodeId> keys = ServerZeroKeys(tier, f.graph);
+  StorageServer& server = tier.server(0);
+  std::vector<BlobPtr> values;
+  server.MultiGet(keys, &values);
+  HeapProbe probe;
+  for (int i = 0; i < kCalls; ++i) {
+    server.MultiGet(keys, &values);
+    EXPECT_EQ(values.size(), keys.size());
+  }
+  return static_cast<double>(probe.allocs()) / kCalls;
+}
+
+// Allocations per ReadServerOf + StartMultiGet + Execute on a warmed
+// reader: a repartitioned, replicated 4-server tier with 3 readers, every
+// other partition replicated once; reader 1 reads 2000 seeded batches of 1
+// to 16 keys, grouped per server, through one reused handle. An unmeasured
+// pass of the same batches warms the handle's vectors first.
+double AllocsPerReusedMultiGet() {
+  const Fixture& f = SharedFixture();
+  StorageTier tier(4);
+  tier.set_num_readers(3);
+  tier.EnableRepartitioning(8);
+  tier.EnableReplication();
+  tier.LoadGraph(f.graph);
+  const PartitionMap& map = *tier.partition_map();
+  for (uint32_t q = 0; q < map.num_partitions(); q += 2) {
+    tier.AddReplica(q, (map.owner(q) + 1) % 4);
+  }
+  std::vector<std::vector<NodeId>> batches(2000);
+  Rng rng(23);
+  for (std::vector<NodeId>& batch : batches) {
+    batch.resize(1 + rng.NextBounded(16));
+    for (NodeId& u : batch) {
+      u = static_cast<NodeId>(rng.NextBounded(f.graph.num_nodes()));
+    }
+  }
+  MultiGetHandle handle;
+  std::vector<std::pair<uint32_t, uint32_t>> picks;  // (server, partition)
+  std::vector<NodeId> keys;
+  std::vector<uint32_t> partitions;
+  uint64_t opened = 0;
+  auto pass = [&] {
+    for (const std::vector<NodeId>& batch : batches) {
+      picks.clear();
+      for (const NodeId u : batch) {
+        uint32_t partition = 0;
+        picks.emplace_back(tier.ReadServerOf(u, /*reader=*/1, &partition), partition);
+      }
+      for (uint32_t server = 0; server < 4; ++server) {
+        keys.clear();
+        partitions.clear();
+        for (size_t k = 0; k < batch.size(); ++k) {
+          if (picks[k].first == server) {
+            keys.push_back(batch[k]);
+            partitions.push_back(picks[k].second);
+          }
+        }
+        if (keys.empty()) {
+          continue;
+        }
+        tier.StartMultiGet(server, keys, partitions, /*reader=*/1, &handle);
+        handle.Execute();
+        ++opened;
+      }
+    }
+  };
+  pass();
+  const uint64_t warm = opened;
+  HeapProbe probe;
+  pass();
+  return static_cast<double>(probe.allocs()) / static_cast<double>(opened - warm);
 }
 
 // An edge mutation decodes each touched adjacency half, copies and edits
@@ -281,11 +374,26 @@ TEST_F(WorkBudgetTest, ApplyMutation) {
 }
 
 // A multiget allocates its result vector once and hands out the stored
-// blobs by shared pointer (1.0 allocs/call).
+// blobs by shared pointer (1.0 allocs/call); filling a reused vector
+// allocates nothing (0.0).
 TEST_F(WorkBudgetTest, StorageServerMultiGet) {
   const double allocs = AllocsPerMultiGet();
   std::printf("[ work     ] %-16s %8.1f allocs/call\n", "multiget x128", allocs);
   EXPECT_LE(allocs, 1.1);
+  const double fill_in = AllocsPerFillInMultiGet();
+  std::printf("[ work     ] %-16s %8.1f allocs/call\n", "fill-in x128", fill_in);
+  EXPECT_EQ(fill_in, 0.0);
+}
+
+// A warmed reader's read path allocates nothing: ReadServerOf counts in
+// the reader's shard, StartMultiGet records the partitions ReadServerOf
+// handed back and reopens the handle in place, and Execute fills the
+// handle's value vector (0.0 allocs/batch; a fresh handle and key vector
+// per batch took 2.0).
+TEST_F(WorkBudgetTest, ReusedHandleMultiGet) {
+  const double allocs = AllocsPerReusedMultiGet();
+  std::printf("[ work     ] %-16s %8.1f allocs/batch\n", "reused handle", allocs);
+  EXPECT_EQ(allocs, 0.0);
 }
 
 // Allocations per RoutingStrategy::Route: 20000 hotspot query nodes routed
